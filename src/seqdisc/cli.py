@@ -245,11 +245,6 @@ class _Run:
         return self.get("fmt", "csv")
 
 
-def _gof(problem, eps, resolution):
-    phi_opt, result = optimize_angle(problem, eps, resolution=resolution)
-    return phi_opt, result
-
-
 def _cmd_angle_scan(run: _Run) -> None:
     eps = run.epsilons
     if len(eps) != 1:
@@ -288,7 +283,7 @@ def _cmd_cost_curve(run: _Run) -> None:
               "cost_gof", "phi_opt"]
     rows = []
     for eps in run.epsilons:
-        phi_opt, gof = _gof(problem, eps, resolution)
+        phi_opt, gof = optimize_angle(problem, eps, resolution=resolution)
         rows.append([
             eps,
             -math.log(eps),
@@ -325,7 +320,7 @@ def _cmd_strings(run: _Run) -> None:
     for name in names:
         name, spec = _parse_strategy(name)
         if spec is None:
-            phi_opt, _ = _gof(problem, eps, run.get("resolution", 2000))
+            phi_opt, _ = optimize_angle(problem, eps, resolution=run.get("resolution", 2000))
             spec = StrategySpec(StrategyKind.FIXED_ANGLE, phi=phi_opt)
         strings, _residual = enumerate_strings(problem, spec, eps, coverage, max_depth)
         if aggregate:
@@ -350,7 +345,7 @@ def _cmd_optimize(run: _Run) -> None:
     for theta in run.thetas:
         problem = DiscriminationProblem(theta=theta, q1=q1)
         for eps in run.epsilons:
-            phi_opt, result = _gof(problem, eps, resolution)
+            phi_opt, result = optimize_angle(problem, eps, resolution=resolution)
             rows.append([theta, eps, phi_opt, result.expected_copies, result.bound_width])
     if run.fmt == "csv":
         _write_csv(run.output, header, rows)
@@ -374,7 +369,7 @@ def _cmd_simulate(run: _Run) -> None:
     for eps in run.epsilons:
         actual = spec
         if actual is None:
-            phi_opt, _ = _gof(problem, eps, run.get("resolution", 2000))
+            phi_opt, _ = optimize_angle(problem, eps, resolution=run.get("resolution", 2000))
             actual = StrategySpec(StrategyKind.FIXED_ANGLE, phi=phi_opt)
         report = run_trials(problem, actual, eps, trials, seed)
         reports.append((eps, report))

@@ -4,7 +4,10 @@ The dynamic program propagates unterminated probability mass over the integer
 count lattice (m1, m2), depth by depth, under each hypothesis separately.  The
 termination predicate is a function of the counts alone, so states reached by
 different outcome orderings merge exactly; mass that stops is removed from the
-frontier immediately, which enforces prefix termination automatically.
+frontier immediately, which enforces prefix termination automatically.  At a
+fixed depth the log-odds are affine in m1, so the states that continue form one
+m1 interval (the continuation region of Wald's sequential probability ratio
+test), and the frontier is stored as that interval alone.
 
 A brute-force outcome-tree enumeration with identical semantics serves as the
 independent correctness oracle at validation scale.
@@ -101,25 +104,90 @@ def worst_case_tail(problem: DiscriminationProblem, phi: float, eps: float) -> f
     return max(tails)
 
 
-def _termination_mask(
-    problem: DiscriminationProblem,
-    steps,
-    m1: np.ndarray,
-    m2: np.ndarray,
-    eps: float,
-) -> np.ndarray:
-    """Vectorized stopping predicate over count states; matches posterior_from_counts."""
-    d1, d2 = -steps.step1, -steps.step2  # log-odds increments of psi2 vs psi1
-    logit = np.full(m1.shape, math.log(problem.q2 / problem.q1))
-    for m, d in ((m1, d1), (m2, d2)):
-        if math.isinf(d):
-            logit = np.where(m > 0, d, logit)
-        else:
-            logit = logit + m * d
-    abs_logit = np.abs(logit)
-    with np.errstate(over="ignore"):
-        err = np.where(abs_logit > 700.0, 0.0, 1.0 / (1.0 + np.exp(np.minimum(abs_logit, 700.0))))
-    return err <= eps + BOUNDARY_TOL
+class _StopRule:
+    """The stopping predicate of one (problem, phi, eps) over count states (m1, m2).
+
+    A state stops once its posterior error is at most eps + BOUNDARY_TOL.  The
+    log-odds of psi2 vs psi1 are logit0 + m1*d1 + m2*d2, an infinite increment
+    overriding the sum once its outcome occurs.  The error is evaluated with
+    numpy's exp, whose last bit can differ from math.exp, and in the operation
+    order of the vectorized form of this predicate in tests/test_engine.py, so
+    states on the boundary decide exactly as there.
+    """
+
+    def __init__(self, problem: DiscriminationProblem, phi: float, eps: float):
+        steps = log_likelihood_steps(problem, phi)
+        self.logit0 = math.log(problem.q2 / problem.q1)
+        self.d1, self.d2 = -steps.step1, -steps.step2  # d1 <= 0 <= d2
+        self.bound = eps + BOUNDARY_TOL
+        # continuing states satisfy |logit| < threshold (up to rounding)
+        self.threshold = math.log(1.0 / self.bound - 1.0)
+        # at fixed depth n, logit = logit0 + n*d2 - m1*rate
+        self.rate = self.d2 - self.d1
+
+    def stops(self, m1: int, m2: int) -> bool:
+        logit = self.logit0
+        for m, d in ((m1, self.d1), (m2, self.d2)):
+            if math.isinf(d):
+                if m > 0:
+                    logit = d
+            else:
+                logit = logit + m * d
+        return self._error_within_bound(abs(logit))
+
+    def _error_within_bound(self, abs_logit: float) -> bool:
+        if abs_logit > 700.0:
+            return True  # the error underflows to 0
+        return 1.0 / (1.0 + np.exp(min(abs_logit, 700.0))) <= self.bound
+
+    def can_stop_within(self, max_copies: int) -> bool:
+        """False only if no state with m1 + m2 <= max_copies stops.
+
+        The log-odds are affine in (m1, m2), so their modulus over the count
+        triangle peaks at a corner.  The peak is raised by a relative margin far
+        above the rounding of the log-odds sum at any state of the triangle.
+        """
+        d1, d2, logit0 = self.d1, self.d2, self.logit0
+        corners = (logit0, logit0 + max_copies * d1, logit0 + max_copies * d2)
+        scale = abs(logit0) + max_copies * max(abs(d1), abs(d2))
+        return self._error_within_bound(max(abs(x) for x in corners) + 1e-9 * scale)
+
+    def continuation(self, n: int, wlo: int, whi: int) -> tuple[int, int]:
+        """The run [lo, hi] of m1 in [wlo, whi] whose states at depth n do not stop.
+
+        Empty runs come back as hi = lo - 1.  The closed-form ends, widened by
+        one state, contain the run; the exact predicate then fixes each end.
+        """
+        if math.isinf(self.d2):
+            wlo = max(wlo, n)  # any outcome 2 stops
+        if math.isinf(self.d1):
+            whi = min(whi, 0)  # any outcome 1 stops
+        lo, hi = wlo, whi
+        rate = self.rate
+        if math.isfinite(rate) and rate > 0.0:
+            centre = self.logit0 + n * self.d2
+            x = (centre - self.threshold) / rate
+            y = (centre + self.threshold) / rate
+            if x > wlo:
+                lo = whi + 1 if x >= whi + 1 else math.floor(x)
+            if y < whi:
+                hi = wlo - 1 if y <= wlo - 1 else math.ceil(y)
+        stops = self.stops
+        start = lo
+        while lo <= hi and stops(lo, n - lo):
+            lo += 1
+        if lo > hi:
+            return lo, lo - 1
+        if lo == start:
+            while lo > wlo and not stops(lo - 1, n - lo + 1):
+                lo -= 1
+        end = hi
+        while stops(hi, n - hi):
+            hi -= 1
+        if hi == end:
+            while hi < whi and not stops(hi + 1, n - hi - 1):
+                hi += 1
+        return lo, hi
 
 
 def fixed_angle_cost(
@@ -140,6 +208,8 @@ def fixed_angle_cost(
     after each depth (test instrumentation).  cost_cap, if given, raises
     CostCapExceeded as soon as the running lower bound on the final cost
     exceeds it (the angle optimizer uses this to abandon hopeless angles).
+    An angle at which no outcome string can stop within opts.max_copies copies
+    raises NonConvergenceError before the first copy.
     """
     opts = opts or EngineOptions()
     if opts.mode == "brute_force_tree":
@@ -147,12 +217,24 @@ def fixed_angle_cost(
     _check_inputs(problem, phi, eps)
 
     config = MeasurementConfig.for_problem(problem, phi)
-    steps = log_likelihood_steps(problem, phi)
+    rule = _StopRule(problem, phi, eps)
+    # if nothing can stop, the loop would end with the whole unit mass as
+    # residual, so whether it would raise is already known
+    if (not rule.can_stop_within(opts.max_copies)
+            and opts.max_copies + worst_case_tail(problem, phi, eps) > opts.bound_width_limit):
+        raise NonConvergenceError(
+            f"no outcome string can stop within {opts.max_copies} copies at phi={phi}"
+        )
     q1, q2 = problem.q1, problem.q2
     a1, a2 = config.p1_given_psi1, config.p1_given_psi2  # P(outcome 1 | psi_j)
+    # one copy moves mass from m1 to m1 + 1 with probability a: correlating
+    # with (a, 1 - a) is the convolution with (1 - a, a)
+    kernel1 = np.array([a1, 1.0 - a1])
+    kernel2 = np.array([a2, 1.0 - a2])
 
     # frontier mass over a sliding window of m1 values [base, base + len),
-    # at the current depth n (so m2 = n - m1)
+    # at the current depth n (so m2 = n - m1); at fixed depth the states that
+    # continue form one m1 interval, so the frontier is a slice of the window
     mass1 = np.array([1.0])
     mass2 = np.array([1.0])
     base = 0
@@ -162,22 +244,23 @@ def fixed_angle_cost(
     n = 0
     while n < opts.max_copies:
         n += 1
-        width = len(mass1) + 1
-        new1 = np.zeros(width)
-        new1[1:] += mass1 * a1
-        new1[:-1] += mass1 * (1.0 - a1)
-        new2 = np.zeros(width)
-        new2[1:] += mass2 * a2
-        new2[:-1] += mass2 * (1.0 - a2)
-        m1 = base + np.arange(width)
-        stop = _termination_mask(problem, steps, m1, n - m1, eps)
+        new1 = np.correlate(mass1, kernel1, "full")
+        new2 = np.correlate(mass2, kernel2, "full")
         weight = q1 * new1 + q2 * new2
-        stopped_now = float(weight[stop].sum())
+        lo, hi = rule.continuation(n, base, base + len(weight) - 1)
+        i0, i1 = lo - base, hi + 1 - base
+        # the stopped states in index order, summed as one array
+        if i1 == len(weight):
+            stopped = weight[:i0]
+        elif i0 == 0:
+            stopped = weight[i1:]
+        else:
+            stopped = np.concatenate((weight[:i0], weight[i1:]))
+        stopped_now = float(stopped.sum())
         cost_accum += n * stopped_now
         terminated += stopped_now
-        mass1 = np.where(stop, 0.0, new1)
-        mass2 = np.where(stop, 0.0, new2)
-        live = np.where(stop, 0.0, weight)
+        mass1, mass2, live = new1[i0:i1], new2[i0:i1], weight[i0:i1]
+        base += i0
         frontier = float(live.sum())
         if on_depth is not None:
             on_depth(n, terminated, frontier + leaked)
@@ -188,17 +271,20 @@ def fixed_angle_cost(
                 f"cost lower bound exceeds cap {cost_cap} at depth {n} for phi={phi}"
             )
         # trim the window to states carrying non-negligible mass
-        keep = np.nonzero(live > frontier * _WINDOW_CUT)[0]
+        cut = frontier * _WINDOW_CUT
+        if len(live) and live[0] > cut and live[-1] > cut:
+            continue  # both ends are kept, so nothing is trimmed
+        keep = np.nonzero(live > cut)[0]
         if len(keep) == 0:
             leaked += frontier
             mass1 = mass1[:0]
             mass2 = mass2[:0]
             break
-        lo, hi = int(keep[0]), int(keep[-1]) + 1
-        leaked += float(live[:lo].sum() + live[hi:].sum())
-        mass1 = mass1[lo:hi]
-        mass2 = mass2[lo:hi]
-        base += lo
+        k0, k1 = int(keep[0]), int(keep[-1]) + 1
+        leaked += float(live[:k0].sum() + live[k1:].sum())
+        mass1 = mass1[k0:k1]
+        mass2 = mass2[k0:k1]
+        base += k0
 
     residual = float(q1 * mass1.sum() + q2 * mass2.sum()) + leaked
     if residual == 0.0:

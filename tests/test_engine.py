@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from seqdisc import (
@@ -12,7 +13,8 @@ from seqdisc import (
     fixed_angle_cost,
     ubm_cost,
 )
-from seqdisc.engine import CostCapExceeded
+from seqdisc.engine import CostCapExceeded, _StopRule
+from seqdisc.posterior import BOUNDARY_TOL, log_likelihood_steps
 
 TIGHT = EngineOptions(max_copies=50_000, mass_tolerance=1e-14)
 
@@ -146,3 +148,115 @@ def test_brute_force_reproduces_fbm_string_termination(problem12):
     assert res.expected_copies == pytest.approx(
         fbm_cost(problem12, 0.179).expected_copies, abs=1e-10
     )
+
+
+def _reference_stop_mask(problem, phi, eps, m1, m2):
+    """Vectorized stopping predicate over count states (the reference for _StopRule)."""
+    steps = log_likelihood_steps(problem, phi)
+    d1, d2 = -steps.step1, -steps.step2  # log-odds increments of psi2 vs psi1
+    logit = np.full(m1.shape, math.log(problem.q2 / problem.q1))
+    for m, d in ((m1, d1), (m2, d2)):
+        if math.isinf(d):
+            logit = np.where(m > 0, d, logit)
+        else:
+            logit = logit + m * d
+    abs_logit = np.abs(logit)
+    with np.errstate(over="ignore"):
+        err = np.where(abs_logit > 700.0, 0.0, 1.0 / (1.0 + np.exp(np.minimum(abs_logit, 700.0))))
+    return err <= eps + BOUNDARY_TOL
+
+
+def _first_stop_depth(problem, phi, eps):
+    n = 0
+    while True:
+        n += 1
+        m1 = np.arange(n + 1)
+        if _reference_stop_mask(problem, phi, eps, m1, n - m1).any():
+            return n
+
+
+def _continuation_cases():
+    cases = []
+    for theta in (math.pi / 16, math.pi / 12, math.pi / 8):
+        for q1 in (0.5, 0.3):
+            for phi in (0.0, 1e-6, theta, math.pi / 4, math.pi / 2 - theta - 1e-9):
+                for eps in (0.179, 0.01):
+                    cases.append((theta, q1, phi, eps))
+    # the posterior error lands exactly on eps = 0.1 after a net two outcomes
+    cases.append((math.pi / 12, 0.5, math.pi / 4, 0.1))
+    return cases
+
+
+@pytest.mark.parametrize("theta,q1,phi,eps", _continuation_cases())
+def test_continuation_interval_matches_stop_mask(theta, q1, phi, eps):
+    problem = DiscriminationProblem(theta=theta, q1=q1)
+    rule = _StopRule(problem, phi, eps)
+    for n in range(1, 301):
+        m1 = np.arange(n + 1)
+        lo, hi = rule.continuation(n, 0, n)
+        inside = (m1 >= lo) & (m1 <= hi)
+        assert np.array_equal(inside, ~_reference_stop_mask(problem, phi, eps, m1, n - m1)), n
+        # a narrower window gives the same run clipped to it
+        lo_w, hi_w = rule.continuation(n, n // 3, n - n // 4)
+        inside_w = (m1 >= lo_w) & (m1 <= hi_w)
+        assert np.array_equal(inside_w, inside & (m1 >= n // 3) & (m1 <= n - n // 4)), n
+
+
+@pytest.mark.parametrize("phi,eps,shift", [
+    (math.pi / 4, 1e-3, -1.5),  # runs of about 6 states
+    (math.pi / 4, 1e-3, 3.0),
+    (0.3, 0.125, -0.6),  # runs of at most one state
+])
+def test_continuation_ends_recover_from_a_shifted_closed_form(problem12, phi, eps, shift):
+    # the closed-form ends only seed the search: moved by `shift` states
+    # (inward for negative shifts), the exact predicate still finds the run
+    rule = _StopRule(problem12, phi, eps)
+    rule.threshold += shift * rule.rate
+    for n in range(1, 301):
+        m1 = np.arange(n + 1)
+        lo, hi = rule.continuation(n, 0, n)
+        inside = (m1 >= lo) & (m1 <= hi)
+        assert np.array_equal(inside, ~_reference_stop_mask(problem12, phi, eps, m1, n - m1)), n
+
+
+@pytest.mark.parametrize("phi", [0.0, math.pi / 2 - 1e-9])
+def test_prescreen_rejects_uninformative_angles(problem12, phi):
+    calls = []
+    with pytest.raises(NonConvergenceError, match="no outcome string can stop within 20000 copies"):
+        fixed_angle_cost(problem12, phi, 0.125, EngineOptions(max_copies=20_000),
+                         on_depth=lambda *args: calls.append(args))
+    assert calls == []
+
+
+@pytest.mark.parametrize("q1,phi,eps", [
+    (0.5, math.pi / 4, 0.05),
+    (0.5, math.pi / 4, 0.1),  # the first stop sits exactly on the error bound
+    (0.5, 0.6, 0.01),
+    (0.3, 0.9, 0.01),
+    (0.5, 0.05, 0.125),
+    (0.5, 1.5, 0.01),
+])
+def test_prescreen_fires_only_below_first_stop_depth(q1, phi, eps):
+    problem = DiscriminationProblem(theta=math.pi / 12, q1=q1)
+    k = _first_stop_depth(problem, phi, eps)
+    depths = []
+    try:
+        fixed_angle_cost(problem, phi, eps, EngineOptions(max_copies=k),
+                         on_depth=lambda n, t, f: depths.append(n))
+    except NonConvergenceError as exc:
+        assert "no outcome string can stop" not in str(exc)
+    assert depths == list(range(1, k + 1))
+    depths.clear()
+    with pytest.raises(NonConvergenceError, match=f"no outcome string can stop within {k - 1} copies"):
+        fixed_angle_cost(problem, phi, eps, EngineOptions(max_copies=k - 1),
+                         on_depth=lambda n, t, f: depths.append(n))
+    assert depths == []
+
+
+def test_prescreen_keeps_vacuous_result_under_unbounded_width_limit(problem12):
+    # with no limit on the enclosure width the loop's verdict is a result, not
+    # an error: nothing stops, and all of the mass is left as residual
+    result = fixed_angle_cost(problem12, 0.0, 0.1,
+                              EngineOptions(max_copies=50, bound_width_limit=math.inf))
+    assert result.expected_copies == 0.0
+    assert result.residual_mass == pytest.approx(1.0, abs=1e-12)
