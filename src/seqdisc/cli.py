@@ -58,11 +58,12 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """Writes the header, then each row of the iterable `rows` as soon as it is formatted."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 def _write_json(path: str, payload) -> None:
@@ -71,7 +72,7 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
-def _rows_to_json(header: list[str], rows: list[list]) -> list[dict]:
+def _rows_to_json(header: list[str], rows) -> list[dict]:
     return [dict(zip(header, row)) for row in rows]
 
 
@@ -316,23 +317,28 @@ def _cmd_strings(run: _Run) -> None:
     max_depth = run.get("max_depth", 64)
     aggregate = bool(run.get("aggregate"))
     header = ["strategy", "string", "n", "prob", "true_error", "guess"]
-    rows = []
+    results = []
     for name in names:
         name, spec = _parse_strategy(name)
         if spec is None:
             phi_opt, _ = optimize_angle(problem, eps, resolution=run.get("resolution", 2000))
             spec = StrategySpec(StrategyKind.FIXED_ANGLE, phi=phi_opt)
         strings, _residual = enumerate_strings(problem, spec, eps, coverage, max_depth)
-        if aggregate:
-            for agg in aggregate_by_length(strings):
-                rows.append([name, f"len={agg.n}", agg.n, agg.total_prob, agg.mean_error, ""])
-        else:
-            for s in strings:
-                rows.append([name, s.label, s.n, s.prob, s.true_error, s.guess])
+        results.append((name, strings))
+
+    def rows():
+        for name, strings in results:
+            if aggregate:
+                for agg in aggregate_by_length(strings):
+                    yield [name, f"len={agg.n}", agg.n, agg.total_prob, agg.mean_error, ""]
+            else:
+                for s in strings:
+                    yield [name, s.label, s.n, s.prob, s.true_error, s.guess]
+
     if run.fmt == "csv":
-        _write_csv(run.output, header, rows)
+        _write_csv(run.output, header, rows())
     elif run.fmt == "json":
-        _write_json(run.output, _rows_to_json(header, rows))
+        _write_json(run.output, _rows_to_json(header, rows()))
     else:
         raise ValueError("strings supports csv or json output")
 

@@ -6,6 +6,15 @@ counter-based tableau, falling back to a stream seeded by (seed, i) in the
 rare case a trial outlives its row.  Results are therefore bit-reproducible
 for a fixed (seed, trials) regardless of execution order, and trials are
 independent by construction.
+
+The tableau is drawn in chunks of a fixed number of rows from one generator,
+which reproduces the rows of a single draw, so memory does not grow with the
+trial count.  Within a chunk the fixed-angle trials advance in lockstep: the
+outcomes of every copy of every row at once, the running outcome-1 counts,
+the stop verdict of each count state from a VerdictTable, and the first stop
+of each row (sought among the first few copies of all rows, then to the end
+of the rows that have not stopped).  LOL trials, whose angle adapts, run one
+at a time on the rows.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DiscriminationProblem, MeasurementConfig, helstrom_angle
-from .posterior import BOUNDARY_TOL, _log_ratio
+from .posterior import BOUNDARY_TOL, VerdictTable
 from .strategies import StrategyKind, StrategySpec, strategy_angle
 
 __all__ = [
@@ -29,8 +38,10 @@ __all__ = [
 
 # far above any desk-scale stopping depth; reaching it means the bound is unreachable
 TRIAL_COPY_CAP = 1_000_000
-_BLOCK = 64  # uniforms preallocated per trial (1 state draw + ~63 copies)
-_CHUNK = 64  # refill size for trials that outlive their block
+_ROW = 64  # uniforms per trial in the seeded table (1 state draw + 63 copies)
+_REFILL = 64  # refill size of the fallback stream of a trial that outlives its row
+_CHUNK_ROWS = 4096  # table rows drawn and simulated at a time, whatever the trial count
+_FIRST_COPIES = 16  # copies of a row tried on all trials of a chunk before the rest
 
 
 class TrialLengthError(RuntimeError):
@@ -65,7 +76,7 @@ class MonteCarloReport:
 
 
 class _Uniforms:
-    """Sequential uniforms: a preallocated row, then a spawned per-trial stream."""
+    """Sequential uniforms: a table row, then a spawned per-trial stream."""
 
     __slots__ = ("_buf", "_i", "_seed", "_trial", "_ext")
 
@@ -80,56 +91,113 @@ class _Uniforms:
         if self._i == len(self._buf):
             if self._ext is None:
                 self._ext = np.random.default_rng((self._seed, self._trial))
-            self._buf = self._ext.random(_CHUNK)
+            self._buf = self._ext.random(_REFILL)
             self._i = 0
         u = self._buf[self._i]
         self._i += 1
         return u
 
 
-def _fixed_angle_trial(
+def _fixed_angle_chunk(
     problem: DiscriminationProblem,
     config: MeasurementConfig,
-    eps: float,
-    u: _Uniforms,
-) -> tuple[int, str, int]:
-    """One fixed-angle run; returns (true state, outcome string, guess).
+    table: VerdictTable,
+    rows: np.ndarray,
+    seed: int,
+    first: int,
+    per_string: dict[str, list[int]],
+) -> None:
+    """Runs the fixed-angle trials of table rows first, first + 1, ... in lockstep.
 
-    The stopping test reproduces posterior_from_counts bit for bit (same
-    log-odds accumulation from the counts) without the per-copy call overhead.
+    Each trial's outcomes are decided for its whole row at once; its counts
+    after each copy index the verdict table, and it stops at the first
+    stopping state.  A trial that does not stop within its row continues one
+    copy at a time on its fallback stream.
     """
-    true_state = 1 if u.next() < problem.q1 else 2
-    p1 = config.p1_given_psi1 if true_state == 1 else config.p1_given_psi2
-    d1 = _log_ratio(config.p1_given_psi2, config.p1_given_psi1)
-    d2 = _log_ratio(config.p2_given_psi2, config.p2_given_psi1)
-    logit0 = math.log(problem.q2 / problem.q1)
-    bound = eps + BOUNDARY_TOL
-    m1 = m2 = 0
-    outcomes = []
+    psi1 = rows[:, 0] < problem.q1
+    p1 = np.where(psi1, config.p1_given_psi1, config.p1_given_psi2)
+    ones = rows[:, 1:] < p1[:, None]  # outcome 1 at each copy of the row
+    copies = ones.shape[1]
+    n, guess = _first_stops(table, ones)
+    done = np.flatnonzero(n)
+    wrong = guess[done] != np.where(psi1[done], 1, 2)
+    # one integer per outcome string: bit j for outcome 2 at copy j, and bit n
+    twos = ~ones[done] & (np.arange(copies) < n[done, None])
+    keys = np.packbits(twos, axis=1, bitorder="little").view("<u8").ravel()
+    keys |= np.uint64(1) << n[done].astype(np.uint64)
+    _, where, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    counts = np.bincount(inverse, minlength=len(where))
+    errors = np.bincount(inverse[wrong], minlength=len(where))
+    for label, count, errs in zip(_labels(ones[done[where]], n[done[where]]), counts.tolist(),
+                                  errors.tolist()):
+        _count(per_string, label, count, errs)
+    for j in np.flatnonzero(n == 0).tolist():
+        label, guess_j = _fixed_angle_fallback(
+            table, p1[j], _Uniforms(rows[j, copies + 1:], seed, first + j),
+            _labels(ones[j:j + 1], [copies])[0],
+        )
+        _count(per_string, label, 1, int(guess_j != (1 if psi1[j] else 2)))
+
+
+def _first_stops(table: VerdictTable, ones: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(copies used, guess) of each row at its first stopping state; (0, 0) if none."""
+    n = np.zeros(len(ones), np.int64)
+    guess = np.zeros(len(ones), np.int8)
+    live = np.arange(len(ones))
+    # most trials stop within a few copies, so a short prefix of the row is
+    # tried first, and only the rows not stopped in it are run to the end
+    for width in (min(_FIRST_COPIES, ones.shape[1]), ones.shape[1]):
+        table.reach(width)
+        depth = np.arange(1, width + 1)
+        verdicts = table.guess[table.index(depth, np.cumsum(ones[live, :width], axis=1))]
+        stops = verdicts != 0
+        at = stops.argmax(axis=1)
+        hit = stops[np.arange(len(live)), at]
+        n[live[hit]] = at[hit] + 1
+        guess[live[hit]] = verdicts[hit, at[hit]]
+        live = live[~hit]
+    return n, guess
+
+
+def _labels(ones: np.ndarray, n) -> list[str]:
+    """The outcome strings of the rows of `ones`, each cut at its length in `n`."""
+    chars = np.where(ones, np.uint8(ord("1")), np.uint8(ord("2")))
+    chars[np.arange(ones.shape[1]) >= np.asarray(n)[:, None]] = 0  # a bytes view stops there
+    return [b.decode("ascii") for b in chars.view(f"S{ones.shape[1]}").ravel().tolist()]
+
+
+def _fixed_angle_fallback(
+    table: VerdictTable,
+    p1: float,
+    u: _Uniforms,
+    outcomes: str,
+) -> tuple[str, int]:
+    """Continues a fixed-angle trial that outlived its row; returns (outcome string, guess)."""
+    m1 = outcomes.count("1")
+    m2 = len(outcomes) - m1
+    chars = list(outcomes)
     while True:
         if u.next() < p1:
             m1 += 1
-            outcomes.append("1")
+            chars.append("1")
         else:
             m2 += 1
-            outcomes.append("2")
-        logit = logit0
-        if m1 > 0:
-            logit = d1 if math.isinf(d1) else logit + m1 * d1
-        if m2 > 0:
-            logit = d2 if math.isinf(d2) else logit + m2 * d2
-        if logit > 700.0:
-            p = 0.0
-        elif logit < -700.0:
-            p = 1.0
-        else:
-            p = 1.0 / (1.0 + math.exp(logit))
-        if min(p, 1.0 - p) <= bound:
-            return true_state, "".join(outcomes), (1 if p >= 0.5 else 2)
-        if len(outcomes) >= TRIAL_COPY_CAP:
+            chars.append("2")
+        guess, _ = table.verdict(m1, m2)
+        if guess:
+            return "".join(chars), guess
+        if len(chars) >= TRIAL_COPY_CAP:
             raise TrialLengthError(
                 f"trial exceeded {TRIAL_COPY_CAP} copies without reaching the bound"
             )
+
+
+def _count(per_string: dict[str, list[int]], label: str, count: int, errors: int) -> None:
+    tally = per_string.get(label)
+    if tally is None:
+        tally = per_string[label] = [0, 0]
+    tally[0] += count
+    tally[1] += errors
 
 
 def _lol_trial(
@@ -177,39 +245,29 @@ def run_trials(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     adaptive = strategy.kind is StrategyKind.LOL
-    config = None
     if not adaptive:
         config = MeasurementConfig.for_problem(problem, strategy_angle(problem, strategy))
+        table = VerdictTable(problem, config, eps)
     angle_cache: dict[float, MeasurementConfig] = {}
 
-    block = np.random.default_rng(seed).random((trials, _BLOCK))
+    rng = np.random.default_rng(seed)
     per_string: dict[str, list[int]] = {}
-    total = 0
-    total_sq = 0
-    errors = 0
-    min_copies = TRIAL_COPY_CAP
-    max_copies = 0
-    for i in range(trials):
-        u = _Uniforms(block[i], seed, i)
-        if adaptive:
-            true_state, label, guess = _lol_trial(problem, eps, u, angle_cache)
-        else:
-            true_state, label, guess = _fixed_angle_trial(problem, config, eps, u)
-        n = len(label)
-        total += n
-        total_sq += n * n
-        wrong = guess != true_state
-        errors += wrong
-        if n < min_copies:
-            min_copies = n
-        if n > max_copies:
-            max_copies = n
-        tally = per_string.get(label)
-        if tally is None:
-            tally = per_string[label] = [0, 0]
-        tally[0] += 1
-        tally[1] += wrong
+    for first in range(0, trials, _CHUNK_ROWS):
+        # consecutive draws from one generator continue one table row by row
+        rows = rng.random((min(_CHUNK_ROWS, trials - first), _ROW))
+        if not adaptive:
+            _fixed_angle_chunk(problem, config, table, rows, seed, first, per_string)
+            continue
+        for j, row in enumerate(rows):
+            true_state, label, guess = _lol_trial(problem, eps, _Uniforms(row, seed, first + j),
+                                                  angle_cache)
+            _count(per_string, label, 1, int(guess != true_state))
 
+    total = total_sq = errors = 0
+    for label, (count, errs) in per_string.items():
+        total += count * len(label)
+        total_sq += count * len(label) ** 2
+        errors += errs
     mean = total / trials
     var = (total_sq - trials * mean * mean) / (trials - 1) if trials > 1 else 0.0
     stderr = math.sqrt(max(var, 0.0) / trials)
@@ -220,8 +278,8 @@ def run_trials(
         empirical_error=errors / trials,
         per_string={k: (c, e) for k, (c, e) in per_string.items()},
         seed=seed,
-        min_copies=min_copies,
-        max_copies=max_copies,
+        min_copies=min(map(len, per_string)),
+        max_copies=max(map(len, per_string)),
     )
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import DiscriminationProblem, MeasurementConfig
 
 __all__ = [
@@ -19,6 +21,7 @@ __all__ = [
     "posterior_error",
     "log_likelihood_steps",
     "meets_error_bound",
+    "VerdictTable",
     "BOUNDARY_TOL",
 ]
 
@@ -122,6 +125,71 @@ def posterior_from_counts(
 def posterior_error(state: PosteriorState) -> float:
     """Error probability of guessing the more probable hypothesis: min(p1, 1-p1)."""
     return min(state.p1, 1.0 - state.p1)
+
+
+class VerdictTable:
+    """Stopping verdict of every count state (m1, m2) of one (problem, angle, eps).
+
+    The verdict depends on the counts alone, not on the order of the outcomes.
+    States are stored depth by depth, n = m1 + m2, each row indexed by m1, in
+    flat triangular arrays: `guess` is 0 where the state continues, else the
+    hypothesis guessed on stopping (1 or 2); `error` is that guess's true error.
+    Rows are filled by `reach` only as deep as a caller asks, from `posterior`
+    (posterior_from_counts unless a caller passes an instrumented copy),
+    posterior_error and meets_error_bound.  Depth 0, before any copy, never stops.
+    """
+
+    def __init__(
+        self,
+        problem: DiscriminationProblem,
+        config: MeasurementConfig,
+        eps: float,
+        posterior=posterior_from_counts,
+    ):
+        self._problem = problem
+        self._config = config
+        self._eps = eps
+        self._posterior = posterior
+        self.depth = 0
+        self.guess = np.zeros(1, dtype=np.int8)
+        self.error = np.zeros(1)
+
+    def verdict(self, m1: int, m2: int) -> tuple[int, float]:
+        """(guess, true error) of one state; guess 0 means the state continues."""
+        state = self._posterior(self._problem, self._config, m1, m2)
+        if not meets_error_bound(posterior_error(state), self._eps):
+            return 0, 0.0
+        if state.p1 >= 0.5:
+            return 1, 1.0 - state.p1
+        return 2, state.p1
+
+    def reach(self, depth: int) -> None:
+        """Fill every row up to `depth`."""
+        if depth <= self.depth:
+            return
+        size = self.index(depth + 1, 0)
+        if size > len(self.guess):
+            # capacity doubles, so filling depth by depth stays linear in the table size
+            capacity = max(size, 2 * len(self.guess))
+            self.guess = np.concatenate((self.guess, np.zeros(capacity - len(self.guess), np.int8)))
+            self.error = np.concatenate((self.error, np.zeros(capacity - len(self.error))))
+        verdict = self.verdict
+        for n in range(self.depth + 1, depth + 1):
+            start = self.index(n, 0)
+            for m1 in range(n + 1):
+                self.guess[start + m1], self.error[start + m1] = verdict(m1, n - m1)
+        self.depth = depth
+
+    @staticmethod
+    def index(n, m1):
+        """Flat index of the state (m1, n - m1); works elementwise on arrays."""
+        return n * (n + 1) // 2 + m1
+
+    def row(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(guess, error) of the states at depth n, indexed by m1; fills up to n."""
+        self.reach(n)
+        start = self.index(n, 0)
+        return self.guess[start:start + n + 1], self.error[start:start + n + 1]
 
 
 def log_likelihood_steps(problem: DiscriminationProblem, phi: float) -> LikelihoodSteps:

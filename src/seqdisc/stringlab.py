@@ -2,17 +2,24 @@
 
 A termination string is an outcome sequence whose posterior first satisfies
 the error bound at its last copy; the set of such strings is prefix-free by
-construction.  Enumeration is best-first on prefix probability, so strings are
-emitted in descending observation probability with a lexicographic tie-break.
+construction.  Strings are emitted in descending observation probability with
+a lexicographic tie-break, exactly as a best-first expansion of prefixes would
+emit them.  The prefixes are held as a frontier of numpy arrays (conditional
+probabilities, outcome-1 count, outcomes packed into uint64 words) and
+advanced one depth at a time, above a probability threshold that falls in
+rounds until the emitted strings reach the coverage target.  Whether a prefix
+stops depends only on its outcome counts, so each count state is tested once,
+through a VerdictTable, whatever the number of prefixes that reach it.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import DiscriminationProblem, MeasurementConfig
-from .posterior import meets_error_bound, posterior_error, posterior_from_counts
+from .posterior import VerdictTable, posterior_from_counts
 from .strategies import CostResult, StrategyKind, StrategySpec, strategy_angle
 
 __all__ = [
@@ -25,6 +32,11 @@ __all__ = [
 
 DEFAULT_COVERAGE = 0.998
 DEFAULT_MAX_DEPTH = 64
+_WORD_BITS = 64  # outcomes packed per code word
+# only prefixes of probability >= threshold are expanded; while the strings
+# found do not reach the coverage target, the threshold falls by this step
+_FIRST_THRESHOLD = 2.0 ** -10
+_THRESHOLD_STEP = 0.5
 
 
 @dataclass(frozen=True)
@@ -44,7 +56,7 @@ class TerminationString:
 
     @property
     def label(self) -> str:
-        return "".join(str(d) for d in self.outcomes)
+        return "".join(map(str, self.outcomes))
 
 
 @dataclass(frozen=True)
@@ -56,6 +68,87 @@ class LengthAggregate:
     mean_error: float
 
 
+class _Prefixes:
+    """Outcome prefixes of one length n, as parallel arrays.
+
+    c1 and c2 are the prefix's probabilities under psi1 and psi2, prob their
+    prior-weighted sum, parent the prob of the prefix one outcome shorter.
+    code packs the outcomes first to last, from the top bit of each uint64
+    word down, outcome 2 as a set bit: comparing the words in order compares
+    the outcome tuples, except that a prefix and its extensions by outcome 1
+    share a code and differ only in n.
+    """
+
+    __slots__ = ("n", "c1", "c2", "prob", "parent", "m1", "code")
+
+    def __init__(self, n, c1, c2, prob, parent, m1, code):
+        self.n = n
+        self.c1 = c1
+        self.c2 = c2
+        self.prob = prob
+        self.parent = parent
+        self.m1 = m1
+        self.code = code
+
+    def __len__(self) -> int:
+        return len(self.prob)
+
+    def take(self, mask) -> "_Prefixes":
+        return _Prefixes(self.n, self.c1[mask], self.c2[mask], self.prob[mask],
+                         self.parent[mask], self.m1[mask], self.code[mask])
+
+    @staticmethod
+    def join(parts: list["_Prefixes"]) -> "_Prefixes":
+        if len(parts) == 1:
+            return parts[0]
+        return _Prefixes(parts[0].n, *(np.concatenate([getattr(p, f) for p in parts])
+                                       for f in _Prefixes.__slots__[1:]))
+
+    def extend(self, config: MeasurementConfig, q1: float, q2: float) -> "_Prefixes":
+        """Both one-outcome extensions of every prefix, less those of probability 0."""
+        n = self.n
+        parts = []
+        for d in (1, 2):
+            c1 = self.c1 * config.likelihood(d, 1)
+            c2 = self.c2 * config.likelihood(d, 2)
+            prob = q1 * c1 + q2 * c2
+            if d == 1:
+                m1, code = self.m1 + 1, self.code
+            else:
+                m1, code = self.m1, _with_bit(self.code, n, True)
+            parts.append(_Prefixes(n + 1, c1, c2, prob, self.prob, m1, code))
+        children = _Prefixes.join(parts)
+        possible = children.prob != 0.0
+        return children if possible.all() else children.take(possible)
+
+
+def _with_bit(code: np.ndarray, i: int, value: bool) -> np.ndarray:
+    """A copy of `code` with the bit of outcome i set (outcome 2) or cleared (outcome 1)."""
+    out = code.copy()
+    bit = np.uint64(1 << (_WORD_BITS - 1 - i % _WORD_BITS))
+    if value:
+        out[:, i // _WORD_BITS] |= bit
+    else:
+        out[:, i // _WORD_BITS] &= ~bit
+    return out
+
+
+def _compare(prob, code, n, cut) -> np.ndarray:
+    """-1, 0 or 1 per prefix: popped before, as, or after `cut` = (prob, code, n).
+
+    Prefixes pop in descending probability, ties in ascending outcome tuple.
+    """
+    p, cut_code, cut_n = cut
+    sign = np.where(prob > p, -1, 1)
+    ties = np.flatnonzero(prob == p)
+    if len(ties):
+        differ = code[ties] != cut_code
+        first = differ.argmax(axis=1)  # the first word that differs, if any
+        later = code[ties, first] > cut_code[first]
+        sign[ties] = np.where(differ.any(axis=1), np.where(later, 1, -1), np.sign(n - cut_n))
+    return sign
+
+
 def enumerate_strings(
     problem: DiscriminationProblem,
     strategy: StrategySpec,
@@ -65,11 +158,11 @@ def enumerate_strings(
 ) -> tuple[list[TerminationString], float]:
     """Termination strings of a fixed-angle strategy, in descending probability.
 
-    Expands outcome prefixes best-first until the emitted strings cover
-    coverage_target of the probability mass or every live prefix reaches
-    max_depth.  Returns (strings, residual) with residual the unemitted mass.
-    LOL is rejected: its strings are angle-adaptive and its copy count is
-    deterministic (see lol_cost).
+    Emits the strings a best-first expansion of outcome prefixes would emit
+    until they cover coverage_target of the probability mass or every live
+    prefix reaches max_depth.  Returns (strings, residual) with residual the
+    unemitted mass.  LOL is rejected: its strings are angle-adaptive and its
+    copy count is deterministic (see lol_cost).
     """
     if strategy.kind is StrategyKind.LOL:
         raise ValueError("LOL has no fixed-angle string set; its copy count is lol_cost(eps)")
@@ -77,51 +170,130 @@ def enumerate_strings(
         raise ValueError(f"coverage_target must lie in (0, 1], got {coverage_target}")
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
-    phi = strategy_angle(problem, strategy)
-    config = MeasurementConfig.for_problem(problem, phi)
-    q1, q2 = problem.q1, problem.q2
+    config = MeasurementConfig.for_problem(problem, strategy_angle(problem, strategy))
+    # looked up here, so that a replaced module attribute is the one tabulated
+    table = VerdictTable(problem, config, eps, posterior=posterior_from_counts)
+    emitted, residual = _best_first(problem, config, table, coverage_target, max_depth)
+    return _strings(emitted), residual
 
-    # heap entries: (-prob, outcomes, m1, m2, prob|psi1, prob|psi2)
-    heap: list[tuple[float, tuple[int, ...], int, int, float, float]] = [
-        (-1.0, (), 0, 0, 1.0, 1.0)
-    ]
-    emitted: list[TerminationString] = []
+
+def _best_first(problem, config, table, coverage_target, max_depth) -> tuple[list[tuple], float]:
+    """The strings a best-first expansion emits, as columns, and the mass it leaves.
+
+    A best-first queue pops prefixes in descending probability, ties in
+    ascending outcome tuple.  An extension never outranks its prefix (its
+    float probability is never larger), so the pops follow the sorted order
+    of all prefixes that have no stopped or cut-off proper prefix, and the
+    strings are the stopping ones in that order, up to the first at which the
+    running sum of their probabilities reaches coverage_target.  This finds
+    them in rounds, one depth at a time: a round classifies and expands the
+    prefixes of probability >= threshold, and leaves the others for a later
+    round with a lower threshold; no prefix is expanded twice.
+    """
+    q1, q2 = problem.q1, problem.q2
+    words = -(-max_depth // _WORD_BITS)
+    one = np.ones(1)
+    root = _Prefixes(0, one, one, one, one, np.zeros(1, np.int64), np.zeros((1, words), np.uint64))
+    # unclassified prefixes below the threshold, by length
+    pending: dict[int, list[_Prefixes]] = {1: [root.extend(config, q1, q2)]}
+    emitted: list[tuple] = []  # per round: (n, code, prob, c1, c2, guess, error) in pop order
     covered = 0.0
-    dropped = 0.0  # prefixes cut off at max_depth
-    while heap and covered < coverage_target:
-        neg_prob, outcomes, m1, m2, pg1, pg2 = heapq.heappop(heap)
-        n = len(outcomes)
-        if n > 0:
-            state = posterior_from_counts(problem, config, m1, m2)
-            if meets_error_bound(posterior_error(state), eps):
-                guess = 1 if state.p1 >= 0.5 else 2
-                emitted.append(
-                    TerminationString(
-                        outcomes=outcomes,
-                        prob=-neg_prob,
-                        prob_given_psi1=pg1,
-                        prob_given_psi2=pg2,
-                        true_error=(1.0 - state.p1) if guess == 1 else state.p1,
-                        guess=guess,
-                    )
-                )
-                covered += -neg_prob
+    dropped = 0.0  # prefixes cut off at max_depth, in rounds before the last
+    threshold = _FIRST_THRESHOLD
+    while True:
+        # (n, prob, code) of the prefixes carried into the round, and
+        # (n, prob, parent prob, code) of those created in it
+        carried = [(part.n, part.prob, part.code) for parts in pending.values() for part in parts]
+        created = []
+        stopped: list[tuple[_Prefixes, np.ndarray, np.ndarray]] = []
+        cut_off: list[_Prefixes] = []
+        below: dict[int, list[_Prefixes]] = {}
+        children = None
+        for n in range(min(pending), max_depth + 1):
+            parts = pending.pop(n, [])
+            if children is not None and len(children):
+                parts.append(children)
+            children = None
+            if not parts:
+                if not pending:
+                    break
                 continue
-            if n >= max_depth:
-                dropped += -neg_prob
-                continue
-        for d in (1, 2):
-            c1 = pg1 * config.likelihood(d, 1)
-            c2 = pg2 * config.likelihood(d, 2)
-            prob = q1 * c1 + q2 * c2
-            if prob == 0.0:
-                continue
-            k1, k2 = (m1 + 1, m2) if d == 1 else (m1, m2 + 1)
-            heapq.heappush(heap, (-prob, outcomes + (d,), k1, k2, c1, c2))
-    # residual recomputed from the surviving mass, not as 1 - covered, so the
-    # normalization invariant (sum of P + residual = 1) is a real check
-    residual = dropped + sum(-entry[0] for entry in heap)
-    return emitted, residual
+            group = _Prefixes.join(parts)
+            low = group.prob < threshold
+            if low.any():
+                below[n] = [group.take(low)]
+                group = group.take(~low)
+            guess_row, error_row = table.row(n)
+            guess = guess_row[group.m1]
+            stops = guess != 0
+            if stops.any():
+                stopped.append((group.take(stops), guess[stops], error_row[group.m1[stops]]))
+            live = group.take(~stops)
+            if n == max_depth:
+                cut_off.append(live)
+            else:
+                children = live.extend(config, q1, q2)
+                created.append((children.n, children.prob, children.parent, children.code))
+        pending = below
+
+        if stopped:
+            n = np.concatenate([np.full(len(part), part.n) for part, _, _ in stopped])
+            code, prob, c1, c2, guess, error = (
+                np.concatenate(col) for col in
+                zip(*((part.code, part.prob, part.c1, part.c2, g, e) for part, g, e in stopped))
+            )
+            order = np.lexsort((n, *code.T[::-1], -prob))
+            columns = tuple(col[order] for col in (n, code, prob, c1, c2, guess, error))
+            prob = columns[2]
+            # the running sum in pop order, exactly as a one-by-one loop adds it
+            running = np.cumsum(np.concatenate(([covered], prob)))[1:]
+            reached = np.flatnonzero(running >= coverage_target)
+            end = int(reached[0]) + 1 if len(reached) else len(prob)
+            emitted.append(tuple(col[:end] for col in columns))
+            covered = float(running[end - 1])
+            if len(reached):
+                cut = (prob[end - 1], columns[1][end - 1], int(columns[0][end - 1]))
+                return emitted, dropped + _unpopped(cut, carried, created, cut_off)
+        dropped += sum(float(part.prob.sum()) for part in cut_off)
+        if not pending:
+            return emitted, dropped
+        highest = max(float(part.prob.max()) for parts in pending.values() for part in parts)
+        threshold = min(threshold * _THRESHOLD_STEP, highest)
+
+
+def _unpopped(cut, carried, created, cut_off) -> float:
+    """Mass a best-first expansion leaves unemitted when it stops at string `cut`.
+
+    That is the prefixes cut off at max_depth that popped before `cut`, plus
+    the prefixes left in its queue: those popped after `cut` whose parent
+    popped before it.  Only the last round's prefixes can be either, and the
+    parents of the prefixes carried into that round popped before `cut`.
+    """
+    mass = 0.0
+    for part in cut_off:
+        mass += float(part.prob[_compare(part.prob, part.code, part.n, cut) < 0].sum())
+    for n, prob, code in carried:
+        mass += float(prob[_compare(prob, code, n, cut) > 0].sum())
+    for n, prob, parent, code in created:
+        after = _compare(prob, code, n, cut) > 0
+        parent_before = _compare(parent, _with_bit(code, n - 1, False), n - 1, cut) < 0
+        mass += float(prob[after & parent_before].sum())
+    return mass
+
+
+def _strings(emitted: list[tuple]) -> list[TerminationString]:
+    """TerminationString objects of the emitted columns, outcomes decoded in bulk."""
+    if not emitted:
+        return []
+    n, code, prob, c1, c2, guess, error = (np.concatenate(col) for col in zip(*emitted))
+    # one byte per outcome (1 or 2), from the big-endian bytes of each word;
+    # zeroed past the string's end, where a fixed-width bytes view cuts it
+    outcomes = np.unpackbits(code.astype(">u8").view(np.uint8), axis=1) + np.uint8(1)
+    width = outcomes.shape[1]
+    outcomes[np.arange(width) >= n[:, None]] = 0
+    raw = outcomes.view(f"S{width}").ravel().tolist()
+    return list(map(TerminationString, map(tuple, raw), prob.tolist(), c1.tolist(),
+                    c2.tolist(), error.tolist(), guess.tolist()))
 
 
 def aggregate_by_length(strings: list[TerminationString]) -> list[LengthAggregate]:

@@ -7,6 +7,7 @@ import pytest
 from seqdisc import (
     DiscriminationProblem,
     EngineOptions,
+    MeasurementConfig,
     NonConvergenceError,
     brute_force_cost,
     fbm_cost,
@@ -14,7 +15,7 @@ from seqdisc import (
     ubm_cost,
 )
 from seqdisc.engine import CostCapExceeded, _StopRule
-from seqdisc.posterior import BOUNDARY_TOL, log_likelihood_steps
+from seqdisc.posterior import BOUNDARY_TOL, VerdictTable, log_likelihood_steps
 
 TIGHT = EngineOptions(max_copies=50_000, mass_tolerance=1e-14)
 
@@ -175,12 +176,12 @@ def _first_stop_depth(problem, phi, eps):
             return n
 
 
-def _continuation_cases():
+def _continuation_cases(eps_values=(0.179, 0.01)):
     cases = []
     for theta in (math.pi / 16, math.pi / 12, math.pi / 8):
         for q1 in (0.5, 0.3):
             for phi in (0.0, 1e-6, theta, math.pi / 4, math.pi / 2 - theta - 1e-9):
-                for eps in (0.179, 0.01):
+                for eps in eps_values:
                     cases.append((theta, q1, phi, eps))
     # the posterior error lands exactly on eps = 0.1 after a net two outcomes
     cases.append((math.pi / 12, 0.5, math.pi / 4, 0.1))
@@ -260,3 +261,15 @@ def test_prescreen_keeps_vacuous_result_under_unbounded_width_limit(problem12):
                               EngineOptions(max_copies=50, bound_width_limit=math.inf))
     assert result.expected_copies == 0.0
     assert result.residual_mass == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("theta,q1,phi,eps", _continuation_cases((0.179, 0.1, 0.01)))
+def test_verdict_table_decides_as_stop_rule(theta, q1, phi, eps):
+    # the string lab and the simulator stop through VerdictTable (math.exp),
+    # the engine through _StopRule (numpy's exp): both must agree on every state
+    problem = DiscriminationProblem(theta=theta, q1=q1)
+    rule = _StopRule(problem, phi, eps)
+    table = VerdictTable(problem, MeasurementConfig.for_problem(problem, phi), eps)
+    for n in range(1, 65):
+        guess, _ = table.row(n)
+        assert [rule.stops(m1, n - m1) for m1 in range(n + 1)] == (guess != 0).tolist(), n

@@ -1,16 +1,22 @@
 import math
 
+import numpy as np
 import pytest
 
 from seqdisc import (
+    MeasurementConfig,
+    MonteCarloReport,
     StrategyKind,
     StrategySpec,
     empirical_string_errors,
     enumerate_strings,
     lol_cost,
     run_trials,
+    strategy_angle,
     ubm_cost,
 )
+from seqdisc.montecarlo import _CHUNK_ROWS, _lol_trial, _Uniforms
+from seqdisc.posterior import BOUNDARY_TOL, _log_ratio
 
 UBM = StrategySpec(StrategyKind.UBM)
 FBM = StrategySpec(StrategyKind.FBM)
@@ -100,3 +106,99 @@ def test_empirical_string_errors_sorted(problem12):
     probs = [r[2] for r in rows]
     assert probs == sorted(probs, reverse=True)
     assert all(count > 0 for count, _ in report.per_string.values())
+
+
+def _fixed_angle_reference_trial(problem, config, eps, u):
+    """One fixed-angle trial, every copy stepped in Python with the stopping test inline."""
+    true_state = 1 if u.next() < problem.q1 else 2
+    p1 = config.p1_given_psi1 if true_state == 1 else config.p1_given_psi2
+    d1 = _log_ratio(config.p1_given_psi2, config.p1_given_psi1)
+    d2 = _log_ratio(config.p2_given_psi2, config.p2_given_psi1)
+    logit0 = math.log(problem.q2 / problem.q1)
+    bound = eps + BOUNDARY_TOL
+    m1 = m2 = 0
+    outcomes = []
+    while True:
+        if u.next() < p1:
+            m1 += 1
+            outcomes.append("1")
+        else:
+            m2 += 1
+            outcomes.append("2")
+        logit = logit0
+        if m1 > 0:
+            logit = d1 if math.isinf(d1) else logit + m1 * d1
+        if m2 > 0:
+            logit = d2 if math.isinf(d2) else logit + m2 * d2
+        if logit > 700.0:
+            p = 0.0
+        elif logit < -700.0:
+            p = 1.0
+        else:
+            p = 1.0 / (1.0 + math.exp(logit))
+        if min(p, 1.0 - p) <= bound:
+            return true_state, "".join(outcomes), (1 if p >= 0.5 else 2)
+
+
+def _per_trial_reference(problem, strategy, eps, trials, seed):
+    """The per-trial run_trials that the chunked lockstep replaced.
+
+    It draws the whole trials x 64 table at once and runs one trial at a time.
+    """
+    config = None
+    if strategy.kind is not StrategyKind.LOL:
+        config = MeasurementConfig.for_problem(problem, strategy_angle(problem, strategy))
+    block = np.random.default_rng(seed).random((trials, 64))
+    angle_cache = {}
+    per_string = {}
+    lengths = []
+    for i in range(trials):
+        u = _Uniforms(block[i], seed, i)
+        if config is None:
+            true_state, label, guess = _lol_trial(problem, eps, u, angle_cache)
+        else:
+            true_state, label, guess = _fixed_angle_reference_trial(problem, config, eps, u)
+        tally = per_string.setdefault(label, [0, 0])
+        tally[0] += 1
+        tally[1] += guess != true_state
+        lengths.append(len(label))
+    mean = sum(lengths) / trials
+    var = (sum(n * n for n in lengths) - trials * mean * mean) / (trials - 1)
+    return MonteCarloReport(
+        trials=trials,
+        mean_copies=mean,
+        mean_copies_stderr=math.sqrt(max(var, 0.0) / trials),
+        empirical_error=sum(e for _, e in per_string.values()) / trials,
+        per_string={k: (c, e) for k, (c, e) in per_string.items()},
+        seed=seed,
+        min_copies=min(lengths),
+        max_copies=max(lengths),
+    )
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("spec,eps,seed", [
+    (UBM, 0.179, 11),
+    (FBM, 0.1, 12),
+    (StrategySpec(StrategyKind.FIXED_ANGLE, phi=0.62), 0.08, 13),
+    (LOL, 0.05, 14),
+])
+def test_lockstep_matches_per_trial_reference(problem12, spec, eps, seed, offset):
+    trials = _CHUNK_ROWS + offset
+    report = run_trials(problem12, spec, eps, trials, seed)
+    assert report == _per_trial_reference(problem12, spec, eps, trials, seed)
+
+
+def test_lockstep_fallback_matches_per_trial_reference(problem12):
+    # FBM at eps = 1e-9 needs up to 72 copies, past the 63 of a table row
+    trials = _CHUNK_ROWS + 300
+    report = run_trials(problem12, FBM, 1e-9, trials, seed=7)
+    assert report.max_copies > 63
+    assert report == _per_trial_reference(problem12, FBM, 1e-9, trials, 7)
+
+
+def test_chunked_table_rows_continue_one_stream():
+    # drawing the table in chunks must reproduce the rows of one big draw
+    whole = np.random.default_rng(5).random((10, 64))
+    rng = np.random.default_rng(5)
+    assert np.array_equal(np.concatenate([rng.random((4, 64)), rng.random((6, 64))]), whole)

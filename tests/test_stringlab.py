@@ -1,18 +1,26 @@
+import heapq
 import math
 
 import pytest
 
+import seqdisc.stringlab
 from seqdisc import (
     DiscriminationProblem,
+    MeasurementConfig,
     StrategyKind,
     StrategySpec,
     aggregate_by_length,
     cost_from_strings,
     enumerate_strings,
     fbm_cost,
+    meets_error_bound,
+    posterior_error,
+    posterior_from_counts,
+    strategy_angle,
     ubm_cost,
 )
 from seqdisc.engine import worst_case_tail
+from seqdisc.stringlab import TerminationString
 
 FBM = StrategySpec(StrategyKind.FBM)
 UBM = StrategySpec(StrategyKind.UBM)
@@ -132,3 +140,96 @@ def test_cost_from_strings_ubm_enclosure(problem12):
 def test_single_certain_string():
     result = cost_from_strings([], 0.0, 5)
     assert result.expected_copies == 0.0
+
+
+def _heap_reference(problem, strategy, eps, coverage_target, max_depth):
+    """The best-first heap enumerator that the depth-wise frontier replaced."""
+    config = MeasurementConfig.for_problem(problem, strategy_angle(problem, strategy))
+    q1, q2 = problem.q1, problem.q2
+    heap = [(-1.0, (), 0, 0, 1.0, 1.0)]
+    emitted = []
+    covered = 0.0
+    dropped = 0.0
+    while heap and covered < coverage_target:
+        neg_prob, outcomes, m1, m2, pg1, pg2 = heapq.heappop(heap)
+        n = len(outcomes)
+        if n > 0:
+            state = posterior_from_counts(problem, config, m1, m2)
+            if meets_error_bound(posterior_error(state), eps):
+                guess = 1 if state.p1 >= 0.5 else 2
+                emitted.append(TerminationString(
+                    outcomes=outcomes, prob=-neg_prob, prob_given_psi1=pg1, prob_given_psi2=pg2,
+                    true_error=(1.0 - state.p1) if guess == 1 else state.p1, guess=guess,
+                ))
+                covered += -neg_prob
+                continue
+            if n >= max_depth:
+                dropped += -neg_prob
+                continue
+        for d in (1, 2):
+            c1 = pg1 * config.likelihood(d, 1)
+            c2 = pg2 * config.likelihood(d, 2)
+            prob = q1 * c1 + q2 * c2
+            if prob == 0.0:
+                continue
+            k1, k2 = (m1 + 1, m2) if d == 1 else (m1, m2 + 1)
+            heapq.heappush(heap, (-prob, outcomes + (d,), k1, k2, c1, c2))
+    return emitted, dropped + sum(-entry[0] for entry in heap)
+
+
+def _bits(s):
+    return (s.outcomes, s.prob.hex(), s.prob_given_psi1.hex(), s.prob_given_psi2.hex(),
+            s.true_error.hex(), s.guess)
+
+
+def _exactness_grid():
+    """(problem, spec, eps, coverage, max_depth) cases small enough for the heap reference."""
+    pi12 = DiscriminationProblem(theta=math.pi / 12)
+    cases = [
+        (pi12, FBM, 0.179),
+        # FBM strings 1...12 run to 72 copies: past one 64-outcome code word
+        (pi12, FBM, 1e-9),
+        (pi12, UBM, 0.179),
+        (pi12, UBM, 0.08),
+        (pi12, StrategySpec(StrategyKind.FIXED_ANGLE, phi=0.7), 0.15),
+        (DiscriminationProblem(theta=math.pi / 8, q1=0.3),
+         StrategySpec(StrategyKind.FIXED_ANGLE, phi=0.5), 0.2),
+    ]
+    grid = []
+    for problem, spec, eps in cases:
+        for coverage in (0.998, 0.999, 1.0):
+            for max_depth in (10, 24, 64, 70):
+                # exhaustive sets of walks grow about as 2**(max_depth / 2)
+                if coverage == 1.0 and max_depth > 24 and spec.kind is not StrategyKind.FBM:
+                    continue
+                # 10**5 strings or more: one such case, the benchmark's, is enough
+                if eps == 0.08 and max_depth != 10 and (coverage, max_depth) != (0.998, 64):
+                    continue
+                grid.append((problem, spec, eps, coverage, max_depth))
+    return grid
+
+
+@pytest.mark.parametrize("problem,spec,eps,coverage,max_depth", _exactness_grid())
+def test_frontier_matches_heap_reference(problem, spec, eps, coverage, max_depth):
+    strings, residual = enumerate_strings(problem, spec, eps, coverage, max_depth)
+    expected, expected_residual = _heap_reference(problem, spec, eps, coverage, max_depth)
+    assert [_bits(s) for s in strings] == [_bits(s) for s in expected]
+    assert residual == pytest.approx(expected_residual, abs=1e-14)
+    if eps == 1e-9 and max_depth == 70:
+        assert max(s.n for s in strings) == 70
+
+
+def test_string_lab_tabulates_through_its_posterior_attribute(problem12, monkeypatch):
+    # perfbench/tracing.py counts stopping tests by replacing this attribute
+    calls = []
+    original = seqdisc.stringlab.posterior_from_counts
+
+    def counted(*args):
+        calls.append(args[2:])
+        return original(*args)
+
+    monkeypatch.setattr(seqdisc.stringlab, "posterior_from_counts", counted)
+    strings, _ = enumerate_strings(problem12, UBM, 0.179, coverage_target=1.0, max_depth=10)
+    # one test per count state (m1, m2) with 1 <= m1 + m2 <= 10, not one per prefix
+    assert sorted(calls) == sorted((m1, n - m1) for n in range(1, 11) for m1 in range(n + 1))
+    assert len(strings) > len(calls) / 2
