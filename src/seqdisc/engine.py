@@ -9,6 +9,16 @@ fixed depth the log-odds are affine in m1, so the states that continue form one
 m1 interval (the continuation region of Wald's sequential probability ratio
 test), and the frontier is stored as that interval alone.
 
+Angles are evaluated in batches that advance through one depth loop together:
+one copy is a shift-and-scale of every angle's frontier, held side by side in
+one flat array, each in a slot as long as its run plus the block's growth.
+The loop runs in blocks of depths.  A block computes the continuation runs of
+all its depths and angles first, then advances the frontiers (the only step
+that must go depth by depth), then reads off the stopped mass, the cost and the
+stop, cap and trim tests for all its depths at once.  An angle leaves the
+batch at the first depth where it drains, exceeds its cap or fails; a window
+trim ends the block at its depth.
+
 A brute-force outcome-tree enumeration with identical semantics serves as the
 independent correctness oracle at validation scale.
 """
@@ -21,14 +31,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DiscriminationProblem, MeasurementConfig
-from .posterior import BOUNDARY_TOL, log_likelihood_steps, posterior_from_counts, posterior_error
+from .posterior import (
+    BOUNDARY_TOL,
+    _log_ratio,
+    log_likelihood_steps,
+    posterior_error,
+    posterior_from_counts,
+)
 from .strategies import CostResult
 
 __all__ = [
     "EngineOptions",
     "NonConvergenceError",
     "CostCapExceeded",
+    "AngleBatch",
     "fixed_angle_cost",
+    "fixed_angle_costs",
     "brute_force_cost",
     "worst_case_tail",
 ]
@@ -37,7 +55,16 @@ _BRUTE_FORCE_DEPTH_LIMIT = 30
 # frontier states carrying less than this fraction of the live mass are dropped
 # (tracked as leaked mass, so conservation accounting stays honest)
 _WINDOW_CUT = 1e-40
-
+# depths per block: the first block is short so that cheap calls stay cheap,
+# later ones double up to _MAX_BLOCK; a block is halved while the frontier
+# history it would hold (depths x hypotheses x cells) exceeds _BLOCK_CELLS,
+# which bounds the block's arrays to about 20 bytes per cell (640 KiB)
+_FIRST_BLOCK = 32
+_MAX_BLOCK = 64
+_BLOCK_CELLS = 1 << 15
+# a capped batch runs at most this many angles at once, so that the angles
+# that end early lower the cap of the angles that join after them
+_CAPPED_ROWS = 64
 
 class NonConvergenceError(RuntimeError):
     """The frontier did not drain below the mass tolerance within the depth budget."""
@@ -64,13 +91,19 @@ class EngineOptions:
             raise ValueError(f"unknown engine mode {self.mode!r}")
 
 
-def _check_inputs(problem: DiscriminationProblem, phi: float, eps: float) -> None:
-    if not 0.0 <= phi < math.pi / 2:
-        raise ValueError(f"measurement angle must lie in [0, pi/2), got {phi}")
-    if not 0.0 < eps < min(problem.q1, problem.q2):
-        raise ValueError(
-            f"error bound must lie in (0, min(q1, q2)), got {eps}"
-        )
+def _check_inputs(problem: DiscriminationProblem, phis, eps: float) -> None:
+    q_min = min(problem.q1, problem.q2)
+    if not 0.0 < eps < q_min:
+        raise ValueError(f"error bound must lie in (0, min(q1, q2)) = (0, {q_min}), got {eps}")
+    for phi in phis:
+        if not 0.0 <= phi < math.pi / 2:
+            raise ValueError(f"measurement angle must lie in [0, pi/2), got {phi}")
+
+
+def _within_bound(abs_logit, bound):
+    """Whether a posterior error 1/(1 + e^|logit|) is at most bound (scalars or arrays)."""
+    # above 700 the error underflows to 0, so it always stops
+    return (abs_logit > 700.0) | (1.0 / (1.0 + np.exp(np.minimum(abs_logit, 700.0))) <= bound)
 
 
 def worst_case_tail(problem: DiscriminationProblem, phi: float, eps: float) -> float:
@@ -111,8 +144,8 @@ class _StopRule:
     log-odds of psi2 vs psi1 are logit0 + m1*d1 + m2*d2, an infinite increment
     overriding the sum once its outcome occurs.  The error is evaluated with
     numpy's exp, whose last bit can differ from math.exp, and in the operation
-    order of the vectorized form of this predicate in tests/test_engine.py, so
-    states on the boundary decide exactly as there.
+    order of the vectorized form of this predicate in tests/test_engine.py and
+    of _BatchRule, so states on the boundary decide exactly as there.
     """
 
     def __init__(self, problem: DiscriminationProblem, phi: float, eps: float):
@@ -133,24 +166,7 @@ class _StopRule:
                     logit = d
             else:
                 logit = logit + m * d
-        return self._error_within_bound(abs(logit))
-
-    def _error_within_bound(self, abs_logit: float) -> bool:
-        if abs_logit > 700.0:
-            return True  # the error underflows to 0
-        return 1.0 / (1.0 + np.exp(min(abs_logit, 700.0))) <= self.bound
-
-    def can_stop_within(self, max_copies: int) -> bool:
-        """False only if no state with m1 + m2 <= max_copies stops.
-
-        The log-odds are affine in (m1, m2), so their modulus over the count
-        triangle peaks at a corner.  The peak is raised by a relative margin far
-        above the rounding of the log-odds sum at any state of the triangle.
-        """
-        d1, d2, logit0 = self.d1, self.d2, self.logit0
-        corners = (logit0, logit0 + max_copies * d1, logit0 + max_copies * d2)
-        scale = abs(logit0) + max_copies * max(abs(d1), abs(d2))
-        return self._error_within_bound(max(abs(x) for x in corners) + 1e-9 * scale)
+        return bool(_within_bound(abs(logit), self.bound))
 
     def continuation(self, n: int, wlo: int, whi: int) -> tuple[int, int]:
         """The run [lo, hi] of m1 in [wlo, whi] whose states at depth n do not stop.
@@ -190,6 +206,110 @@ class _StopRule:
         return lo, hi
 
 
+class _BatchRule:
+    """The stopping rules of a batch of angles, over arrays of (depth, angle).
+
+    At fixed depth the log-odds fall as m1 rises, so the states that stop with
+    log-odds >= 0 form a prefix of [0, n] and those that stop with log-odds < 0
+    a suffix; the continuation run lies between them.  Each end of the run is
+    taken from the closed form and checked against the exact predicate at the
+    states on both sides of it; a depth whose check fails is found by
+    _StopRule.continuation instead.
+    """
+
+    def __init__(self, problem: DiscriminationProblem, phis: list, eps: float,
+                 configs: list[MeasurementConfig]):
+        self.problem, self.phis, self.eps = problem, phis, eps
+        rule = _StopRule(problem, phis[0], eps)
+        self.logit0, self.bound, self.threshold = rule.logit0, rule.bound, rule.threshold
+        # log_likelihood_steps of each angle, negated as _StopRule negates
+        # them, so every bit is the same
+        self.d1 = -np.array([_log_ratio(c.p1_given_psi1, c.p1_given_psi2) for c in configs])
+        self.d2 = -np.array([_log_ratio(c.p2_given_psi1, c.p2_given_psi2) for c in configs])
+        self.inf1, self.inf2 = np.isinf(self.d1), np.isinf(self.d2)
+        self.any_inf = bool(self.inf1.any() or self.inf2.any())
+        # an infinite increment overrides the sum, so it adds nothing to it
+        self.d1_sum = np.where(self.inf1, 0.0, self.d1)
+        self.d2_sum = np.where(self.inf2, 0.0, self.d2)
+        rate = self.d2 - self.d1
+        self.regular = np.isfinite(rate) & (rate > 0.0)
+        self.all_regular = bool(self.regular.all())
+        self.rate = np.where(self.regular, rate, 1.0)
+
+    def can_stop_within(self, max_copies: int) -> np.ndarray:
+        """False only for the angles at which no state with m1 + m2 <= max_copies stops.
+
+        The log-odds are affine in (m1, m2), so their modulus over the count
+        triangle peaks at a corner.  The peak is raised by a relative margin far
+        above the rounding of the log-odds sum at any state of the triangle.
+        """
+        logit0 = self.logit0
+        corners = np.maximum(np.maximum(abs(logit0), np.abs(logit0 + max_copies * self.d1)),
+                             np.abs(logit0 + max_copies * self.d2))
+        scale = abs(logit0) + max_copies * np.maximum(np.abs(self.d1), np.abs(self.d2))
+        return _within_bound(corners + 1e-9 * scale, self.bound)
+
+    def runs(self, ns: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The runs [lo, hi] of m1 in [0, n] that continue, for the depths n in ns (steps x rows).
+
+        Column k of ns holds depths of the angle rows[k].  Empty runs come
+        back with lo > hi.
+        """
+        n = ns
+        centre = self.logit0 + n * self.d2_sum[rows]
+        lo = np.floor((centre - self.threshold) / self.rate[rows])
+        hi = np.ceil((centre + self.threshold) / self.rate[rows])
+        if not self.all_regular:
+            # without a finite positive rate: all of [0, n], or the one state
+            # an infinite increment leaves
+            regular = self.regular[rows]
+            lo = np.where(regular, lo, np.where(self.inf2[rows], n - 1, -1))
+            hi = np.where(regular, hi, np.where(self.inf1[rows], 1, n + 1))
+        # the states on either side of each end of the run
+        probes = np.empty(ns.shape + (4,))
+        np.minimum(np.maximum(lo, -1.0), n, out=probes[..., 0])
+        np.minimum(np.maximum(hi, 0.0), n + 1.0, out=probes[..., 3])
+        probes[..., 1] = probes[..., 0] + 1.0
+        probes[..., 2] = probes[..., 3] - 1.0
+        m1 = probes.astype(np.int64)
+        # the first and the last state the closed form lets continue
+        lo, hi = m1[..., 1].copy(), m1[..., 2].copy()
+        np.maximum(m1, 0, out=m1)
+        np.minimum(m1, n[..., None], out=m1)
+        m2 = n[..., None] - m1
+        logit = self.logit0 + m1 * self.d1_sum[rows, None]
+        logit = logit + m2 * self.d2_sum[rows, None]
+        if self.any_inf:
+            logit = np.where(self.inf1[rows, None] & (m1 > 0), self.d1[rows, None], logit)
+            logit = np.where(self.inf2[rows, None] & (m2 > 0), self.d2[rows, None], logit)
+        stops = _within_bound(np.abs(logit), self.bound)
+        up = logit >= 0.0
+        high, low = stops & up, stops & ~up
+        ok = (((lo == 0) | high[..., 0]) & ((lo > n) | ~high[..., 1])
+              & ((hi == n) | low[..., 3]) & ((hi < 0) | ~low[..., 2]))
+        for j, k in zip(*np.nonzero(~ok)):
+            depth = int(ns[j, k])
+            rule = _StopRule(self.problem, self.phis[rows[k]], self.eps)
+            lo[j, k], hi[j, k] = rule.continuation(depth, 0, depth)
+        return lo, hi
+
+
+@dataclass(frozen=True)
+class AngleBatch:
+    """What the angles of one fixed_angle_costs call gave.
+
+    outcomes[i] is the CostResult of the i-th angle, or the NonConvergenceError
+    or CostCapExceeded it ended with.  depth_iterations counts the steps of
+    the depth loop, each of which advances every running angle by one copy
+    (steps past a window trim are run again); angle_steps sums, over the
+    angles, the depths each one was advanced.
+    """
+
+    outcomes: list
+    depth_iterations: int
+    angle_steps: int
+
+
 def fixed_angle_cost(
     problem: DiscriminationProblem,
     phi: float,
@@ -209,98 +329,342 @@ def fixed_angle_cost(
     CostCapExceeded as soon as the running lower bound on the final cost
     exceeds it (the angle optimizer uses this to abandon hopeless angles).
     An angle at which no outcome string can stop within opts.max_copies copies
-    raises NonConvergenceError before the first copy.
+    raises NonConvergenceError before the first copy.  This is a batch of one
+    angle of fixed_angle_costs.
+    """
+    outcome = fixed_angle_costs(problem, [phi], eps, opts, cost_cap=cost_cap,
+                                on_depth=on_depth).outcomes[0]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+class _InOrderCaps:
+    """The cap that a scan of a batch's angles in order would apply.
+
+    The scan caps angle i by the initial cap and by the best cost among the
+    angles before it that it kept; it keeps a converged angle if the highest
+    running lower bound the angle reached (`peak`) stays within its cap.  The
+    bound can overshoot the angle's final cost (the mass left as residual
+    never stops), so a kept angle may cost less than an earlier cost that its
+    bound passed; the cap is therefore taken in order, not from any angle.
+    Angles are settled in order as they end.  Every running angle comes after
+    the settled ones, so their cap (`cap`) is at least the angle's own.
+    """
+
+    def __init__(self, initial_cap: float, count: int):
+        self.cap = initial_cap
+        self.peak = np.full(count, -math.inf)
+        self.settled = 0
+
+    def settle(self, outcomes: list, phis: list) -> None:
+        """Settle the ended angles that follow the settled ones; a result not kept becomes a cap failure."""
+        while self.settled < len(outcomes) and outcomes[self.settled] is not None:
+            i = self.settled
+            if isinstance(outcomes[i], CostResult):
+                if self.peak[i] > self.cap:
+                    outcomes[i] = CostCapExceeded(
+                        f"cost lower bound exceeds cap {self.cap} for phi={phis[i]}"
+                    )
+                else:
+                    self.cap = min(self.cap, outcomes[i].expected_copies)
+            self.settled += 1
+
+
+def _advance(frontier: np.ndarray, stay: np.ndarray, move: np.ndarray, inside: np.ndarray,
+             tolerance: float) -> np.ndarray:
+    """The mass (copies, 2, cells) after each of len(inside) copies, before it is cut to its runs.
+
+    frontier (2, cells) holds the rows' slots side by side; stay and move give
+    the one-copy law of each cell's row, and inside[j] marks the cells that
+    continue after copy j + 1.  No run reaches the last column of its slot, so
+    no mass crosses into the next slot.  The copies stop early, every 8th one,
+    once all rows together hold at most tolerance.
+    """
+    block, cells = inside.shape
+    flat = frontier.ravel()
+    stay = stay.ravel()
+    move = move.ravel()[1:]
+    new = np.empty((block, 2, cells))
+    moved = np.empty(flat.size - 1)
+    for j, (new_j, inside_j) in enumerate(zip(new, inside)):
+        # the convolution with the one-copy law, rounded as np.correlate does
+        new_flat = new_j.ravel()
+        np.multiply(flat, stay, out=new_flat)
+        np.multiply(flat[:-1], move, out=moved)
+        np.add(new_flat[1:], moved, out=new_flat[1:])
+        np.multiply(new_j, inside_j, out=frontier)
+        if j % 8 == 7 and flat.sum() <= tolerance:
+            block = j + 1
+            break
+    return new[:block]
+
+
+def _inside(lo: np.ndarray, hi: np.ndarray, origin: np.ndarray, cells: int) -> np.ndarray:
+    """Whether each cell holds a state of its row's run [lo, hi], at each depth.
+
+    Row k holds m1 at column origin[k] + m1; the runs of different rows lie in
+    disjoint slots, each after a leading cell that no run covers.
+    """
+    edges = np.zeros((len(lo), cells + 1), dtype=np.int8)
+    depth, row = np.nonzero(lo <= hi)
+    edges[depth, origin[row] + lo[depth, row]] = 1
+    edges[depth, origin[row] + hi[depth, row] + 1] = -1
+    return np.cumsum(edges, axis=1, dtype=np.int8)[:, :-1].view(bool)
+
+
+def _run_sums(values: np.ndarray, cells: int, lo: np.ndarray, hi: np.ndarray,
+              origin: np.ndarray) -> np.ndarray:
+    """np.sum of each row's run [lo, hi] at each depth (0 for an empty run).
+
+    values holds depth after depth of `cells` cells, m1 of row k at column
+    origin[k] + m1, with a zero in the cell before each run, and one more cell
+    at the end.  np.add.reduceat adds the first cell of a segment to np.sum of
+    the rest, so a segment that starts at that zero sums the run exactly as
+    np.sum of the run alone does.
+    """
+    depths = len(lo)
+    first = (np.arange(depths) * cells)[:, None] + origin
+    bounds = np.stack((first + lo - 1, first + hi + 1), axis=-1)
+    np.clip(bounds, 0, depths * cells, out=bounds)
+    sums = np.add.reduceat(values, bounds.ravel())[::2].reshape(lo.shape)
+    sums[lo > hi] = 0.0
+    return sums
+
+
+def _stopped_mass(weight: np.ndarray, stopped: np.ndarray, lo_run: np.ndarray, hi_run: np.ndarray,
+                  origin: np.ndarray) -> np.ndarray:
+    """The mass that stops at each depth of a block, per row.
+
+    stopped holds each row's stopped states at each depth summed in any order;
+    weight (depths, cells) holds m1 of row k at column origin[k] + m1.  The
+    mass is np.sum of the stopped states of the row's window (its last run
+    plus one state), in window order.  Any order sums up to two of them
+    exactly, so only rows with more are summed again from their window, up to
+    their first empty run.
+    """
+    run_len = hi_run - lo_run + 1
+    empty = run_len[1:] <= 0
+    n_stopped = run_len[:-1] + 1 - np.maximum(run_len[1:], 0)
+    before_empty = empty.cumsum(axis=0) - empty == 0
+    for j, k in zip(*np.nonzero(before_empty & (n_stopped > 2))):
+        window = weight[j, origin[k] + lo_run[j, k]:origin[k] + hi_run[j, k] + 2]
+        i0, i1 = lo_run[j + 1, k] - lo_run[j, k], hi_run[j + 1, k] + 1 - lo_run[j, k]
+        stopped[j, k] = (window if empty[j, k] else np.concatenate((window[:i0], window[i1:]))).sum()
+    return stopped
+
+
+def fixed_angle_costs(
+    problem: DiscriminationProblem,
+    phis,
+    eps: float,
+    opts: EngineOptions | None = None,
+    cost_cap: float | None = None,
+    on_depth=None,
+) -> AngleBatch:
+    """fixed_angle_cost at each of the angles phis, advanced together through one depth loop.
+
+    Without cost_cap each angle gets the result, or the error, that
+    fixed_angle_cost gives it alone.  With cost_cap the angles are capped as a
+    scan of them in order would cap them: each by cost_cap and by the lowest
+    cost among the angles before it that stayed under their own caps.  The
+    angles such a scan keeps get their own results; which of the others end
+    as CostCapExceeded, and with which message, may differ.  on_depth needs a
+    batch of one angle.  Invalid inputs raise ValueError before any angle is
+    run.
     """
     opts = opts or EngineOptions()
+    phis = list(phis)
     if opts.mode == "brute_force_tree":
-        return brute_force_cost(problem, phi, eps, min(opts.max_copies, _BRUTE_FORCE_DEPTH_LIMIT))
-    _check_inputs(problem, phi, eps)
+        depth = min(opts.max_copies, _BRUTE_FORCE_DEPTH_LIMIT)
+        return AngleBatch([brute_force_cost(problem, phi, eps, depth) for phi in phis], 0, 0)
+    _check_inputs(problem, phis, eps)
+    if on_depth is not None and len(phis) != 1:
+        raise ValueError("on_depth needs a batch of one angle")
+    if not phis:
+        return AngleBatch([], 0, 0)
 
-    config = MeasurementConfig.for_problem(problem, phi)
-    rule = _StopRule(problem, phi, eps)
+    configs = [MeasurementConfig.for_problem(problem, phi) for phi in phis]
+    rule = _BatchRule(problem, phis, eps, configs)
+    outcomes: list = [None] * len(phis)
     # if nothing can stop, the loop would end with the whole unit mass as
     # residual, so whether it would raise is already known
-    if (not rule.can_stop_within(opts.max_copies)
-            and opts.max_copies + worst_case_tail(problem, phi, eps) > opts.bound_width_limit):
-        raise NonConvergenceError(
-            f"no outcome string can stop within {opts.max_copies} copies at phi={phi}"
-        )
-    q1, q2 = problem.q1, problem.q2
-    a1, a2 = config.p1_given_psi1, config.p1_given_psi2  # P(outcome 1 | psi_j)
-    # one copy moves mass from m1 to m1 + 1 with probability a: correlating
-    # with (a, 1 - a) is the convolution with (1 - a, a)
-    kernel1 = np.array([a1, 1.0 - a1])
-    kernel2 = np.array([a2, 1.0 - a2])
-
-    # frontier mass over a sliding window of m1 values [base, base + len),
-    # at the current depth n (so m2 = n - m1); at fixed depth the states that
-    # continue form one m1 interval, so the frontier is a slice of the window
-    mass1 = np.array([1.0])
-    mass2 = np.array([1.0])
-    base = 0
-    cost_accum = 0.0
-    terminated = 0.0
-    leaked = 0.0  # mass dropped with the window trim, counted into the residual
-    n = 0
-    while n < opts.max_copies:
-        n += 1
-        new1 = np.correlate(mass1, kernel1, "full")
-        new2 = np.correlate(mass2, kernel2, "full")
-        weight = q1 * new1 + q2 * new2
-        lo, hi = rule.continuation(n, base, base + len(weight) - 1)
-        i0, i1 = lo - base, hi + 1 - base
-        # the stopped states in index order, summed as one array
-        if i1 == len(weight):
-            stopped = weight[:i0]
-        elif i0 == 0:
-            stopped = weight[i1:]
-        else:
-            stopped = np.concatenate((weight[:i0], weight[i1:]))
-        stopped_now = float(stopped.sum())
-        cost_accum += n * stopped_now
-        terminated += stopped_now
-        mass1, mass2, live = new1[i0:i1], new2[i0:i1], weight[i0:i1]
-        base += i0
-        frontier = float(live.sum())
-        if on_depth is not None:
-            on_depth(n, terminated, frontier + leaked)
-        if frontier + leaked <= opts.mass_tolerance:
-            break
-        if cost_cap is not None and cost_accum + (frontier + leaked) * (n + 1) > cost_cap:
-            raise CostCapExceeded(
-                f"cost lower bound exceeds cap {cost_cap} at depth {n} for phi={phi}"
+    for i in np.nonzero(~rule.can_stop_within(opts.max_copies))[0]:
+        if opts.max_copies + worst_case_tail(problem, phis[i], eps) > opts.bound_width_limit:
+            outcomes[i] = NonConvergenceError(
+                f"no outcome string can stop within {opts.max_copies} copies at phi={phis[i]}"
             )
-        # trim the window to states carrying non-negligible mass
-        cut = frontier * _WINDOW_CUT
-        if len(live) and live[0] > cut and live[-1] > cut:
-            continue  # both ends are kept, so nothing is trimmed
-        keep = np.nonzero(live > cut)[0]
-        if len(keep) == 0:
-            leaked += frontier
-            mass1 = mass1[:0]
-            mass2 = mass2[:0]
-            break
-        k0, k1 = int(keep[0]), int(keep[-1]) + 1
-        leaked += float(live[:k0].sum() + live[k1:].sum())
-        mass1 = mass1[k0:k1]
-        mass2 = mass2[k0:k1]
-        base += k0
+    q1, q2 = problem.q1, problem.q2
+    # P(outcome 1 | psi_j): one copy moves mass from m1 to m1 + 1 with it
+    move = np.array([(c.p1_given_psi1, c.p1_given_psi2) for c in configs]).T
+    del configs
+    stay = 1.0 - move
+    capped = cost_cap is not None
+    in_order = _InOrderCaps(cost_cap if capped else math.inf, len(phis))
 
-    residual = float(q1 * mass1.sum() + q2 * mass2.sum()) + leaked
-    if residual == 0.0:
-        return CostResult(expected_copies=cost_accum, exact=True)
-    bound_width = residual * (n + worst_case_tail(problem, phi, eps))
-    if residual > opts.mass_tolerance and bound_width > opts.bound_width_limit:
-        raise NonConvergenceError(
-            f"residual mass {residual:.3e} after {n} copies at phi={phi}; "
-            f"enclosure width {bound_width:.3e} exceeds {opts.bound_width_limit:.3e}"
-        )
-    return CostResult(
-        expected_copies=cost_accum,
-        exact=False,
-        residual_mass=residual,
-        bound_width=bound_width,
-    )
+    def finish(i: int, n: int, cost: float, mass: np.ndarray, leaked: float) -> None:
+        residual = float(q1 * mass[0].sum() + q2 * mass[1].sum()) + leaked
+        if residual == 0.0:
+            outcomes[i] = CostResult(expected_copies=cost, exact=True)
+            return
+        bound_width = residual * (n + worst_case_tail(problem, phis[i], eps))
+        if residual > opts.mass_tolerance and bound_width > opts.bound_width_limit:
+            outcomes[i] = NonConvergenceError(
+                f"residual mass {residual:.3e} after {n} copies at phi={phis[i]}; "
+                f"enclosure width {bound_width:.3e} exceeds {opts.bound_width_limit:.3e}"
+            )
+        else:
+            outcomes[i] = CostResult(expected_copies=cost, exact=False,
+                                     residual_mass=residual, bound_width=bound_width)
+
+    # Per row (angle) running: the run [lo, hi] of m1 that its frontier holds
+    # at its depth n, whose masses lie in `mass` (one plane per hypothesis,
+    # the rows' runs one after another), its cost so far, and its terminated
+    # and leaked mass.  Angles join from `waiting`, in order, with a unit
+    # mass at m1 = 0 at depth 0.  Capped, at most _CAPPED_ROWS run at once, so
+    # that the settled angles lower the cap of the angles that join later.
+    waiting = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    room = _CAPPED_ROWS if capped else len(waiting)
+    rows, lo, hi, n = np.zeros((4, 0), dtype=np.int64)
+    mass = np.zeros((2, 0))
+    cost, terminated, leaked = np.zeros((3, 0))
+    block = _FIRST_BLOCK
+    depth_iterations = angle_steps = 0
+    while len(rows) or waiting:
+        if len(rows) < room and waiting:
+            joining = np.array(waiting[:room - len(rows)], dtype=np.int64)
+            del waiting[:len(joining)]
+            start = np.zeros(len(joining), dtype=np.int64)
+            rows, lo, hi, n = (np.concatenate((a, b)) for a, b in
+                               ((rows, joining), (lo, start), (hi, start), (n, start)))
+            mass = np.concatenate((mass, np.ones((2, len(joining)))), axis=1)
+            cost, terminated, leaked = (np.concatenate((a, np.zeros(len(joining))))
+                                        for a in (cost, terminated, leaked))
+        count = len(rows)
+        run_len = hi - lo + 1
+        block = min(block, opts.max_copies - int(n.max()))
+        while block > 1 and 2 * block * (mass.shape[1] + count * (block + 2)) > _BLOCK_CELLS:
+            block //= 2
+        ns = n + np.arange(1, block + 1)[:, None]  # the depths of each row
+        run_lo, run_hi = rule.runs(ns, rows)
+        # the run at each depth within its window (the last run plus one
+        # state); row 0 holds the runs at depth n
+        depths = np.concatenate((n[None], ns))
+        lo_run = np.maximum.accumulate(np.concatenate((lo[None], run_lo)), axis=0)
+        hi_run = np.minimum.accumulate(np.concatenate((hi[None], run_hi)) - depths, axis=0) + depths
+        # each row gets a slot from a leading zero column to the state past
+        # the highest its runs reach; m1 of row k lies at column origin[k] + m1
+        width = hi_run.max(axis=0) - lo + 3
+        slot = np.cumsum(width) - width
+        origin = slot + 1 - lo
+        cells = int(width.sum())
+        frontier = np.zeros((2, cells))
+        frontier[:, np.repeat(origin + lo - (np.cumsum(run_len) - run_len), run_len)
+                 + np.arange(mass.shape[1])] = mass
+        inside = _inside(lo_run[1:], hi_run[1:], origin, cells)
+        new = _advance(frontier, stay[:, rows].repeat(width, axis=1),
+                       move[:, rows].repeat(width, axis=1), inside, opts.mass_tolerance)
+        if len(new) < block:  # every row drained: the rest of the block is not needed
+            block = len(new)
+            ns, inside = ns[:block], inside[:block]
+            lo_run, hi_run = lo_run[:block + 1], hi_run[:block + 1]
+        depth_iterations += block
+
+        weight = new[:, 0] * q1
+        weight += new[:, 1] * q2
+        # the states that continue; one more cell keeps the run sums' end in range
+        cells_buffer = np.zeros(block * cells + 1)
+        live = cells_buffer[:-1].reshape(block, cells)
+        np.multiply(weight, inside, out=live)
+        front = _run_sums(cells_buffer, cells, lo_run[1:], hi_run[1:], origin)
+        stopped_cells = np.subtract(weight, live, out=live)
+        slot_sums = np.add.reduceat(stopped_cells, slot, axis=1)
+        stopped = _stopped_mass(weight, slot_sums, lo_run, hi_run, origin)
+        cost_n = np.concatenate((cost[None], ns * stopped)).cumsum(axis=0)[1:]
+        terminated_n = np.concatenate((terminated[None], stopped)).cumsum(axis=0)[1:]
+        out = front + leaked
+        drained = out <= opts.mass_tolerance
+        bound = cost_n + out * (ns + 1)  # running lower bound on the cost
+        over = bound > in_order.cap
+        empty = lo_run[1:] > hi_run[1:]
+        # a window trim drops the states at either end of the run that carry
+        # at most this fraction of the frontier
+        cut = front * _WINDOW_CUT
+        at_lo = np.where(empty, 0, origin + lo_run[1:])
+        at_hi = np.where(empty, 0, origin + hi_run[1:])
+        depth_ix, row_ix = np.arange(block)[:, None], np.arange(count)
+        thin = ~empty & ((weight[depth_ix, at_lo] <= cut) | (weight[depth_ix, at_hi] <= cut))
+        event = drained | over | empty | thin
+        first = event.argmax(axis=0)
+        at_first = first, row_ix
+        hit = event[at_first]
+        # a window trim changes the frontier, so the block ends at the first one
+        last = int(first[thin[at_first] & ~drained[at_first] & ~over[at_first]].min(initial=block - 1))
+        ends = hit & (first <= last)
+        if on_depth is not None:
+            for j in range((first[0] if ends[0] else last) + 1):
+                on_depth(int(ns[j, 0]), float(terminated_n[j, 0]), float(out[j, 0]))
+        if capped:
+            # the bound is tested at every depth but the one a row drains at
+            tested = np.maximum.accumulate(bound, axis=0)
+            end = np.where(ends, first - drained[at_first], last)
+            in_order.peak[rows] = np.maximum(
+                in_order.peak[rows], np.where(end >= 0, tested[np.maximum(end, 0), row_ix], -math.inf))
+
+        done = np.zeros(count, dtype=bool)
+        for k in np.nonzero(ends)[0]:
+            i, j = rows[k], first[k]
+            depth = int(ns[j, k])
+            start = origin[k] + lo_run[j + 1, k]
+            run = slice(start, max(start, origin[k] + hi_run[j + 1, k] + 1))
+            if drained[j, k]:
+                finish(i, depth, float(cost_n[j, k]), new[j, :, run], float(leaked[k]))
+            elif over[j, k]:
+                outcomes[i] = CostCapExceeded(
+                    f"cost lower bound exceeds cap {in_order.cap} at depth {depth} for phi={phis[i]}"
+                )
+            else:
+                # trim the window to states carrying non-negligible mass
+                live_row = weight[j, run]
+                kept = np.nonzero(live_row > cut[j, k])[0]
+                if len(kept) == 0:
+                    finish(i, depth, float(cost_n[j, k]), new[j, :, run][:, :0],
+                           float(leaked[k]) + float(front[j, k]))
+                else:
+                    k0, k1 = int(kept[0]), int(kept[-1]) + 1
+                    leaked[k] += float(live_row[:k0].sum() + live_row[k1:].sum())
+                    lo_run[j + 1, k] += k0
+                    hi_run[j + 1, k] -= len(live_row) - k1
+                    continue
+            done[k] = True
+            angle_steps += j + 1
+
+        going = ~done
+        angle_steps += (last + 1) * int(going.sum())
+        n = n + last + 1
+        block = min(_MAX_BLOCK, 2 * (last + 1))
+        lo, hi = lo_run[last + 1], hi_run[last + 1]
+        for k in np.nonzero(going & (n == opts.max_copies))[0]:
+            run = slice(origin[k] + lo[k], origin[k] + hi[k] + 1)
+            finish(rows[k], int(n[k]), float(cost_n[last, k]), new[last, :, run], float(leaked[k]))
+            going[k] = False
+        if capped:
+            in_order.settle(outcomes, phis)
+            # a row whose bound already passed the lowered cap is dropped
+            for k in np.nonzero(going & (in_order.peak[rows] > in_order.cap))[0]:
+                i = rows[k]
+                outcomes[i] = CostCapExceeded(
+                    f"cost lower bound exceeds cap {in_order.cap} at depth {n[k]} for phi={phis[i]}"
+                )
+                going[k] = False
+        rows, lo, hi, n, origin = rows[going], lo[going], hi[going], n[going], origin[going]
+        run_len = hi - lo + 1
+        mass = new[last][:, np.repeat(origin + lo - (np.cumsum(run_len) - run_len), run_len)
+                         + np.arange(run_len.sum())]
+        cost, terminated, leaked = cost_n[last, going], terminated_n[last, going], leaked[going]
+    if capped:
+        in_order.settle(outcomes, phis)
+    return AngleBatch(outcomes, depth_iterations, angle_steps)
 
 
 def brute_force_cost(
@@ -315,7 +679,7 @@ def brute_force_cost(
     time the posterior error reaches eps.  Exponential in max_depth; intended
     for validation only (max_depth <= 30).
     """
-    _check_inputs(problem, phi, eps)
+    _check_inputs(problem, [phi], eps)
     if max_depth < 1 or max_depth > _BRUTE_FORCE_DEPTH_LIMIT:
         raise ValueError(f"max_depth must lie in [1, {_BRUTE_FORCE_DEPTH_LIMIT}], got {max_depth}")
     config = MeasurementConfig.for_problem(problem, phi)

@@ -4,6 +4,11 @@ The cost landscape C(phi) has jump discontinuities wherever the set of
 terminating strings changes, so gradient methods are unsound; the search is a
 coarse uniform scan followed by recursive bracket refinement around the
 incumbent.  Ties between grid points break toward smaller phi.
+
+A scan is one batch of the engine: its grid points advance together through
+one depth loop (engine.fixed_angle_costs).  A capped scan caps each point as a
+scan of the points in order would: by the best cost among the points before it
+that stayed under their own caps.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .engine import CostCapExceeded, EngineOptions, NonConvergenceError, fixed_angle_cost
+from .engine import EngineOptions, NonConvergenceError, fixed_angle_cost, fixed_angle_costs
 from .model import DiscriminationProblem, helstrom_angle
 from .strategies import CostResult, fbm_cost, ubm_cost
 
@@ -30,12 +35,16 @@ class AngleScan:
 
     Samples where the engine failed to converge are recorded with result None
     and the failure message in `failures`; they never become the best point.
+    depth_iterations counts the depths the scan's depth loop ran and
+    angle_steps the depths its grid points were advanced, summed over them.
     """
 
     samples: list[tuple[float, CostResult | None]]
     best_phi: float
     best_cost: float
     failures: dict[float, str] = field(default_factory=dict)
+    depth_iterations: int = 0
+    angle_steps: int = 0
 
 
 def _scan_options(opts: EngineOptions | None) -> EngineOptions:
@@ -57,39 +66,37 @@ def scan_angles(
     """Evaluate the fixed-angle cost on a uniform grid inclusive of both endpoints.
 
     With abandon_above_best, a grid point is abandoned (and recorded as a
-    failure) once its cost provably exceeds the best point found so far; this
-    only makes sense when the caller wants the minimum, not the whole curve.
+    failure) once its cost provably exceeds initial_cap or the best point
+    before it; this only makes sense when the caller wants the minimum, not
+    the whole curve.  Invalid inputs raise ValueError before any point is run.
     """
     if not 0.0 <= phi_min < phi_max < math.pi / 2:
         raise ValueError(f"need 0 <= phi_min < phi_max < pi/2, got [{phi_min}, {phi_max}]")
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
-    opts = _scan_options(opts)
+    step = (phi_max - phi_min) / (resolution - 1)
+    phis = [phi_min + i * step for i in range(resolution)]
+    cap = None
+    if abandon_above_best:
+        cap = initial_cap if initial_cap is not None else math.inf
+    batch = fixed_angle_costs(problem, phis, eps, _scan_options(opts), cost_cap=cap)
     samples: list[tuple[float, CostResult | None]] = []
     failures: dict[float, str] = {}
     best_phi = math.nan
     best_cost = math.inf
-    step = (phi_max - phi_min) / (resolution - 1)
-    for i in range(resolution):
-        phi = phi_min + i * step
-        cap = None
-        if abandon_above_best:
-            cap = min(best_cost, initial_cap if initial_cap is not None else math.inf)
-            if not math.isfinite(cap):
-                cap = None
-        try:
-            result = fixed_angle_cost(problem, phi, eps, opts, cost_cap=cap)
-        except (CostCapExceeded, NonConvergenceError, ValueError) as exc:
+    for phi, outcome in zip(phis, batch.outcomes):
+        if isinstance(outcome, Exception):
             samples.append((phi, None))
-            failures[phi] = str(exc)
+            failures[phi] = str(outcome)
             continue
-        samples.append((phi, result))
-        if result.expected_copies < best_cost:  # strict: ties keep the smaller phi
-            best_cost = result.expected_copies
+        samples.append((phi, outcome))
+        if outcome.expected_copies < best_cost:  # strict: ties keep the smaller phi
+            best_cost = outcome.expected_copies
             best_phi = phi
     if not math.isfinite(best_cost):
         raise NonConvergenceError("no grid point converged over the scan range")
-    return AngleScan(samples=samples, best_phi=best_phi, best_cost=best_cost, failures=failures)
+    return AngleScan(samples=samples, best_phi=best_phi, best_cost=best_cost, failures=failures,
+                     depth_iterations=batch.depth_iterations, angle_steps=batch.angle_steps)
 
 
 def optimize_angle(
@@ -136,6 +143,8 @@ def optimize_angle(
     while cell > _ANGLE_RESOLUTION:
         lo = max(0.0, best_phi - cell)
         hi = min(math.pi / 2 - _UPPER_GUARD, best_phi + cell)
+        # no seed cap: a point's running lower bound can overshoot its final
+        # cost, so the incumbent as a cap could drop a point that beats it
         try:
             scan = scan_angles(problem, eps, lo, hi, _REFINE_POINTS, opts,
                                abandon_above_best=True)

@@ -61,6 +61,22 @@ def test_cost_curve_rejects_biased_prior(tmp_path):
     assert code == 2
 
 
+def test_angle_scan_rejects_invalid_epsilon(tmp_path, capsys):
+    # an invalid error bound is a usage error, not a failure to converge
+    code, _ = run(tmp_path, "x.csv", "angle-scan", "--theta", "0.3", "--epsilon", "0.6",
+                  "--resolution", "5")
+    assert code == 2
+    assert "error bound must lie in (0, min(q1, q2)) = (0, 0.5)" in capsys.readouterr().err
+
+
+def test_angle_scan_exits_3_when_no_angle_converges(tmp_path, capsys):
+    # a two-point grid holds only the uninformative endpoints
+    code, _ = run(tmp_path, "x.csv", "angle-scan", "--theta", "0.3", "--epsilon", "0.1",
+                  "--resolution", "2")
+    assert code == 3
+    assert "no grid point converged over the scan range" in capsys.readouterr().err
+
+
 def test_strings_csv_and_aggregate(tmp_path):
     code, out = run(tmp_path, "s.csv", "strings", "--theta", str(math.pi / 12),
                     "--epsilon", "0.179", "--strategy", "fbm",

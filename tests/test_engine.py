@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from seqdisc import (
+    CostResult,
     DiscriminationProblem,
     EngineOptions,
     MeasurementConfig,
@@ -14,7 +15,8 @@ from seqdisc import (
     fixed_angle_cost,
     ubm_cost,
 )
-from seqdisc.engine import CostCapExceeded, _StopRule
+from seqdisc import engine
+from seqdisc.engine import CostCapExceeded, _StopRule, fixed_angle_costs
 from seqdisc.posterior import BOUNDARY_TOL, VerdictTable, log_likelihood_steps
 
 TIGHT = EngineOptions(max_copies=50_000, mass_tolerance=1e-14)
@@ -273,3 +275,198 @@ def test_verdict_table_decides_as_stop_rule(theta, q1, phi, eps):
     for n in range(1, 65):
         guess, _ = table.row(n)
         assert [rule.stops(m1, n - m1) for m1 in range(n + 1)] == (guess != 0).tolist(), n
+
+
+def _batch_cases():
+    cases = []
+    for theta in (math.pi / 16, math.pi / 12, math.pi / 8):
+        for q1 in (0.5, 0.3):
+            for eps in (0.3, 0.179, 0.05, 0.01):
+                if eps < min(q1, 1.0 - q1):
+                    cases.append((theta, q1, eps))
+    return cases
+
+
+# 50 angles from phi = 0 to pi/2 - 1e-9; the short copy budget makes the
+# near-endpoint angles fail on their residual mass after 5,000 copies
+BATCH_PHIS = [i * (math.pi / 2 - 1e-9) / 49 for i in range(50)]
+BATCH_OPTS = EngineOptions(max_copies=5_000)
+
+
+def _fingerprint(outcome):
+    if isinstance(outcome, Exception):
+        return type(outcome).__name__, str(outcome)
+    return (outcome.expected_copies.hex(), outcome.exact, float(outcome.residual_mass).hex(),
+            float(outcome.bound_width).hex())
+
+
+def _in_order_reference(problem, phis, eps, opts, cap):
+    """Each angle alone, capped by cap and by the lowest cost before it."""
+    outcomes = []
+    for phi in phis:
+        outcome = fixed_angle_costs(problem, [phi], eps, opts, cost_cap=cap).outcomes[0]
+        if isinstance(outcome, CostResult):
+            cap = min(cap, outcome.expected_copies)
+        outcomes.append(outcome)
+    return outcomes
+
+
+def _kept(outcomes):
+    return [_fingerprint(o) if isinstance(o, CostResult) else None for o in outcomes]
+
+
+@pytest.mark.parametrize("theta,q1,eps", _batch_cases())
+def test_batch_matches_batches_of_one(theta, q1, eps, monkeypatch):
+    # uncapped, one depth loop over the whole grid gives every angle, bit for
+    # bit, what a loop over that angle alone gives it, failures and their
+    # messages too; capped, it keeps the angles that capped loops over the
+    # angles one by one, in order, keep, with the same results.  Capped
+    # batches run few angles at once, so most join at a later depth.
+    monkeypatch.setattr(engine, "_CAPPED_ROWS", 7)
+    problem = DiscriminationProblem(theta=theta, q1=q1)
+    uncapped = fixed_angle_costs(problem, BATCH_PHIS, eps, BATCH_OPTS).outcomes
+    alone = [fixed_angle_costs(problem, [phi], eps, BATCH_OPTS).outcomes[0] for phi in BATCH_PHIS]
+    assert [_fingerprint(o) for o in uncapped] == [_fingerprint(o) for o in alone]
+    assert isinstance(uncapped[0], NonConvergenceError)
+    cap = 1.2 * min(o.expected_copies for o in uncapped if isinstance(o, CostResult))
+    capped = fixed_angle_costs(problem, BATCH_PHIS, eps, BATCH_OPTS, cost_cap=cap).outcomes
+    assert any(isinstance(o, CostCapExceeded) for o in capped)
+    assert _kept(capped) == _kept(_in_order_reference(problem, BATCH_PHIS, eps, BATCH_OPTS, cap))
+
+
+def test_batch_with_uneven_runs_matches_batches_of_one():
+    # near phi = 0 the runs grow far wider than the others', so the slots of
+    # one flat frontier differ widely in length
+    problem = DiscriminationProblem(theta=math.pi / 8)
+    phis = [i * (math.pi / 2 - 1e-9) / 1999 for i in range(1, 40, 3)]
+    opts = EngineOptions(max_copies=1_500, bound_width_limit=math.inf)
+    batch = fixed_angle_costs(problem, phis, 0.125, opts)
+    alone = [fixed_angle_costs(problem, [phi], 0.125, opts).outcomes[0] for phi in phis]
+    assert [_fingerprint(o) for o in batch.outcomes] == [_fingerprint(o) for o in alone]
+
+
+def test_batch_of_one_is_fixed_angle_cost(problem12):
+    batch = fixed_angle_costs(problem12, [0.05], 1e-3)
+    assert batch.outcomes == [fixed_angle_cost(problem12, 0.05, 1e-3)]
+    depths = []
+    fixed_angle_cost(problem12, 0.05, 1e-3, on_depth=lambda n, t, f: depths.append(n))
+    assert batch.angle_steps == len(depths)
+    assert batch.depth_iterations >= batch.angle_steps
+
+
+def test_batch_validates_inputs_before_running(problem12):
+    with pytest.raises(ValueError, match="error bound must lie in"):
+        fixed_angle_costs(problem12, [0.3, 0.5], 0.6)
+    with pytest.raises(ValueError, match="measurement angle"):
+        fixed_angle_costs(problem12, [0.3, math.pi / 2], 0.1)
+    with pytest.raises(ValueError, match="batch of one"):
+        fixed_angle_costs(problem12, [0.3, 0.5], 0.1, on_depth=lambda *args: None)
+
+
+def _single_angle_reference(problem, phi, eps, opts):
+    """One angle advanced alone with np.correlate, the reference the batched engine matches."""
+    config = MeasurementConfig.for_problem(problem, phi)
+    rule = _StopRule(problem, phi, eps)
+    q1, q2 = problem.q1, problem.q2
+    a1, a2 = config.p1_given_psi1, config.p1_given_psi2
+    kernel1, kernel2 = np.array([a1, 1.0 - a1]), np.array([a2, 1.0 - a2])
+    mass1, mass2 = np.array([1.0]), np.array([1.0])
+    base, n = 0, 0
+    cost_accum = leaked = 0.0
+    trims = 0
+    while n < opts.max_copies:
+        n += 1
+        new1 = np.correlate(mass1, kernel1, "full")
+        new2 = np.correlate(mass2, kernel2, "full")
+        weight = q1 * new1 + q2 * new2
+        lo, hi = rule.continuation(n, base, base + len(weight) - 1)
+        i0, i1 = lo - base, hi + 1 - base
+        cost_accum += n * float(np.concatenate((weight[:i0], weight[i1:])).sum())
+        mass1, mass2, live = new1[i0:i1], new2[i0:i1], weight[i0:i1]
+        base += i0
+        frontier = float(live.sum())
+        if frontier + leaked <= opts.mass_tolerance:
+            break
+        cut = frontier * 1e-40
+        if len(live) and live[0] > cut and live[-1] > cut:
+            continue
+        trims += 1
+        keep = np.nonzero(live > cut)[0]
+        if len(keep) == 0:
+            leaked += frontier
+            mass1, mass2 = mass1[:0], mass2[:0]
+            break
+        k0, k1 = int(keep[0]), int(keep[-1]) + 1
+        leaked += float(live[:k0].sum() + live[k1:].sum())
+        mass1, mass2 = mass1[k0:k1], mass2[k0:k1]
+        base += k0
+    residual = float(q1 * mass1.sum() + q2 * mass2.sum()) + leaked
+    return cost_accum, residual, trims
+
+
+@pytest.mark.parametrize("theta,phi,eps", [
+    (math.pi / 8, 0.00079, 0.125),  # a wide frontier, trimmed every few depths
+    (math.pi / 12, 0.001, 0.125),
+    (math.pi / 12, 1.5697, 0.05),
+    (math.pi / 12, 0.05, 1e-3),
+    (math.pi / 12, math.pi / 12, 0.05),  # an infinite step: outcome 2 stops at once
+])
+def test_batch_matches_single_angle_loop(theta, phi, eps):
+    problem = DiscriminationProblem(theta=theta)
+    opts = EngineOptions(max_copies=6_000, bound_width_limit=math.inf)
+    cost, residual, trims = _single_angle_reference(problem, phi, eps, opts)
+    result = fixed_angle_costs(problem, [phi], eps, opts).outcomes[0]
+    assert (result.expected_copies, result.residual_mass) == (cost, residual)
+    if phi < 0.01:
+        assert trims > 0
+
+
+def test_stopped_mass_sums_many_stopped_states_in_window_order():
+    # a window of 7 states whose run keeps only the middle one, and a row
+    # whose run is empty: both are summed in order, as np.sum of the window
+    rng = np.random.default_rng(3)
+    weight = rng.random((1, 24)) * 10.0 ** rng.integers(-8, 8, (1, 24))
+    lo_run = np.array([[0, 2], [3, 5]])  # runs before and at the depth, in m1
+    hi_run = np.array([[5, 6], [3, 4]])
+    origin = np.array([1, 12])  # row 1's m1 = 2 lies at column 14
+    stopped = engine._stopped_mass(weight, np.zeros((1, 2)), lo_run, hi_run, origin)
+    window = weight[0, 1:8]
+    assert stopped[0, 0] == np.concatenate((window[:3], window[4:])).sum()
+    assert stopped[0, 1] == weight[0, 14:20].sum()
+
+
+def test_run_sums_are_np_sum_of_each_run():
+    # the frontier mass each stop test reads is np.sum of the run, as the
+    # loop over one angle summed it, whatever the run's length and place
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        lengths = rng.integers(1, 300, 3)
+        lo = rng.integers(0, 50, (2, 3))
+        hi = lo + lengths - 1
+        hi[1, 2] = lo[1, 2] - 2  # an empty run sums to 0
+        origin = np.concatenate(([1], 2 + np.cumsum(lengths + 60)[:-1])) - lo.min(axis=0)
+        values = np.zeros((2, int(origin[-1] + hi.max() + 2)))
+        for j, k in np.ndindex(2, 3):
+            if lo[j, k] <= hi[j, k]:
+                run = slice(origin[k] + lo[j, k], origin[k] + hi[j, k] + 1)
+                values[j, run] = rng.random(lengths[k]) * 10.0 ** rng.integers(-20, 5, lengths[k])
+        sums = engine._run_sums(np.append(values.ravel(), 0.0), values.shape[1], lo, hi, origin)
+        for j, k in np.ndindex(2, 3):
+            run = values[j, origin[k] + lo[j, k]:origin[k] + hi[j, k] + 1]
+            assert sums[j, k] == (run.sum() if lo[j, k] <= hi[j, k] else 0.0)
+
+
+def test_in_order_caps_follow_the_scan_order():
+    # angle 0 ends at cost 1 - 1e-11 although its running bound reached
+    # 1 + 1e-11 (the residual mass never stops); angle 1 ends first at cost 1.
+    # A scan in order keeps angle 0, so angle 1's cost must not cap it.
+    in_order = engine._InOrderCaps(math.inf, 2)
+    in_order.peak[:] = [1.0 + 1e-11, 1.0 + 1e-11]
+    outcomes = [None, CostResult(expected_copies=1.0, exact=True)]
+    in_order.settle(outcomes, [0.1, 0.2])
+    assert in_order.cap == math.inf
+    outcomes[0] = CostResult(expected_copies=1.0 - 1e-11, exact=True)
+    in_order.settle(outcomes, [0.1, 0.2])
+    assert outcomes[0].expected_copies == 1.0 - 1e-11
+    assert isinstance(outcomes[1], CostCapExceeded)
+    assert in_order.cap == 1.0 - 1e-11

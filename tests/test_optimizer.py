@@ -4,12 +4,16 @@ import pytest
 
 from seqdisc import (
     DiscriminationProblem,
+    EngineOptions,
+    NonConvergenceError,
     fbm_cost,
     fixed_angle_cost,
+    helstrom_angle,
     optimize_angle,
     scan_angles,
     ubm_cost,
 )
+from seqdisc.engine import CostCapExceeded
 
 RES = 400  # coarse enough for fast tests, fine enough for stable minima
 
@@ -83,3 +87,154 @@ def test_refinement_soundness(problem12):
     coarse = scan_angles(problem12, 0.179, 0.0, math.pi / 2 - 1e-9, RES)
     _, refined = optimize_angle(problem12, 0.179, resolution=RES)
     assert refined.expected_copies <= coarse.best_cost + 1e-12
+
+
+def test_scan_counts_its_depths(problem12):
+    scan = scan_angles(problem12, 0.179, 0.0, 1.2, 20)
+    depths = []
+    for phi, _ in scan.samples:
+        calls = []
+        try:
+            fixed_angle_cost(problem12, phi, 0.179, EngineOptions(max_copies=20_000),
+                             on_depth=lambda n, t, f: calls.append(n))
+        except NonConvergenceError:
+            pass
+        depths.append(len(calls))
+    assert scan.angle_steps == sum(depths)
+    assert max(depths) <= scan.depth_iterations < sum(depths)
+
+
+class _sequential_reference:
+    """scan_angles and optimize_angle as they were before scans were batched.
+
+    One engine call per grid point, in order, each capped by the best point
+    before it; the refinement rounds start uncapped.
+    """
+
+    @staticmethod
+    def scan(problem, eps, phi_min, phi_max, resolution, abandon_above_best=False,
+             initial_cap=None):
+        opts = EngineOptions(max_copies=20_000)
+        samples, failures = [], {}
+        best_phi, best_cost = math.nan, math.inf
+        step = (phi_max - phi_min) / (resolution - 1)
+        for i in range(resolution):
+            phi = phi_min + i * step
+            cap = None
+            if abandon_above_best:
+                cap = min(best_cost, initial_cap if initial_cap is not None else math.inf)
+                if not math.isfinite(cap):
+                    cap = None
+            try:
+                result = fixed_angle_cost(problem, phi, eps, opts, cost_cap=cap)
+            except (CostCapExceeded, NonConvergenceError, ValueError) as exc:
+                samples.append((phi, None))
+                failures[phi] = str(exc)
+                continue
+            samples.append((phi, result))
+            if result.expected_copies < best_cost:
+                best_cost, best_phi = result.expected_copies, phi
+        if not math.isfinite(best_cost):
+            raise NonConvergenceError("no grid point converged over the scan range")
+        return samples, failures, best_phi, best_cost
+
+    @classmethod
+    def optimize(cls, problem, eps, resolution):
+        opts = EngineOptions(max_copies=20_000)
+        lo, hi = 0.0, math.pi / 2 - 1e-9
+        cap = fbm_cost(problem, eps).expected_copies
+        if problem.q1 == problem.q2:
+            cap = min(cap, ubm_cost(problem, eps).expected_copies)
+        cap = 2.0 * cap + 2.0
+        try:
+            samples, _, best_phi, best_cost = cls.scan(problem, eps, lo, hi, resolution, True, cap)
+        except NonConvergenceError:
+            samples, _, best_phi, best_cost = cls.scan(problem, eps, lo, hi, resolution)
+        best_result = next(r for p, r in samples if p == best_phi)
+        for anchor in (problem.theta, helstrom_angle(problem)):
+            if not 0.0 < anchor < math.pi / 2 - 1e-9:
+                continue
+            try:
+                result = fixed_angle_cost(problem, anchor, eps, opts)
+            except (NonConvergenceError, ValueError):
+                continue
+            if result.expected_copies < best_cost:
+                best_phi, best_cost, best_result = anchor, result.expected_copies, result
+        cell = (hi - lo) / (resolution - 1)
+        while cell > 1e-6:
+            lo = max(0.0, best_phi - cell)
+            hi = min(math.pi / 2 - 1e-9, best_phi + cell)
+            try:
+                samples, _, phi, cost = cls.scan(problem, eps, lo, hi, 17, True)
+            except NonConvergenceError:
+                break
+            if cost < best_cost:
+                best_phi, best_cost = phi, cost
+                best_result = next(r for p, r in samples if p == phi)
+            cell = (hi - lo) / 16
+        if problem.q1 == problem.q2 and best_phi > math.pi / 4:
+            mirror = math.pi / 2 - best_phi
+            try:
+                mirror_result = fixed_angle_cost(problem, mirror, eps, opts)
+            except (NonConvergenceError, ValueError):
+                mirror_result = None
+            if mirror_result is not None:
+                slack = best_result.bound_width + mirror_result.bound_width + 1e-9
+                if mirror_result.expected_copies <= best_cost + slack:
+                    return mirror, mirror_result
+        return best_phi, best_result
+
+
+def _reference_cases(eps_values):
+    return [(theta, q1, eps)
+            for theta in (math.pi / 16, math.pi / 12, math.pi / 8)
+            for q1 in (0.5, 0.3)
+            for eps in eps_values]
+
+
+@pytest.mark.parametrize("theta,q1,eps", _reference_cases((0.25, 0.179, 0.1, 0.05, 0.02)))
+def test_optimize_matches_sequential_reference(theta, q1, eps):
+    problem = DiscriminationProblem(theta=theta, q1=q1)
+    phi_opt, result = optimize_angle(problem, eps, resolution=300)
+    ref_phi, ref_result = _sequential_reference.optimize(problem, eps, 300)
+    assert (phi_opt, result.expected_copies) == (ref_phi, ref_result.expected_copies)
+    assert result == ref_result
+
+
+@pytest.mark.parametrize("theta,q1,eps", _reference_cases((0.179, 0.05)))
+def test_uncapped_scan_matches_sequential_reference(theta, q1, eps):
+    problem = DiscriminationProblem(theta=theta, q1=q1)
+    scan = scan_angles(problem, eps, 0.0, math.pi / 2 - 1e-9, 40)
+    samples, failures, best_phi, best_cost = _sequential_reference.scan(
+        problem, eps, 0.0, math.pi / 2 - 1e-9, 40)
+    assert scan.samples == samples
+    assert scan.failures == failures
+    assert (scan.best_phi, scan.best_cost) == (best_phi, best_cost)
+
+
+@pytest.mark.parametrize("theta,q1,eps", _reference_cases((0.179, 0.05)))
+def test_capped_scan_keeps_the_sequential_points(theta, q1, eps):
+    # a capped scan keeps exactly the points that the scan in order keeps, with
+    # the same results; which of the others fail, and how, may differ
+    problem = DiscriminationProblem(theta=theta, q1=q1)
+    cap = 2.0 * fbm_cost(problem, eps).expected_copies + 2.0
+    scan = scan_angles(problem, eps, 0.0, math.pi / 2 - 1e-9, 80, abandon_above_best=True,
+                       initial_cap=cap)
+    samples, failures, best_phi, best_cost = _sequential_reference.scan(
+        problem, eps, 0.0, math.pi / 2 - 1e-9, 80, True, cap)
+    assert scan.samples == samples
+    assert scan.failures.keys() == failures.keys()
+    assert (scan.best_phi, scan.best_cost) == (best_phi, best_cost)
+
+
+def test_capped_scan_keeps_the_sequential_best():
+    # refinement-like brackets, where neighbouring costs differ by less than
+    # a point's running lower bound overshoots its own cost
+    problem = DiscriminationProblem(theta=math.pi / 12)
+    eps = 0.031072325059538608
+    for lo, hi in ((0.575100830886013, 0.5752972786506196),
+                   (0.5751499428271647, 0.5751744987977405),
+                   (0.5751637555606136, 0.5751668250569356)):
+        scan = scan_angles(problem, eps, lo, hi, 17, abandon_above_best=True)
+        _, _, best_phi, best_cost = _sequential_reference.scan(problem, eps, lo, hi, 17, True)
+        assert (scan.best_phi, scan.best_cost) == (best_phi, best_cost)
