@@ -20,6 +20,7 @@ from .optimizer import AngleScan, optimize_angle, scan_angles
 from .posterior import (
     LikelihoodSteps,
     PosteriorState,
+    StoppingRule,
     log_likelihood_steps,
     meets_error_bound,
     posterior_error,
@@ -45,5 +46,17 @@ from .strategies import (
     ubm_boundary,
     ubm_cost,
 )
+
+__all__ = [
+    "EngineOptions", "NonConvergenceError", "brute_force_cost", "fixed_angle_cost",
+    "DiscriminationProblem", "MeasurementConfig", "collective_error", "helstrom_angle",
+    "helstrom_error", "outcome_probability", "MonteCarloReport", "empirical_string_errors",
+    "run_trials", "AngleScan", "optimize_angle", "scan_angles", "LikelihoodSteps",
+    "PosteriorState", "StoppingRule", "log_likelihood_steps", "meets_error_bound",
+    "posterior_error", "posterior_from_counts", "LengthAggregate", "TerminationString",
+    "aggregate_by_length", "cost_from_strings", "enumerate_strings", "CostResult",
+    "StrategyKind", "StrategySpec", "WalkSpec", "fbm_cost", "fbm_threshold", "lol_cost",
+    "lol_next_angle", "strategy_angle", "ubm_boundary", "ubm_cost",
+]
 
 __version__ = "0.1.0"

@@ -2,12 +2,13 @@
 
 The dynamic program propagates unterminated probability mass over the integer
 count lattice (m1, m2), depth by depth, under each hypothesis separately.  The
-termination predicate is a function of the counts alone, so states reached by
-different outcome orderings merge exactly; mass that stops is removed from the
-frontier immediately, which enforces prefix termination automatically.  At a
-fixed depth the log-odds are affine in m1, so the states that continue form one
-m1 interval (the continuation region of Wald's sequential probability ratio
-test), and the frontier is stored as that interval alone.
+termination predicate, posterior.StoppingRule, is a function of the counts
+alone, so states reached by different outcome orderings merge exactly; mass
+that stops is removed from the frontier immediately, which enforces prefix
+termination automatically.  At a fixed depth the log-odds are affine in m1, so
+the states that continue form one m1 interval (the continuation region of
+Wald's sequential probability ratio test), and the frontier is stored as that
+interval alone; the rule gives each interval's ends.
 
 Angles are evaluated in batches that advance through one depth loop together:
 one copy is a shift-and-scale of every angle's frontier, held side by side in
@@ -19,8 +20,9 @@ stop, cap and trim tests for all its depths at once.  An angle leaves the
 batch at the first depth where it drains, exceeds its cap or fails; a window
 trim ends the block at its depth.
 
-A brute-force outcome-tree enumeration with identical semantics serves as the
-independent correctness oracle at validation scale.
+A brute-force outcome-tree enumeration serves as the independent correctness
+oracle at validation scale: it walks every outcome string instead of the count
+lattice, and stops each one through the same StoppingRule.
 """
 
 from __future__ import annotations
@@ -31,13 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DiscriminationProblem, MeasurementConfig
-from .posterior import (
-    BOUNDARY_TOL,
-    _log_ratio,
-    log_likelihood_steps,
-    posterior_error,
-    posterior_from_counts,
-)
+from .posterior import StoppingRule, log_likelihood_steps
 from .strategies import CostResult
 
 __all__ = [
@@ -78,7 +74,6 @@ class CostCapExceeded(RuntimeError):
 class EngineOptions:
     max_copies: int = 100_000
     mass_tolerance: float = 1e-12
-    mode: str = "dp_lattice"  # or "brute_force_tree"
     # largest acceptable enclosure width before truncation is reported as failure
     bound_width_limit: float = 1e-6
 
@@ -87,23 +82,6 @@ class EngineOptions:
             raise ValueError(f"max_copies must be >= 1, got {self.max_copies}")
         if not 0.0 < self.mass_tolerance < 1.0:
             raise ValueError(f"mass_tolerance must lie in (0, 1), got {self.mass_tolerance}")
-        if self.mode not in ("dp_lattice", "brute_force_tree"):
-            raise ValueError(f"unknown engine mode {self.mode!r}")
-
-
-def _check_inputs(problem: DiscriminationProblem, phis, eps: float) -> None:
-    q_min = min(problem.q1, problem.q2)
-    if not 0.0 < eps < q_min:
-        raise ValueError(f"error bound must lie in (0, min(q1, q2)) = (0, {q_min}), got {eps}")
-    for phi in phis:
-        if not 0.0 <= phi < math.pi / 2:
-            raise ValueError(f"measurement angle must lie in [0, pi/2), got {phi}")
-
-
-def _within_bound(abs_logit, bound):
-    """Whether a posterior error 1/(1 + e^|logit|) is at most bound (scalars or arrays)."""
-    # above 700 the error underflows to 0, so it always stops
-    return (abs_logit > 700.0) | (1.0 / (1.0 + np.exp(np.minimum(abs_logit, 700.0))) <= bound)
 
 
 def worst_case_tail(problem: DiscriminationProblem, phi: float, eps: float) -> float:
@@ -135,163 +113,6 @@ def worst_case_tail(problem: DiscriminationProblem, phi: float, eps: float) -> f
         wald = (2.0 * l_bound + spread) / abs(drift) if drift != 0.0 else math.inf
         tails.append(min(wald, geometric))
     return max(tails)
-
-
-class _StopRule:
-    """The stopping predicate of one (problem, phi, eps) over count states (m1, m2).
-
-    A state stops once its posterior error is at most eps + BOUNDARY_TOL.  The
-    log-odds of psi2 vs psi1 are logit0 + m1*d1 + m2*d2, an infinite increment
-    overriding the sum once its outcome occurs.  The error is evaluated with
-    numpy's exp, whose last bit can differ from math.exp, and in the operation
-    order of the vectorized form of this predicate in tests/test_engine.py and
-    of _BatchRule, so states on the boundary decide exactly as there.
-    """
-
-    def __init__(self, problem: DiscriminationProblem, phi: float, eps: float):
-        steps = log_likelihood_steps(problem, phi)
-        self.logit0 = math.log(problem.q2 / problem.q1)
-        self.d1, self.d2 = -steps.step1, -steps.step2  # d1 <= 0 <= d2
-        self.bound = eps + BOUNDARY_TOL
-        # continuing states satisfy |logit| < threshold (up to rounding)
-        self.threshold = math.log(1.0 / self.bound - 1.0)
-        # at fixed depth n, logit = logit0 + n*d2 - m1*rate
-        self.rate = self.d2 - self.d1
-
-    def stops(self, m1: int, m2: int) -> bool:
-        logit = self.logit0
-        for m, d in ((m1, self.d1), (m2, self.d2)):
-            if math.isinf(d):
-                if m > 0:
-                    logit = d
-            else:
-                logit = logit + m * d
-        return bool(_within_bound(abs(logit), self.bound))
-
-    def continuation(self, n: int, wlo: int, whi: int) -> tuple[int, int]:
-        """The run [lo, hi] of m1 in [wlo, whi] whose states at depth n do not stop.
-
-        Empty runs come back as hi = lo - 1.  The closed-form ends, widened by
-        one state, contain the run; the exact predicate then fixes each end.
-        """
-        if math.isinf(self.d2):
-            wlo = max(wlo, n)  # any outcome 2 stops
-        if math.isinf(self.d1):
-            whi = min(whi, 0)  # any outcome 1 stops
-        lo, hi = wlo, whi
-        rate = self.rate
-        if math.isfinite(rate) and rate > 0.0:
-            centre = self.logit0 + n * self.d2
-            x = (centre - self.threshold) / rate
-            y = (centre + self.threshold) / rate
-            if x > wlo:
-                lo = whi + 1 if x >= whi + 1 else math.floor(x)
-            if y < whi:
-                hi = wlo - 1 if y <= wlo - 1 else math.ceil(y)
-        stops = self.stops
-        start = lo
-        while lo <= hi and stops(lo, n - lo):
-            lo += 1
-        if lo > hi:
-            return lo, lo - 1
-        if lo == start:
-            while lo > wlo and not stops(lo - 1, n - lo + 1):
-                lo -= 1
-        end = hi
-        while stops(hi, n - hi):
-            hi -= 1
-        if hi == end:
-            while hi < whi and not stops(hi + 1, n - hi - 1):
-                hi += 1
-        return lo, hi
-
-
-class _BatchRule:
-    """The stopping rules of a batch of angles, over arrays of (depth, angle).
-
-    At fixed depth the log-odds fall as m1 rises, so the states that stop with
-    log-odds >= 0 form a prefix of [0, n] and those that stop with log-odds < 0
-    a suffix; the continuation run lies between them.  Each end of the run is
-    taken from the closed form and checked against the exact predicate at the
-    states on both sides of it; a depth whose check fails is found by
-    _StopRule.continuation instead.
-    """
-
-    def __init__(self, problem: DiscriminationProblem, phis: list, eps: float,
-                 configs: list[MeasurementConfig]):
-        self.problem, self.phis, self.eps = problem, phis, eps
-        rule = _StopRule(problem, phis[0], eps)
-        self.logit0, self.bound, self.threshold = rule.logit0, rule.bound, rule.threshold
-        # log_likelihood_steps of each angle, negated as _StopRule negates
-        # them, so every bit is the same
-        self.d1 = -np.array([_log_ratio(c.p1_given_psi1, c.p1_given_psi2) for c in configs])
-        self.d2 = -np.array([_log_ratio(c.p2_given_psi1, c.p2_given_psi2) for c in configs])
-        self.inf1, self.inf2 = np.isinf(self.d1), np.isinf(self.d2)
-        self.any_inf = bool(self.inf1.any() or self.inf2.any())
-        # an infinite increment overrides the sum, so it adds nothing to it
-        self.d1_sum = np.where(self.inf1, 0.0, self.d1)
-        self.d2_sum = np.where(self.inf2, 0.0, self.d2)
-        rate = self.d2 - self.d1
-        self.regular = np.isfinite(rate) & (rate > 0.0)
-        self.all_regular = bool(self.regular.all())
-        self.rate = np.where(self.regular, rate, 1.0)
-
-    def can_stop_within(self, max_copies: int) -> np.ndarray:
-        """False only for the angles at which no state with m1 + m2 <= max_copies stops.
-
-        The log-odds are affine in (m1, m2), so their modulus over the count
-        triangle peaks at a corner.  The peak is raised by a relative margin far
-        above the rounding of the log-odds sum at any state of the triangle.
-        """
-        logit0 = self.logit0
-        corners = np.maximum(np.maximum(abs(logit0), np.abs(logit0 + max_copies * self.d1)),
-                             np.abs(logit0 + max_copies * self.d2))
-        scale = abs(logit0) + max_copies * np.maximum(np.abs(self.d1), np.abs(self.d2))
-        return _within_bound(corners + 1e-9 * scale, self.bound)
-
-    def runs(self, ns: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The runs [lo, hi] of m1 in [0, n] that continue, for the depths n in ns (steps x rows).
-
-        Column k of ns holds depths of the angle rows[k].  Empty runs come
-        back with lo > hi.
-        """
-        n = ns
-        centre = self.logit0 + n * self.d2_sum[rows]
-        lo = np.floor((centre - self.threshold) / self.rate[rows])
-        hi = np.ceil((centre + self.threshold) / self.rate[rows])
-        if not self.all_regular:
-            # without a finite positive rate: all of [0, n], or the one state
-            # an infinite increment leaves
-            regular = self.regular[rows]
-            lo = np.where(regular, lo, np.where(self.inf2[rows], n - 1, -1))
-            hi = np.where(regular, hi, np.where(self.inf1[rows], 1, n + 1))
-        # the states on either side of each end of the run
-        probes = np.empty(ns.shape + (4,))
-        np.minimum(np.maximum(lo, -1.0), n, out=probes[..., 0])
-        np.minimum(np.maximum(hi, 0.0), n + 1.0, out=probes[..., 3])
-        probes[..., 1] = probes[..., 0] + 1.0
-        probes[..., 2] = probes[..., 3] - 1.0
-        m1 = probes.astype(np.int64)
-        # the first and the last state the closed form lets continue
-        lo, hi = m1[..., 1].copy(), m1[..., 2].copy()
-        np.maximum(m1, 0, out=m1)
-        np.minimum(m1, n[..., None], out=m1)
-        m2 = n[..., None] - m1
-        logit = self.logit0 + m1 * self.d1_sum[rows, None]
-        logit = logit + m2 * self.d2_sum[rows, None]
-        if self.any_inf:
-            logit = np.where(self.inf1[rows, None] & (m1 > 0), self.d1[rows, None], logit)
-            logit = np.where(self.inf2[rows, None] & (m2 > 0), self.d2[rows, None], logit)
-        stops = _within_bound(np.abs(logit), self.bound)
-        up = logit >= 0.0
-        high, low = stops & up, stops & ~up
-        ok = (((lo == 0) | high[..., 0]) & ((lo > n) | ~high[..., 1])
-              & ((hi == n) | low[..., 3]) & ((hi < 0) | ~low[..., 2]))
-        for j, k in zip(*np.nonzero(~ok)):
-            depth = int(ns[j, k])
-            rule = _StopRule(self.problem, self.phis[rows[k]], self.eps)
-            lo[j, k], hi[j, k] = rule.continuation(depth, 0, depth)
-        return lo, hi
 
 
 @dataclass(frozen=True)
@@ -475,17 +296,13 @@ def fixed_angle_costs(
     """
     opts = opts or EngineOptions()
     phis = list(phis)
-    if opts.mode == "brute_force_tree":
-        depth = min(opts.max_copies, _BRUTE_FORCE_DEPTH_LIMIT)
-        return AngleBatch([brute_force_cost(problem, phi, eps, depth) for phi in phis], 0, 0)
-    _check_inputs(problem, phis, eps)
+    rule = StoppingRule(problem, phis, eps)
     if on_depth is not None and len(phis) != 1:
         raise ValueError("on_depth needs a batch of one angle")
     if not phis:
         return AngleBatch([], 0, 0)
 
     configs = [MeasurementConfig.for_problem(problem, phi) for phi in phis]
-    rule = _BatchRule(problem, phis, eps, configs)
     outcomes: list = [None] * len(phis)
     # if nothing can stop, the loop would end with the whole unit mass as
     # residual, so whether it would raise is already known
@@ -679,7 +496,7 @@ def brute_force_cost(
     time the posterior error reaches eps.  Exponential in max_depth; intended
     for validation only (max_depth <= 30).
     """
-    _check_inputs(problem, [phi], eps)
+    rule = StoppingRule(problem, phi, eps)
     if max_depth < 1 or max_depth > _BRUTE_FORCE_DEPTH_LIMIT:
         raise ValueError(f"max_depth must lie in [1, {_BRUTE_FORCE_DEPTH_LIMIT}], got {max_depth}")
     config = MeasurementConfig.for_problem(problem, phi)
@@ -698,9 +515,8 @@ def brute_force_cost(
             if c1 == 0.0 and c2 == 0.0:
                 continue
             k1, k2 = (m1 + 1, m2) if d == 1 else (m1, m2 + 1)
-            state = posterior_from_counts(problem, config, k1, k2)
             weight = q1 * c1 + q2 * c2
-            if posterior_error(state) <= eps + BOUNDARY_TOL:
+            if rule.stops(k1, k2):
                 cost_accum += (n + 1) * weight
             elif n + 1 >= max_depth:
                 residual += weight

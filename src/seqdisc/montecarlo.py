@@ -25,11 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DiscriminationProblem, MeasurementConfig, helstrom_angle
-from .posterior import BOUNDARY_TOL, VerdictTable
+from .posterior import VerdictTable, _check_eps, meets_error_bound
 from .strategies import StrategyKind, StrategySpec, strategy_angle
 
 __all__ = [
-    "TrialRecord",
     "MonteCarloReport",
     "TrialLengthError",
     "run_trials",
@@ -46,21 +45,6 @@ _FIRST_COPIES = 16  # copies of a row tried on all trials of a chunk before the 
 
 class TrialLengthError(RuntimeError):
     """A trial exceeded the hard per-trial copy cap without stopping."""
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    true_state: int
-    outcomes: tuple[int, ...]
-    guess: int
-
-    @property
-    def copies_used(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def correct(self) -> bool:
-        return self.guess == self.true_state
 
 
 @dataclass(frozen=True)
@@ -209,7 +193,6 @@ def _lol_trial(
     """One adaptive run: Helstrom angle recomputed from the posterior each copy."""
     true_state = 1 if u.next() < problem.q1 else 2
     belief = problem.q1  # posterior of psi1, updated exactly each copy
-    bound = eps + BOUNDARY_TOL
     outcomes = []
     while True:
         config = angle_cache.get(belief)
@@ -226,7 +209,7 @@ def _lol_trial(
             num, den = config.p2_given_psi1, config.p2_given_psi2
         evidence = belief * num + (1.0 - belief) * den
         belief = belief * num / evidence
-        if min(belief, 1.0 - belief) <= bound:
+        if meets_error_bound(min(belief, 1.0 - belief), eps):
             return true_state, "".join(outcomes), (1 if belief >= 0.5 else 2)
         if len(outcomes) >= TRIAL_COPY_CAP:
             raise TrialLengthError(
@@ -245,9 +228,11 @@ def run_trials(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     adaptive = strategy.kind is StrategyKind.LOL
-    if not adaptive:
+    if adaptive:
+        _check_eps(problem, eps)
+    else:
         config = MeasurementConfig.for_problem(problem, strategy_angle(problem, strategy))
-        table = VerdictTable(problem, config, eps)
+        table = VerdictTable(problem, config, eps)  # its StoppingRule checks eps
     angle_cache: dict[float, MeasurementConfig] = {}
 
     rng = np.random.default_rng(seed)

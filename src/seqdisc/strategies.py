@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DiscriminationProblem, collective_error, helstrom_angle
-from .posterior import meets_error_bound
+from .posterior import _check_eps, meets_error_bound
 
 __all__ = [
     "StrategyKind",
@@ -95,13 +95,6 @@ class WalkSpec:
             raise ValueError(f"p_up must lie in (0, 1), got {self.p_up}")
         if self.boundary < 1:
             raise ValueError(f"boundary must be a positive integer, got {self.boundary}")
-
-
-def _check_eps(problem: DiscriminationProblem, eps: float) -> None:
-    if not 0.0 < eps < min(problem.q1, problem.q2):
-        raise ValueError(
-            f"error bound must lie in (0, min(q1, q2)) = (0, {min(problem.q1, problem.q2)}), got {eps}"
-        )
 
 
 def _fbm_run_error(problem: DiscriminationProblem, n: int) -> float:

@@ -69,6 +69,18 @@ def test_angle_scan_rejects_invalid_epsilon(tmp_path, capsys):
     assert "error bound must lie in (0, min(q1, q2)) = (0, 0.5)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps", ["0", "-0.1", "0.6", "nan"])
+@pytest.mark.parametrize("command", ["strings", "simulate"])
+@pytest.mark.parametrize("strategy", ["ubm", "lol", "fixed:0.6"])
+def test_strings_and_simulate_reject_invalid_epsilon(tmp_path, capsys, command, strategy, eps):
+    if command == "strings" and strategy == "lol":
+        strategy = "fbm"  # LOL has no string set
+    code, _ = run(tmp_path, "x.csv", command, "--theta", str(math.pi / 12),
+                  "--strategy", strategy, f"--epsilon={eps}")
+    assert code == 2
+    assert "error bound must lie in (0, min(q1, q2)) = (0, 0.5)" in capsys.readouterr().err
+
+
 def test_angle_scan_exits_3_when_no_angle_converges(tmp_path, capsys):
     # a two-point grid holds only the uninformative endpoints
     code, _ = run(tmp_path, "x.csv", "angle-scan", "--theta", "0.3", "--epsilon", "0.1",

@@ -16,8 +16,8 @@ from seqdisc import (
     ubm_cost,
 )
 from seqdisc import engine
-from seqdisc.engine import CostCapExceeded, _StopRule, fixed_angle_costs
-from seqdisc.posterior import BOUNDARY_TOL, VerdictTable, log_likelihood_steps
+from seqdisc.engine import CostCapExceeded, fixed_angle_costs
+from seqdisc.posterior import StoppingRule, VerdictTable, log_likelihood_steps
 
 TIGHT = EngineOptions(max_copies=50_000, mass_tolerance=1e-14)
 
@@ -27,8 +27,6 @@ def test_engine_options_validation():
         EngineOptions(max_copies=0)
     with pytest.raises(ValueError):
         EngineOptions(mass_tolerance=0.0)
-    with pytest.raises(ValueError):
-        EngineOptions(mode="newton")
 
 
 def test_domain_errors(problem12):
@@ -153,8 +151,12 @@ def test_brute_force_reproduces_fbm_string_termination(problem12):
     )
 
 
+# the reference's own slack on the error bound
+BOUNDARY_TOL = 1e-12
+
+
 def _reference_stop_mask(problem, phi, eps, m1, m2):
-    """Vectorized stopping predicate over count states (the reference for _StopRule)."""
+    """Vectorized stopping predicate over count states (the reference for StoppingRule)."""
     steps = log_likelihood_steps(problem, phi)
     d1, d2 = -steps.step1, -steps.step2  # log-odds increments of psi2 vs psi1
     logit = np.full(m1.shape, math.log(problem.q2 / problem.q1))
@@ -193,7 +195,7 @@ def _continuation_cases(eps_values=(0.179, 0.01)):
 @pytest.mark.parametrize("theta,q1,phi,eps", _continuation_cases())
 def test_continuation_interval_matches_stop_mask(theta, q1, phi, eps):
     problem = DiscriminationProblem(theta=theta, q1=q1)
-    rule = _StopRule(problem, phi, eps)
+    rule = StoppingRule(problem, phi, eps)
     for n in range(1, 301):
         m1 = np.arange(n + 1)
         lo, hi = rule.continuation(n, 0, n)
@@ -213,7 +215,7 @@ def test_continuation_interval_matches_stop_mask(theta, q1, phi, eps):
 def test_continuation_ends_recover_from_a_shifted_closed_form(problem12, phi, eps, shift):
     # the closed-form ends only seed the search: moved by `shift` states
     # (inward for negative shifts), the exact predicate still finds the run
-    rule = _StopRule(problem12, phi, eps)
+    rule = StoppingRule(problem12, phi, eps)
     rule.threshold += shift * rule.rate
     for n in range(1, 301):
         m1 = np.arange(n + 1)
@@ -267,10 +269,10 @@ def test_prescreen_keeps_vacuous_result_under_unbounded_width_limit(problem12):
 
 @pytest.mark.parametrize("theta,q1,phi,eps", _continuation_cases((0.179, 0.1, 0.01)))
 def test_verdict_table_decides_as_stop_rule(theta, q1, phi, eps):
-    # the string lab and the simulator stop through VerdictTable (math.exp),
-    # the engine through _StopRule (numpy's exp): both must agree on every state
+    # the string lab and the simulator stop through VerdictTable, the engine
+    # through StoppingRule: both must agree on every state
     problem = DiscriminationProblem(theta=theta, q1=q1)
-    rule = _StopRule(problem, phi, eps)
+    rule = StoppingRule(problem, phi, eps)
     table = VerdictTable(problem, MeasurementConfig.for_problem(problem, phi), eps)
     for n in range(1, 65):
         guess, _ = table.row(n)
@@ -366,7 +368,7 @@ def test_batch_validates_inputs_before_running(problem12):
 def _single_angle_reference(problem, phi, eps, opts):
     """One angle advanced alone with np.correlate, the reference the batched engine matches."""
     config = MeasurementConfig.for_problem(problem, phi)
-    rule = _StopRule(problem, phi, eps)
+    rule = StoppingRule(problem, phi, eps)
     q1, q2 = problem.q1, problem.q2
     a1, a2 = config.p1_given_psi1, config.p1_given_psi2
     kernel1, kernel2 = np.array([a1, 1.0 - a1]), np.array([a2, 1.0 - a2])
