@@ -82,6 +82,8 @@ class EngineOptions:
             raise ValueError(f"max_copies must be >= 1, got {self.max_copies}")
         if not 0.0 < self.mass_tolerance < 1.0:
             raise ValueError(f"mass_tolerance must lie in (0, 1), got {self.mass_tolerance}")
+        if not self.bound_width_limit >= 0.0:  # nan fails too; inf accepts any width
+            raise ValueError(f"bound_width_limit must be >= 0, got {self.bound_width_limit}")
 
 
 def worst_case_tail(problem: DiscriminationProblem, phi: float, eps: float) -> float:
@@ -90,8 +92,9 @@ def worst_case_tail(problem: DiscriminationProblem, phi: float, eps: float) -> f
     Uses Wald's identity on the log-odds walk: the continuation region has
     half-width ln(1/eps - 1), and the walk drifts toward the confirming
     boundary under either hypothesis.  An infinite step (zero likelihood for
-    one outcome) absorbs geometrically at the rate of that outcome.  Returns
-    inf when the measurement carries no information (phi = 0 limit).
+    one outcome) absorbs geometrically at the rate of that outcome.  Both
+    terms are at least one copy.  Returns inf when the measurement carries no
+    information (phi = 0 limit).
     """
     config = MeasurementConfig.for_problem(problem, phi)
     steps = log_likelihood_steps(problem, phi)
@@ -147,9 +150,10 @@ def fixed_angle_cost(
 
     on_depth, if given, is called as on_depth(n, terminated_mass, frontier_mass)
     after each depth (test instrumentation).  cost_cap, if given, raises
-    CostCapExceeded as soon as the running lower bound on the final cost
-    exceeds it (the angle optimizer uses this to abandon hopeless angles).
-    An angle at which no outcome string can stop within opts.max_copies copies
+    CostCapExceeded as soon as a lower bound on every result the angle can
+    still end with exceeds it (the angle optimizer uses this to abandon
+    hopeless angles); a cap at or above the angle's own cost never does.  An
+    angle at which no outcome string can stop within opts.max_copies copies
     raises NonConvergenceError before the first copy.  This is a batch of one
     angle of fixed_angle_costs.
     """
@@ -158,38 +162,6 @@ def fixed_angle_cost(
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
-
-
-class _InOrderCaps:
-    """The cap that a scan of a batch's angles in order would apply.
-
-    The scan caps angle i by the initial cap and by the best cost among the
-    angles before it that it kept; it keeps a converged angle if the highest
-    running lower bound the angle reached (`peak`) stays within its cap.  The
-    bound can overshoot the angle's final cost (the mass left as residual
-    never stops), so a kept angle may cost less than an earlier cost that its
-    bound passed; the cap is therefore taken in order, not from any angle.
-    Angles are settled in order as they end.  Every running angle comes after
-    the settled ones, so their cap (`cap`) is at least the angle's own.
-    """
-
-    def __init__(self, initial_cap: float, count: int):
-        self.cap = initial_cap
-        self.peak = np.full(count, -math.inf)
-        self.settled = 0
-
-    def settle(self, outcomes: list, phis: list) -> None:
-        """Settle the ended angles that follow the settled ones; a result not kept becomes a cap failure."""
-        while self.settled < len(outcomes) and outcomes[self.settled] is not None:
-            i = self.settled
-            if isinstance(outcomes[i], CostResult):
-                if self.peak[i] > self.cap:
-                    outcomes[i] = CostCapExceeded(
-                        f"cost lower bound exceeds cap {self.cap} for phi={phis[i]}"
-                    )
-                else:
-                    self.cap = min(self.cap, outcomes[i].expected_copies)
-            self.settled += 1
 
 
 def _advance(frontier: np.ndarray, stay: np.ndarray, move: np.ndarray, inside: np.ndarray,
@@ -285,14 +257,24 @@ def fixed_angle_costs(
 ) -> AngleBatch:
     """fixed_angle_cost at each of the angles phis, advanced together through one depth loop.
 
-    Without cost_cap each angle gets the result, or the error, that
-    fixed_angle_cost gives it alone.  With cost_cap the angles are capped as a
-    scan of them in order would cap them: each by cost_cap and by the lowest
-    cost among the angles before it that stayed under their own caps.  The
-    angles such a scan keeps get their own results; which of the others end
-    as CostCapExceeded, and with which message, may differ.  on_depth needs a
-    batch of one angle.  Invalid inputs raise ValueError before any angle is
-    run.
+    Each angle that ends with a result gets the result that fixed_angle_cost
+    gives it alone; without cost_cap so does each error.  With cost_cap an
+    angle ends as CostCapExceeded at the first depth n where
+
+        cost_n + (n + 1) * front - max((n + 1) * mass_tolerance, bound_width_limit)
+
+    exceeds the cap: the lowest of cost_cap and the costs of the angles that
+    ended in earlier blocks.  cost_n is the cost of the mass stopped by depth
+    n and front the frontier mass.  The bound lies below every result the
+    angle can still end with.  That result's residual R (frontier and leaked
+    mass at its last depth n_end >= n) adds nothing to its cost, and the rest
+    of the frontier stops at depths >= n + 1, so the cost is at least
+    cost_n + (n + 1) * (front - R).  An accepted R is at most mass_tolerance,
+    or R * (n_end + worst_case_tail) <= bound_width_limit with a tail of at
+    least one copy, so (n + 1) * R is at most the subtracted term.  An angle
+    at the lowest cost, or at a cost equal to the cap, is therefore never
+    dropped.  on_depth needs a batch of one angle.  Invalid inputs raise
+    ValueError before any angle is run.
     """
     opts = opts or EngineOptions()
     phis = list(phis)
@@ -317,7 +299,7 @@ def fixed_angle_costs(
     del configs
     stay = 1.0 - move
     capped = cost_cap is not None
-    in_order = _InOrderCaps(cost_cap if capped else math.inf, len(phis))
+    cap = cost_cap if capped else math.inf
 
     def finish(i: int, n: int, cost: float, mass: np.ndarray, leaked: float) -> None:
         residual = float(q1 * mass[0].sum() + q2 * mass[1].sum()) + leaked
@@ -339,7 +321,7 @@ def fixed_angle_costs(
     # the rows' runs one after another), its cost so far, and its terminated
     # and leaked mass.  Angles join from `waiting`, in order, with a unit
     # mass at m1 = 0 at depth 0.  Capped, at most _CAPPED_ROWS run at once, so
-    # that the settled angles lower the cap of the angles that join later.
+    # that the angles that end lower the cap of the angles that join later.
     waiting = [i for i, outcome in enumerate(outcomes) if outcome is None]
     room = _CAPPED_ROWS if capped else len(waiting)
     rows, lo, hi, n = np.zeros((4, 0), dtype=np.int64)
@@ -401,8 +383,10 @@ def fixed_angle_costs(
         terminated_n = np.concatenate((terminated[None], stopped)).cumsum(axis=0)[1:]
         out = front + leaked
         drained = out <= opts.mass_tolerance
-        bound = cost_n + out * (ns + 1)  # running lower bound on the cost
-        over = bound > in_order.cap
+        # a lower bound on the cost of any result the row can still end with
+        bound = cost_n + front * (ns + 1) - np.maximum((ns + 1) * opts.mass_tolerance,
+                                                       opts.bound_width_limit)
+        over = bound > cap
         empty = lo_run[1:] > hi_run[1:]
         # a window trim drops the states at either end of the run that carry
         # at most this fraction of the frontier
@@ -421,12 +405,6 @@ def fixed_angle_costs(
         if on_depth is not None:
             for j in range((first[0] if ends[0] else last) + 1):
                 on_depth(int(ns[j, 0]), float(terminated_n[j, 0]), float(out[j, 0]))
-        if capped:
-            # the bound is tested at every depth but the one a row drains at
-            tested = np.maximum.accumulate(bound, axis=0)
-            end = np.where(ends, first - drained[at_first], last)
-            in_order.peak[rows] = np.maximum(
-                in_order.peak[rows], np.where(end >= 0, tested[np.maximum(end, 0), row_ix], -math.inf))
 
         done = np.zeros(count, dtype=bool)
         for k in np.nonzero(ends)[0]:
@@ -438,7 +416,7 @@ def fixed_angle_costs(
                 finish(i, depth, float(cost_n[j, k]), new[j, :, run], float(leaked[k]))
             elif over[j, k]:
                 outcomes[i] = CostCapExceeded(
-                    f"cost lower bound exceeds cap {in_order.cap} at depth {depth} for phi={phis[i]}"
+                    f"cost lower bound exceeds cap {cap} at depth {depth} for phi={phis[i]}"
                 )
             else:
                 # trim the window to states carrying non-negligible mass
@@ -465,22 +443,14 @@ def fixed_angle_costs(
             run = slice(origin[k] + lo[k], origin[k] + hi[k] + 1)
             finish(rows[k], int(n[k]), float(cost_n[last, k]), new[last, :, run], float(leaked[k]))
             going[k] = False
-        if capped:
-            in_order.settle(outcomes, phis)
-            # a row whose bound already passed the lowered cap is dropped
-            for k in np.nonzero(going & (in_order.peak[rows] > in_order.cap))[0]:
-                i = rows[k]
-                outcomes[i] = CostCapExceeded(
-                    f"cost lower bound exceeds cap {in_order.cap} at depth {n[k]} for phi={phis[i]}"
-                )
-                going[k] = False
+        if capped:  # the bound is sound, so any angle's cost caps every other angle
+            cap = min([cap] + [outcomes[i].expected_copies for i in rows[~going]
+                               if isinstance(outcomes[i], CostResult)])
         rows, lo, hi, n, origin = rows[going], lo[going], hi[going], n[going], origin[going]
         run_len = hi - lo + 1
         mass = new[last][:, np.repeat(origin + lo - (np.cumsum(run_len) - run_len), run_len)
                          + np.arange(run_len.sum())]
         cost, terminated, leaked = cost_n[last, going], terminated_n[last, going], leaked[going]
-    if capped:
-        in_order.settle(outcomes, phis)
     return AngleBatch(outcomes, depth_iterations, angle_steps)
 
 

@@ -6,9 +6,9 @@ coarse uniform scan followed by recursive bracket refinement around the
 incumbent.  Ties between grid points break toward smaller phi.
 
 A scan is one batch of the engine: its grid points advance together through
-one depth loop (engine.fixed_angle_costs).  A capped scan caps each point as a
-scan of the points in order would: by the best cost among the points before it
-that stayed under their own caps.
+one depth loop (engine.fixed_angle_costs).  A capped scan drops a point once a
+lower bound on its cost exceeds the best cost found so far, so it finds the
+same best point, with the same result, as an uncapped scan of the same grid.
 """
 
 from __future__ import annotations
@@ -66,9 +66,11 @@ def scan_angles(
     """Evaluate the fixed-angle cost on a uniform grid inclusive of both endpoints.
 
     With abandon_above_best, a grid point is abandoned (and recorded as a
-    failure) once its cost provably exceeds initial_cap or the best point
-    before it; this only makes sense when the caller wants the minimum, not
-    the whole curve.  Invalid inputs raise ValueError before any point is run.
+    failure) once its cost provably exceeds initial_cap or the cost of a point
+    that already converged; this only makes sense when the caller wants the
+    minimum, not the whole curve.  The best point and its result are those of
+    the uncapped scan whenever its best cost is at most initial_cap.  Invalid
+    inputs raise ValueError before any point is run.
     """
     if not 0.0 <= phi_min < phi_max < math.pi / 2:
         raise ValueError(f"need 0 <= phi_min < phi_max < pi/2, got [{phi_min}, {phi_max}]")
@@ -110,6 +112,8 @@ def optimize_angle(
     Coarse uniform scan over [0, pi/2), then recursive refinement of the
     bracket one coarse cell to each side of the incumbent, down to an angle
     resolution of 1e-6 rad.  The refined optimum never exceeds the coarse one.
+    Each refinement round is capped by the incumbent's cost; since the caps
+    are sound, the result is that of the same search with every scan uncapped.
     """
     opts = _scan_options(opts)
     lo, hi = 0.0, math.pi / 2 - _UPPER_GUARD
@@ -143,17 +147,15 @@ def optimize_angle(
     while cell > _ANGLE_RESOLUTION:
         lo = max(0.0, best_phi - cell)
         hi = min(math.pi / 2 - _UPPER_GUARD, best_phi + cell)
-        # no seed cap: a point's running lower bound can overshoot its final
-        # cost, so the incumbent as a cap could drop a point that beats it
+        cell = (hi - lo) / (_REFINE_POINTS - 1)
         try:
             scan = scan_angles(problem, eps, lo, hi, _REFINE_POINTS, opts,
-                               abandon_above_best=True)
+                               abandon_above_best=True, initial_cap=best_cost)
         except NonConvergenceError:
-            break  # keep the incumbent; nothing in the bracket converged
+            continue  # keep the incumbent; no point of the bracket converged at or below it
         if scan.best_cost < best_cost:
             best_phi, best_cost = scan.best_phi, scan.best_cost
             best_result = next(r for p, r in scan.samples if p == scan.best_phi)
-        cell = (hi - lo) / (_REFINE_POINTS - 1)
     # For symmetric priors the landscape is exactly mirror-symmetric about
     # pi/4 (relabeling the outcomes maps phi to pi/2 - phi), so the two mirror
     # minima are a mathematical tie that grid rounding breaks arbitrarily.

@@ -149,8 +149,7 @@ def ubm_boundary(problem: DiscriminationProblem, eps: float) -> WalkSpec:
     the smallest integer where the posterior error drops to <= eps.
     """
     _require_symmetric(problem)
-    if not 0.0 < eps < 0.5:
-        raise ValueError(f"error bound must lie in (0, 0.5), got {eps}")
+    _check_eps(problem, eps)
     k = 1
     while not meets_error_bound(_ubm_error_at(problem, k), eps):
         k += 1
@@ -184,8 +183,7 @@ def lol_cost(problem: DiscriminationProblem, eps: float) -> int:
     regardless of the outcome history, so every run consumes exactly the
     smallest n with collective_error(n) <= eps.
     """
-    if not 0.0 < eps < 0.5:
-        raise ValueError(f"error bound must lie in (0, 0.5), got {eps}")
+    _check_eps(problem, eps)
     if meets_error_bound(min(problem.q1, problem.q2), eps):
         return 0
     n = 1

@@ -27,6 +27,11 @@ def test_engine_options_validation():
         EngineOptions(max_copies=0)
     with pytest.raises(ValueError):
         EngineOptions(mass_tolerance=0.0)
+    for limit in (math.nan, -1e-6):
+        with pytest.raises(ValueError, match="bound_width_limit"):
+            EngineOptions(max_copies=200, bound_width_limit=limit)
+    assert EngineOptions(bound_width_limit=math.inf).bound_width_limit == math.inf
+    assert EngineOptions(bound_width_limit=0.0).bound_width_limit == 0.0
 
 
 def test_domain_errors(problem12):
@@ -91,6 +96,39 @@ def test_nonconvergence_at_uninformative_angle(problem12):
 def test_cost_cap_abandons_expensive_angles(problem12):
     with pytest.raises(CostCapExceeded):
         fixed_angle_cost(problem12, 0.02, 0.179, cost_cap=5.0)
+
+
+OWN_COST_PHIS = [0.02 + i * (math.pi / 2 - 0.04) / 49 for i in range(50)]
+
+
+@pytest.mark.parametrize("theta,q1,eps", [
+    (theta, q1, eps)
+    for theta in (math.pi / 16, math.pi / 12, math.pi / 8)
+    for q1 in (0.5, 0.3)
+    for eps in (0.25, 0.179, 0.05, 0.01)
+])
+def test_cap_at_own_cost_keeps_the_result(theta, q1, eps):
+    # the capped bound never exceeds the cost the angle ends with, so a cap
+    # equal to that cost keeps the angle's result, bit for bit
+    problem = DiscriminationProblem(theta=theta, q1=q1)
+    opts = EngineOptions(max_copies=5_000)
+    uncapped = fixed_angle_costs(problem, OWN_COST_PHIS, eps, opts).outcomes
+    converged = [(phi, r) for phi, r in zip(OWN_COST_PHIS, uncapped) if isinstance(r, CostResult)]
+    assert len(converged) >= 20
+    for phi, result in converged:
+        assert fixed_angle_cost(problem, phi, eps, opts, cost_cap=result.expected_copies) == result
+
+
+def test_cap_at_own_cost_keeps_an_accepted_residual(problem12):
+    # the angle ends at max_copies with a residual mass far above
+    # mass_tolerance, accepted because its enclosure width is under the limit
+    opts = EngineOptions(max_copies=30)
+    result = fixed_angle_cost(problem12, 0.6, 0.179, opts)
+    assert result.residual_mass > 1e-9
+    assert 0.5 * opts.bound_width_limit < result.bound_width <= opts.bound_width_limit
+    assert fixed_angle_cost(problem12, 0.6, 0.179, opts, cost_cap=result.expected_copies) == result
+    with pytest.raises(CostCapExceeded):
+        fixed_angle_cost(problem12, 0.6, 0.179, opts, cost_cap=0.5 * result.expected_copies)
 
 
 def test_brute_force_examples(problem12):
@@ -302,38 +340,36 @@ def _fingerprint(outcome):
             float(outcome.bound_width).hex())
 
 
-def _in_order_reference(problem, phis, eps, opts, cap):
-    """Each angle alone, capped by cap and by the lowest cost before it."""
-    outcomes = []
-    for phi in phis:
-        outcome = fixed_angle_costs(problem, [phi], eps, opts, cost_cap=cap).outcomes[0]
-        if isinstance(outcome, CostResult):
-            cap = min(cap, outcome.expected_copies)
-        outcomes.append(outcome)
-    return outcomes
-
-
-def _kept(outcomes):
-    return [_fingerprint(o) if isinstance(o, CostResult) else None for o in outcomes]
+def _smallest_argmin(outcomes):
+    costs = [o.expected_copies if isinstance(o, CostResult) else math.inf for o in outcomes]
+    return min(costs), costs.index(min(costs))
 
 
 @pytest.mark.parametrize("theta,q1,eps", _batch_cases())
 def test_batch_matches_batches_of_one(theta, q1, eps, monkeypatch):
     # uncapped, one depth loop over the whole grid gives every angle, bit for
     # bit, what a loop over that angle alone gives it, failures and their
-    # messages too; capped, it keeps the angles that capped loops over the
-    # angles one by one, in order, keep, with the same results.  Capped
-    # batches run few angles at once, so most join at a later depth.
+    # messages too.  Capped, every angle that does not end as CostCapExceeded
+    # ends as it does uncapped, the minimum and its smallest-phi argmin are
+    # the uncapped ones, and every dropped angle costs more than the lower of
+    # the cap and the uncapped minimum.  Capped batches run few angles at
+    # once, so most join at a later depth, under a cap lowered by others.
     monkeypatch.setattr(engine, "_CAPPED_ROWS", 7)
     problem = DiscriminationProblem(theta=theta, q1=q1)
     uncapped = fixed_angle_costs(problem, BATCH_PHIS, eps, BATCH_OPTS).outcomes
     alone = [fixed_angle_costs(problem, [phi], eps, BATCH_OPTS).outcomes[0] for phi in BATCH_PHIS]
     assert [_fingerprint(o) for o in uncapped] == [_fingerprint(o) for o in alone]
     assert isinstance(uncapped[0], NonConvergenceError)
-    cap = 1.2 * min(o.expected_copies for o in uncapped if isinstance(o, CostResult))
+    best = _smallest_argmin(uncapped)
+    cap = 1.2 * best[0]
     capped = fixed_angle_costs(problem, BATCH_PHIS, eps, BATCH_OPTS, cost_cap=cap).outcomes
     assert any(isinstance(o, CostCapExceeded) for o in capped)
-    assert _kept(capped) == _kept(_in_order_reference(problem, BATCH_PHIS, eps, BATCH_OPTS, cap))
+    assert _smallest_argmin(capped) == best
+    for outcome, truth in zip(capped, uncapped):
+        if isinstance(outcome, CostCapExceeded):
+            assert not isinstance(truth, CostResult) or truth.expected_copies > min(cap, best[0])
+        else:
+            assert _fingerprint(outcome) == _fingerprint(truth)
 
 
 def test_batch_with_uneven_runs_matches_batches_of_one():
@@ -456,19 +492,3 @@ def test_run_sums_are_np_sum_of_each_run():
         for j, k in np.ndindex(2, 3):
             run = values[j, origin[k] + lo[j, k]:origin[k] + hi[j, k] + 1]
             assert sums[j, k] == (run.sum() if lo[j, k] <= hi[j, k] else 0.0)
-
-
-def test_in_order_caps_follow_the_scan_order():
-    # angle 0 ends at cost 1 - 1e-11 although its running bound reached
-    # 1 + 1e-11 (the residual mass never stops); angle 1 ends first at cost 1.
-    # A scan in order keeps angle 0, so angle 1's cost must not cap it.
-    in_order = engine._InOrderCaps(math.inf, 2)
-    in_order.peak[:] = [1.0 + 1e-11, 1.0 + 1e-11]
-    outcomes = [None, CostResult(expected_copies=1.0, exact=True)]
-    in_order.settle(outcomes, [0.1, 0.2])
-    assert in_order.cap == math.inf
-    outcomes[0] = CostResult(expected_copies=1.0 - 1e-11, exact=True)
-    in_order.settle(outcomes, [0.1, 0.2])
-    assert outcomes[0].expected_copies == 1.0 - 1e-11
-    assert isinstance(outcomes[1], CostCapExceeded)
-    assert in_order.cap == 1.0 - 1e-11

@@ -13,6 +13,7 @@ from seqdisc import (
     scan_angles,
     ubm_cost,
 )
+from seqdisc import optimizer
 from seqdisc.engine import CostCapExceeded
 
 RES = 400  # coarse enough for fast tests, fine enough for stable minima
@@ -105,10 +106,10 @@ def test_scan_counts_its_depths(problem12):
 
 
 class _sequential_reference:
-    """scan_angles and optimize_angle as they were before scans were batched.
+    """scan_angles and optimize_angle with one engine call per grid point.
 
-    One engine call per grid point, in order, each capped by the best point
-    before it; the refinement rounds start uncapped.
+    The points run in order, each capped by the initial cap and the best point
+    before it; the refinement rounds are capped by the incumbent.
     """
 
     @staticmethod
@@ -164,14 +165,14 @@ class _sequential_reference:
         while cell > 1e-6:
             lo = max(0.0, best_phi - cell)
             hi = min(math.pi / 2 - 1e-9, best_phi + cell)
+            cell = (hi - lo) / 16
             try:
-                samples, _, phi, cost = cls.scan(problem, eps, lo, hi, 17, True)
+                samples, _, phi, cost = cls.scan(problem, eps, lo, hi, 17, True, best_cost)
             except NonConvergenceError:
-                break
+                continue
             if cost < best_cost:
                 best_phi, best_cost = phi, cost
                 best_result = next(r for p, r in samples if p == phi)
-            cell = (hi - lo) / 16
         if problem.q1 == problem.q2 and best_phi > math.pi / 4:
             mirror = math.pi / 2 - best_phi
             try:
@@ -213,28 +214,62 @@ def test_uncapped_scan_matches_sequential_reference(theta, q1, eps):
 
 
 @pytest.mark.parametrize("theta,q1,eps", _reference_cases((0.179, 0.05)))
-def test_capped_scan_keeps_the_sequential_points(theta, q1, eps):
-    # a capped scan keeps exactly the points that the scan in order keeps, with
-    # the same results; which of the others fail, and how, may differ
+def test_capped_scan_finds_the_uncapped_best(theta, q1, eps):
+    # a capped scan drops only points that cost more than the best one, so
+    # its best point and best result are the uncapped scan's on the same grid
     problem = DiscriminationProblem(theta=theta, q1=q1)
     cap = 2.0 * fbm_cost(problem, eps).expected_copies + 2.0
-    scan = scan_angles(problem, eps, 0.0, math.pi / 2 - 1e-9, 80, abandon_above_best=True,
+    opts = EngineOptions(max_copies=5_000)
+    scan = scan_angles(problem, eps, 0.0, math.pi / 2 - 1e-9, 80, opts, abandon_above_best=True,
                        initial_cap=cap)
-    samples, failures, best_phi, best_cost = _sequential_reference.scan(
-        problem, eps, 0.0, math.pi / 2 - 1e-9, 80, True, cap)
-    assert scan.samples == samples
-    assert scan.failures.keys() == failures.keys()
-    assert (scan.best_phi, scan.best_cost) == (best_phi, best_cost)
+    uncapped = scan_angles(problem, eps, 0.0, math.pi / 2 - 1e-9, 80, opts)
+    assert (scan.best_phi, scan.best_cost) == (uncapped.best_phi, uncapped.best_cost)
+    assert dict(scan.samples)[scan.best_phi] == dict(uncapped.samples)[uncapped.best_phi]
+    assert scan.failures.keys() > uncapped.failures.keys()
 
 
-def test_capped_scan_keeps_the_sequential_best():
-    # refinement-like brackets, where neighbouring costs differ by less than
-    # a point's running lower bound overshoots its own cost
+def test_capped_bracket_scan_finds_the_uncapped_best():
+    # refinement-like brackets, where neighbouring costs differ by about
+    # 1e-11, capped by nothing and by the bracket's own best cost
     problem = DiscriminationProblem(theta=math.pi / 12)
     eps = 0.031072325059538608
     for lo, hi in ((0.575100830886013, 0.5752972786506196),
                    (0.5751499428271647, 0.5751744987977405),
                    (0.5751637555606136, 0.5751668250569356)):
-        scan = scan_angles(problem, eps, lo, hi, 17, abandon_above_best=True)
-        _, _, best_phi, best_cost = _sequential_reference.scan(problem, eps, lo, hi, 17, True)
-        assert (scan.best_phi, scan.best_cost) == (best_phi, best_cost)
+        uncapped = scan_angles(problem, eps, lo, hi, 17)
+        for cap in (None, uncapped.best_cost):
+            scan = scan_angles(problem, eps, lo, hi, 17, abandon_above_best=True, initial_cap=cap)
+            assert (scan.best_phi, scan.best_cost) == (uncapped.best_phi, uncapped.best_cost)
+            assert dict(scan.samples)[scan.best_phi] == dict(uncapped.samples)[uncapped.best_phi]
+
+
+@pytest.mark.parametrize("theta,q1,eps", [
+    (math.pi / 12, 0.5, 0.0234),
+    (math.pi / 12, 0.5, 0.179),
+    (math.pi / 16, 0.5, 0.05),
+    (math.pi / 8, 0.5, 0.125),
+    (math.pi / 12, 0.3, 0.1),
+    (math.pi / 8, 0.3, 0.02),
+])
+def test_optimize_matches_the_uncapped_optimizer(theta, q1, eps, monkeypatch):
+    # the caps are sound, so the search gives, bit for bit, what the same
+    # search gives with every scan uncapped
+    problem = DiscriminationProblem(theta=theta, q1=q1)
+    opts = EngineOptions(max_copies=5_000)
+    capped = optimize_angle(problem, eps, 100, opts)
+    batch = optimizer.fixed_angle_costs
+    monkeypatch.setattr(optimizer, "fixed_angle_costs",
+                        lambda problem, phis, eps, opts=None, cost_cap=None:
+                        batch(problem, phis, eps, opts))
+    assert optimize_angle(problem, eps, 100, opts) == capped
+
+
+@pytest.mark.parametrize("eps,cost,phi", [
+    (0.023403473193207174, 7.1659065300743165, 0.7171037881686134),
+    (0.031072325059538608, 6.584819817031055, 0.5751664413698954),
+])
+def test_fig3_rows_at_full_resolution(eps, cost, phi):
+    # two rows of cost-curve --preset fig3, each equal to what the optimizer
+    # with every scan uncapped returns at the full 2,000-point resolution
+    phi_opt, result = optimize_angle(DiscriminationProblem(theta=math.pi / 12), eps)
+    assert (result.expected_copies, phi_opt) == (cost, phi)

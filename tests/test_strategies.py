@@ -14,6 +14,7 @@ from seqdisc import (
     helstrom_angle,
     lol_cost,
     lol_next_angle,
+    run_trials,
     strategy_angle,
     ubm_boundary,
     ubm_cost,
@@ -83,6 +84,9 @@ def test_ubm_boundary_examples(problem12):
     assert ubm_boundary(problem12, 0.099).boundary == 3
     with pytest.raises(ValueError):
         ubm_boundary(DiscriminationProblem(theta=0.2, q1=0.3), 0.1)
+    for eps in (0.5, 0.0, math.nan):
+        with pytest.raises(ValueError, match="error bound must lie in"):
+            ubm_boundary(problem12, eps)
 
 
 @given(theta=thetas, eps=st.floats(min_value=0.01, max_value=0.45))
@@ -110,6 +114,17 @@ def test_lol_cost_examples(problem12):
     assert lol_cost(DiscriminationProblem(theta=math.pi / 8), 0.125) == 2
     with pytest.raises(ValueError):
         lol_cost(problem12, 0.5)
+
+
+def test_lol_cost_rejects_eps_the_simulator_rejects():
+    # at q1 = 0.3 the bound must lie in (0, 0.3), for lol_cost as for run_trials
+    p = DiscriminationProblem(theta=math.pi / 12, q1=0.3)
+    for eps in (0.4, 0.3, math.nan):
+        with pytest.raises(ValueError, match=r"\(0, 0\.3\)"):
+            lol_cost(p, eps)
+        with pytest.raises(ValueError, match=r"\(0, 0\.3\)"):
+            run_trials(p, StrategySpec(StrategyKind.LOL), eps, 10)
+    assert lol_cost(p, 0.29) >= 1
 
 
 @given(theta=thetas, eps=st.floats(min_value=0.001, max_value=0.45))
