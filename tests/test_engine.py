@@ -98,7 +98,7 @@ def test_cost_cap_abandons_expensive_angles(problem12):
         fixed_angle_cost(problem12, 0.02, 0.179, cost_cap=5.0)
 
 
-OWN_COST_PHIS = [0.02 + i * (math.pi / 2 - 0.04) / 49 for i in range(50)]
+OWN_COST_PHIS = [0.02 + i * (math.pi / 2 - 0.04) / 24 for i in range(25)]
 
 
 @pytest.mark.parametrize("theta,q1,eps", [

@@ -106,10 +106,10 @@ def test_scan_counts_its_depths(problem12):
 
 
 class _sequential_reference:
-    """scan_angles and optimize_angle with one engine call per grid point.
+    """scan_angles and optimize_angle as they were before scans were batched.
 
-    The points run in order, each capped by the initial cap and the best point
-    before it; the refinement rounds are capped by the incumbent.
+    One engine call per grid point, in order, each capped by the best point
+    before it; the refinement rounds start uncapped.
     """
 
     @staticmethod
@@ -165,14 +165,14 @@ class _sequential_reference:
         while cell > 1e-6:
             lo = max(0.0, best_phi - cell)
             hi = min(math.pi / 2 - 1e-9, best_phi + cell)
-            cell = (hi - lo) / 16
             try:
-                samples, _, phi, cost = cls.scan(problem, eps, lo, hi, 17, True, best_cost)
+                samples, _, phi, cost = cls.scan(problem, eps, lo, hi, 17, True)
             except NonConvergenceError:
-                continue
+                break
             if cost < best_cost:
                 best_phi, best_cost = phi, cost
                 best_result = next(r for p, r in samples if p == phi)
+            cell = (hi - lo) / 16
         if problem.q1 == problem.q2 and best_phi > math.pi / 4:
             mirror = math.pi / 2 - best_phi
             try:
@@ -219,10 +219,9 @@ def test_capped_scan_finds_the_uncapped_best(theta, q1, eps):
     # its best point and best result are the uncapped scan's on the same grid
     problem = DiscriminationProblem(theta=theta, q1=q1)
     cap = 2.0 * fbm_cost(problem, eps).expected_copies + 2.0
-    opts = EngineOptions(max_copies=5_000)
-    scan = scan_angles(problem, eps, 0.0, math.pi / 2 - 1e-9, 80, opts, abandon_above_best=True,
+    scan = scan_angles(problem, eps, 0.0, math.pi / 2 - 1e-9, 80, abandon_above_best=True,
                        initial_cap=cap)
-    uncapped = scan_angles(problem, eps, 0.0, math.pi / 2 - 1e-9, 80, opts)
+    uncapped = scan_angles(problem, eps, 0.0, math.pi / 2 - 1e-9, 80)
     assert (scan.best_phi, scan.best_cost) == (uncapped.best_phi, uncapped.best_cost)
     assert dict(scan.samples)[scan.best_phi] == dict(uncapped.samples)[uncapped.best_phi]
     assert scan.failures.keys() > uncapped.failures.keys()
