@@ -58,9 +58,6 @@ _WINDOW_CUT = 1e-40
 _FIRST_BLOCK = 32
 _MAX_BLOCK = 64
 _BLOCK_CELLS = 1 << 15
-# a capped batch runs at most this many angles at once, so that the angles
-# that end early lower the cap of the angles that join after them
-_CAPPED_ROWS = 64
 
 class NonConvergenceError(RuntimeError):
     """The frontier did not drain below the mass tolerance within the depth budget."""
@@ -316,39 +313,28 @@ def fixed_angle_costs(
             outcomes[i] = CostResult(expected_copies=cost, exact=False,
                                      residual_mass=residual, bound_width=bound_width)
 
-    # Per row (angle) running: the run [lo, hi] of m1 that its frontier holds
-    # at its depth n, whose masses lie in `mass` (one plane per hypothesis,
+    # Per row (angle) running, all at the depth n: the run [lo, hi] of m1 that
+    # its frontier holds, whose masses lie in `mass` (one plane per hypothesis,
     # the rows' runs one after another), its cost so far, and its terminated
-    # and leaked mass.  Angles join from `waiting`, in order, with a unit
-    # mass at m1 = 0 at depth 0.  Capped, at most _CAPPED_ROWS run at once, so
-    # that the angles that end lower the cap of the angles that join later.
-    waiting = [i for i, outcome in enumerate(outcomes) if outcome is None]
-    room = _CAPPED_ROWS if capped else len(waiting)
-    rows, lo, hi, n = np.zeros((4, 0), dtype=np.int64)
-    mass = np.zeros((2, 0))
-    cost, terminated, leaked = np.zeros((3, 0))
+    # and leaked mass.  Every row starts with a unit mass at m1 = 0.
+    rows = np.array([i for i, outcome in enumerate(outcomes) if outcome is None], dtype=np.int64)
+    lo, hi = np.zeros((2, len(rows)), dtype=np.int64)
+    mass = np.ones((2, len(rows)))
+    cost, terminated, leaked = np.zeros((3, len(rows)))
+    n = 0
     block = _FIRST_BLOCK
     depth_iterations = angle_steps = 0
-    while len(rows) or waiting:
-        if len(rows) < room and waiting:
-            joining = np.array(waiting[:room - len(rows)], dtype=np.int64)
-            del waiting[:len(joining)]
-            start = np.zeros(len(joining), dtype=np.int64)
-            rows, lo, hi, n = (np.concatenate((a, b)) for a, b in
-                               ((rows, joining), (lo, start), (hi, start), (n, start)))
-            mass = np.concatenate((mass, np.ones((2, len(joining)))), axis=1)
-            cost, terminated, leaked = (np.concatenate((a, np.zeros(len(joining))))
-                                        for a in (cost, terminated, leaked))
+    while len(rows):
         count = len(rows)
         run_len = hi - lo + 1
-        block = min(block, opts.max_copies - int(n.max()))
+        block = min(block, opts.max_copies - n)
         while block > 1 and 2 * block * (mass.shape[1] + count * (block + 2)) > _BLOCK_CELLS:
             block //= 2
-        ns = n + np.arange(1, block + 1)[:, None]  # the depths of each row
-        run_lo, run_hi = rule.runs(ns, rows)
+        depths = np.arange(n, n + block + 1)[:, None]
+        ns = depths[1:]  # the block's depths
+        run_lo, run_hi = rule.runs(ns[:, 0], rows)
         # the run at each depth within its window (the last run plus one
         # state); row 0 holds the runs at depth n
-        depths = np.concatenate((n[None], ns))
         lo_run = np.maximum.accumulate(np.concatenate((lo[None], run_lo)), axis=0)
         hi_run = np.minimum.accumulate(np.concatenate((hi[None], run_hi)) - depths, axis=0) + depths
         # each row gets a slot from a leading zero column to the state past
@@ -409,7 +395,7 @@ def fixed_angle_costs(
         done = np.zeros(count, dtype=bool)
         for k in np.nonzero(ends)[0]:
             i, j = rows[k], first[k]
-            depth = int(ns[j, k])
+            depth = int(ns[j, 0])
             start = origin[k] + lo_run[j + 1, k]
             run = slice(start, max(start, origin[k] + hi_run[j + 1, k] + 1))
             if drained[j, k]:
@@ -436,17 +422,17 @@ def fixed_angle_costs(
 
         going = ~done
         angle_steps += (last + 1) * int(going.sum())
-        n = n + last + 1
+        n += last + 1
         block = min(_MAX_BLOCK, 2 * (last + 1))
         lo, hi = lo_run[last + 1], hi_run[last + 1]
         for k in np.nonzero(going & (n == opts.max_copies))[0]:
             run = slice(origin[k] + lo[k], origin[k] + hi[k] + 1)
-            finish(rows[k], int(n[k]), float(cost_n[last, k]), new[last, :, run], float(leaked[k]))
+            finish(rows[k], n, float(cost_n[last, k]), new[last, :, run], float(leaked[k]))
             going[k] = False
         if capped:  # the bound is sound, so any angle's cost caps every other angle
             cap = min([cap] + [outcomes[i].expected_copies for i in rows[~going]
                                if isinstance(outcomes[i], CostResult)])
-        rows, lo, hi, n, origin = rows[going], lo[going], hi[going], n[going], origin[going]
+        rows, lo, hi, origin = rows[going], lo[going], hi[going], origin[going]
         run_len = hi - lo + 1
         mass = new[last][:, np.repeat(origin + lo - (np.cumsum(run_len) - run_len), run_len)
                          + np.arange(run_len.sum())]

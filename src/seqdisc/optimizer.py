@@ -7,8 +7,10 @@ incumbent.  Ties between grid points break toward smaller phi.
 
 A scan is one batch of the engine: its grid points advance together through
 one depth loop (engine.fixed_angle_costs).  A capped scan drops a point once a
-lower bound on its cost exceeds the best cost found so far, so it finds the
-same best point, with the same result, as an uncapped scan of the same grid.
+lower bound on its cost exceeds the lowest of its cap and the costs of the
+points that converged, so it finds the same best point, with the same result,
+as an uncapped scan of the same grid whenever that point costs at most the
+cap.  Every cap is a cost that has already converged.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field
 
 from .engine import EngineOptions, NonConvergenceError, fixed_angle_cost, fixed_angle_costs
 from .model import DiscriminationProblem, helstrom_angle
+# fbm_cost and ubm_cost are unused here; the benchmark's tracer wraps them as names of this module
 from .strategies import CostResult, fbm_cost, ubm_cost
 
 __all__ = ["AngleScan", "scan_angles", "optimize_angle"]
@@ -60,17 +63,17 @@ def scan_angles(
     phi_max: float,
     resolution: int,
     opts: EngineOptions | None = None,
-    abandon_above_best: bool = False,
     initial_cap: float | None = None,
 ) -> AngleScan:
     """Evaluate the fixed-angle cost on a uniform grid inclusive of both endpoints.
 
-    With abandon_above_best, a grid point is abandoned (and recorded as a
-    failure) once its cost provably exceeds initial_cap or the cost of a point
-    that already converged; this only makes sense when the caller wants the
-    minimum, not the whole curve.  The best point and its result are those of
-    the uncapped scan whenever its best cost is at most initial_cap.  Invalid
-    inputs raise ValueError before any point is run.
+    With initial_cap None the scan is uncapped.  With a number (inf included),
+    a grid point is abandoned (and recorded as a failure) once its cost
+    provably exceeds initial_cap or the cost of a point that already
+    converged; this only makes sense when the caller wants the minimum, not
+    the whole curve.  The best point and its result are those of the uncapped
+    scan whenever its best cost is at most initial_cap.  Invalid inputs raise
+    ValueError before any point is run.
     """
     if not 0.0 <= phi_min < phi_max < math.pi / 2:
         raise ValueError(f"need 0 <= phi_min < phi_max < pi/2, got [{phi_min}, {phi_max}]")
@@ -78,10 +81,7 @@ def scan_angles(
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     step = (phi_max - phi_min) / (resolution - 1)
     phis = [phi_min + i * step for i in range(resolution)]
-    cap = None
-    if abandon_above_best:
-        cap = initial_cap if initial_cap is not None else math.inf
-    batch = fixed_angle_costs(problem, phis, eps, _scan_options(opts), cost_cap=cap)
+    batch = fixed_angle_costs(problem, phis, eps, _scan_options(opts), cost_cap=initial_cap)
     samples: list[tuple[float, CostResult | None]] = []
     failures: dict[float, str] = {}
     best_phi = math.nan
@@ -109,33 +109,24 @@ def optimize_angle(
 ) -> tuple[float, CostResult]:
     """Globally optimal fixed angle, up to grid resolution.
 
-    Coarse uniform scan over [0, pi/2), then recursive refinement of the
-    bracket one coarse cell to each side of the incumbent, down to an angle
-    resolution of 1e-6 rad.  The refined optimum never exceeds the coarse one.
-    Each refinement round is capped by the incumbent's cost; since the caps
-    are sound, the result is that of the same search with every scan uncapped.
+    The anchors, the FBM angle phi = theta and the Helstrom angle, are
+    evaluated first.  Then a coarse uniform scan over [0, pi/2), capped by
+    the lower anchor cost (or by its own running minimum alone if neither
+    anchor converges), and recursive refinement of the bracket one coarse cell
+    to each side of the incumbent, down to an angle resolution of 1e-6 rad.
+    A grid point wins a tie with an anchor.  The refined optimum never exceeds
+    the coarse one.  Each refinement round is capped by the incumbent's cost;
+    since the caps are sound, the result is that of the same search with
+    every scan uncapped.  NonConvergenceError is raised only if neither an
+    anchor nor a coarse grid point converges.
     """
     opts = _scan_options(opts)
     lo, hi = 0.0, math.pi / 2 - _UPPER_GUARD
-    # the optimum can only beat the specific fixed-angle strategies, so their
-    # cheap closed forms seed the abandonment cap (with generous slack in case
-    # no grid point lands near the seeding angles)
-    cap = fbm_cost(problem, eps).expected_copies
-    if problem.q1 == problem.q2:
-        cap = min(cap, ubm_cost(problem, eps).expected_copies)
-    cap = 2.0 * cap + 2.0
-    try:
-        scan = scan_angles(problem, eps, lo, hi, resolution, opts,
-                           abandon_above_best=True, initial_cap=cap)
-    except NonConvergenceError:
-        # cap was too aggressive for this grid; fall back to an uncapped scan
-        scan = scan_angles(problem, eps, lo, hi, resolution, opts)
-    best_phi, best_cost = scan.best_phi, scan.best_cost
-    best_result = next(r for p, r in scan.samples if p == best_phi)
-    # the reference angles (fully biased and Helstrom) are always candidates,
-    # so a coarse grid can never return something worse than either of them
+    # the reference angles are always candidates, so a coarse grid can never
+    # return something worse than either of them
+    best_phi, best_cost, best_result = math.nan, math.inf, None
     for anchor in (problem.theta, helstrom_angle(problem)):
-        if not 0.0 < anchor < math.pi / 2 - _UPPER_GUARD:
+        if not 0.0 < anchor < hi:
             continue
         try:
             result = fixed_angle_cost(problem, anchor, eps, opts)
@@ -143,14 +134,23 @@ def optimize_angle(
             continue
         if result.expected_copies < best_cost:
             best_phi, best_cost, best_result = anchor, result.expected_copies, result
+    try:
+        scan = scan_angles(problem, eps, lo, hi, resolution, opts, initial_cap=best_cost)
+    except NonConvergenceError:
+        if best_result is None:
+            raise
+        # no grid point costs the anchor's cost or less: the anchor stays
+    else:
+        if scan.best_cost <= best_cost:
+            best_phi, best_cost = scan.best_phi, scan.best_cost
+            best_result = next(r for p, r in scan.samples if p == best_phi)
     cell = (hi - lo) / (resolution - 1)
     while cell > _ANGLE_RESOLUTION:
         lo = max(0.0, best_phi - cell)
         hi = min(math.pi / 2 - _UPPER_GUARD, best_phi + cell)
         cell = (hi - lo) / (_REFINE_POINTS - 1)
         try:
-            scan = scan_angles(problem, eps, lo, hi, _REFINE_POINTS, opts,
-                               abandon_above_best=True, initial_cap=best_cost)
+            scan = scan_angles(problem, eps, lo, hi, _REFINE_POINTS, opts, initial_cap=best_cost)
         except NonConvergenceError:
             continue  # keep the incumbent; no point of the bracket converged at or below it
         if scan.best_cost < best_cost:

@@ -245,9 +245,9 @@ class StoppingRule:
         return self._stops_at(corners + 1e-9 * scale)
 
     def runs(self, ns: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The runs [lo, hi] of m1 in [0, n] that continue, for the depths n in ns (steps x rows).
+        """The runs [lo, hi] of m1 in [0, n] that continue, at each depth n of ns (steps x rows).
 
-        Column k of ns holds depths of the angle rows[k] of a batch.  At fixed
+        Column k holds the runs of the angle rows[k] of a batch.  At fixed
         depth the log-odds fall as m1 rises, so the states that stop with
         log-odds >= 0 form a prefix of [0, n] and those that stop with log-odds
         < 0 a suffix; the run lies between them.  Each closed-form end is
@@ -255,7 +255,7 @@ class StoppingRule:
         depth whose check fails is found by continuation instead.  Empty runs
         come back with lo > hi.
         """
-        n = ns
+        n = ns[:, None]
         centre = self.logit0 + n * self.d2_sum[rows]
         lo = np.floor((centre - self.threshold) / self.rate[rows])
         hi = np.ceil((centre + self.threshold) / self.rate[rows])
@@ -266,7 +266,7 @@ class StoppingRule:
             lo = np.where(regular, lo, np.where(self.inf2[rows], n - 1, -1))
             hi = np.where(regular, hi, np.where(self.inf1[rows], 1, n + 1))
         # the states on either side of each end of the run
-        probes = np.empty(ns.shape + (4,))
+        probes = np.empty(lo.shape + (4,))
         np.minimum(np.maximum(lo, -1.0), n, out=probes[..., 0])
         np.minimum(np.maximum(hi, 0.0), n + 1.0, out=probes[..., 3])
         probes[..., 1] = probes[..., 0] + 1.0
@@ -283,7 +283,7 @@ class StoppingRule:
         ok = (((lo == 0) | high[..., 0]) & ((lo > n) | ~high[..., 1])
               & ((hi == n) | low[..., 3]) & ((hi < 0) | ~low[..., 2]))
         for j, k in zip(*np.nonzero(~ok)):
-            depth = int(ns[j, k])
+            depth = int(ns[j])
             lo[j, k], hi[j, k] = self.continuation(depth, 0, depth, rows[k])
         return lo, hi
 

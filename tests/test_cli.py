@@ -89,6 +89,16 @@ def test_angle_scan_exits_3_when_no_angle_converges(tmp_path, capsys):
     assert "no grid point converged over the scan range" in capsys.readouterr().err
 
 
+def test_cost_curve_refines_from_an_anchor_when_no_grid_point_converges(tmp_path):
+    # a two-point grid holds only the uninformative endpoints, but the FBM and
+    # Helstrom angles converge, so the search refines from the better of them
+    code, out = run(tmp_path, "x.csv", "cost-curve", "--theta", "0.2617993877991494",
+                    "--epsilon", "0.179", "--resolution", "2")
+    assert code == 0
+    row = out.read_text().splitlines()[1].split(",")
+    assert row[5:] == ["2.4083758482755773", "0.44420166345373469"]
+
+
 def test_strings_csv_and_aggregate(tmp_path):
     code, out = run(tmp_path, "s.csv", "strings", "--theta", str(math.pi / 12),
                     "--epsilon", "0.179", "--strategy", "fbm",

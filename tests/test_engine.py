@@ -346,15 +346,13 @@ def _smallest_argmin(outcomes):
 
 
 @pytest.mark.parametrize("theta,q1,eps", _batch_cases())
-def test_batch_matches_batches_of_one(theta, q1, eps, monkeypatch):
+def test_batch_matches_batches_of_one(theta, q1, eps):
     # uncapped, one depth loop over the whole grid gives every angle, bit for
     # bit, what a loop over that angle alone gives it, failures and their
     # messages too.  Capped, every angle that does not end as CostCapExceeded
     # ends as it does uncapped, the minimum and its smallest-phi argmin are
     # the uncapped ones, and every dropped angle costs more than the lower of
-    # the cap and the uncapped minimum.  Capped batches run few angles at
-    # once, so most join at a later depth, under a cap lowered by others.
-    monkeypatch.setattr(engine, "_CAPPED_ROWS", 7)
+    # the cap and the uncapped minimum.
     problem = DiscriminationProblem(theta=theta, q1=q1)
     uncapped = fixed_angle_costs(problem, BATCH_PHIS, eps, BATCH_OPTS).outcomes
     alone = [fixed_angle_costs(problem, [phi], eps, BATCH_OPTS).outcomes[0] for phi in BATCH_PHIS]

@@ -219,8 +219,7 @@ def test_capped_scan_finds_the_uncapped_best(theta, q1, eps):
     # its best point and best result are the uncapped scan's on the same grid
     problem = DiscriminationProblem(theta=theta, q1=q1)
     cap = 2.0 * fbm_cost(problem, eps).expected_copies + 2.0
-    scan = scan_angles(problem, eps, 0.0, math.pi / 2 - 1e-9, 80, abandon_above_best=True,
-                       initial_cap=cap)
+    scan = scan_angles(problem, eps, 0.0, math.pi / 2 - 1e-9, 80, initial_cap=cap)
     uncapped = scan_angles(problem, eps, 0.0, math.pi / 2 - 1e-9, 80)
     assert (scan.best_phi, scan.best_cost) == (uncapped.best_phi, uncapped.best_cost)
     assert dict(scan.samples)[scan.best_phi] == dict(uncapped.samples)[uncapped.best_phi]
@@ -236,8 +235,8 @@ def test_capped_bracket_scan_finds_the_uncapped_best():
                    (0.5751499428271647, 0.5751744987977405),
                    (0.5751637555606136, 0.5751668250569356)):
         uncapped = scan_angles(problem, eps, lo, hi, 17)
-        for cap in (None, uncapped.best_cost):
-            scan = scan_angles(problem, eps, lo, hi, 17, abandon_above_best=True, initial_cap=cap)
+        for cap in (math.inf, uncapped.best_cost):
+            scan = scan_angles(problem, eps, lo, hi, 17, initial_cap=cap)
             assert (scan.best_phi, scan.best_cost) == (uncapped.best_phi, uncapped.best_cost)
             assert dict(scan.samples)[scan.best_phi] == dict(uncapped.samples)[uncapped.best_phi]
 
@@ -261,6 +260,28 @@ def test_optimize_matches_the_uncapped_optimizer(theta, q1, eps, monkeypatch):
                         lambda problem, phis, eps, opts=None, cost_cap=None:
                         batch(problem, phis, eps, opts))
     assert optimize_angle(problem, eps, 100, opts) == capped
+
+
+def test_optimize_refines_from_an_anchor_when_no_grid_point_converges(problem12):
+    # both grid points are uninformative endpoints; the anchors converge
+    phi_opt, result = optimize_angle(problem12, 0.179, resolution=2)
+    assert (phi_opt, result.expected_copies) == (0.4442016634537347, 2.4083758482755773)
+
+
+def test_optimize_without_a_converged_anchor_runs_on_the_grid():
+    # with 8 copies neither anchor converges and 3 of the 100 grid points do
+    problem = DiscriminationProblem(theta=math.pi / 12, q1=0.3)
+    opts = EngineOptions(max_copies=8)
+    for anchor in (problem.theta, helstrom_angle(problem)):
+        with pytest.raises(NonConvergenceError):
+            fixed_angle_cost(problem, anchor, 0.05, opts)
+    phi_opt, result = optimize_angle(problem, 0.05, 100, opts)
+    assert (phi_opt, result.expected_copies) == (1.2789971548184305, 5.859402693114662)
+
+
+def test_optimize_raises_when_nothing_converges(problem12):
+    with pytest.raises(NonConvergenceError, match="no grid point converged"):
+        optimize_angle(problem12, 0.01, opts=EngineOptions(max_copies=3))
 
 
 @pytest.mark.parametrize("eps,cost,phi", [
