@@ -28,6 +28,7 @@ from .posterior import (
 )
 from .stringlab import (
     LengthAggregate,
+    StringSet,
     TerminationString,
     aggregate_by_length,
     cost_from_strings,
@@ -53,10 +54,10 @@ __all__ = [
     "helstrom_error", "outcome_probability", "MonteCarloReport", "empirical_string_errors",
     "run_trials", "AngleScan", "optimize_angle", "scan_angles", "LikelihoodSteps",
     "PosteriorState", "StoppingRule", "log_likelihood_steps", "meets_error_bound",
-    "posterior_error", "posterior_from_counts", "LengthAggregate", "TerminationString",
-    "aggregate_by_length", "cost_from_strings", "enumerate_strings", "CostResult",
-    "StrategyKind", "StrategySpec", "WalkSpec", "fbm_cost", "fbm_threshold", "lol_cost",
-    "lol_next_angle", "strategy_angle", "ubm_boundary", "ubm_cost",
+    "posterior_error", "posterior_from_counts", "LengthAggregate", "StringSet",
+    "TerminationString", "aggregate_by_length", "cost_from_strings", "enumerate_strings",
+    "CostResult", "StrategyKind", "StrategySpec", "WalkSpec", "fbm_cost", "fbm_threshold",
+    "lol_cost", "lol_next_angle", "strategy_angle", "ubm_boundary", "ubm_cost",
 ]
 
 __version__ = "0.1.0"

@@ -27,6 +27,7 @@ import numpy as np
 from .model import DiscriminationProblem, MeasurementConfig, helstrom_angle
 from .posterior import VerdictTable, _check_eps, meets_error_bound
 from .strategies import StrategyKind, StrategySpec, strategy_angle
+from .stringlab import outcome_labels
 
 __all__ = [
     "MonteCarloReport",
@@ -145,9 +146,7 @@ def _first_stops(table: VerdictTable, ones: np.ndarray) -> tuple[np.ndarray, np.
 
 def _labels(ones: np.ndarray, n) -> list[str]:
     """The outcome strings of the rows of `ones`, each cut at its length in `n`."""
-    chars = np.where(ones, np.uint8(ord("1")), np.uint8(ord("2")))
-    chars[np.arange(ones.shape[1]) >= np.asarray(n)[:, None]] = 0  # a bytes view stops there
-    return [b.decode("ascii") for b in chars.view(f"S{ones.shape[1]}").ravel().tolist()]
+    return outcome_labels(~ones, n).astype(str).tolist()
 
 
 def _fixed_angle_fallback(

@@ -14,7 +14,9 @@ through a VerdictTable, whatever the number of prefixes that reach it.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .strategies import CostResult, StrategyKind, StrategySpec, strategy_angle
 
 __all__ = [
     "TerminationString",
+    "StringSet",
     "LengthAggregate",
     "enumerate_strings",
     "aggregate_by_length",
@@ -54,9 +57,54 @@ class TerminationString:
     def n(self) -> int:
         return len(self.outcomes)
 
-    @property
+    @cached_property
     def label(self) -> str:
+        """The outcomes as text, such as "121"."""
         return "".join(map(str, self.outcomes))
+
+
+_OUTCOMES = bytes.maketrans(b"12", b"\x01\x02")  # label byte -> outcome
+
+
+def _string(label: bytes, prob, prob_given_psi1, prob_given_psi2, true_error, guess):
+    """One row of a StringSet as a TerminationString, its label already decoded."""
+    string = TerminationString(tuple(label.translate(_OUTCOMES)), prob, prob_given_psi1,
+                               prob_given_psi2, true_error, guess)
+    string.__dict__["label"] = label.decode("ascii")  # where cached_property keeps it
+    return string
+
+
+class StringSet(Sequence):
+    """Termination strings in emission order, held as read-only columns.
+
+    labels holds the outcome strings as ASCII bytes (b"121"); the others are
+    numpy columns.  Indexing with an integer and iterating build
+    TerminationString objects one at a time; a slice is a StringSet of views.
+    """
+
+    __slots__ = ("labels", "prob", "prob_given_psi1", "prob_given_psi2", "true_error", "guess",
+                 "n")
+
+    def __init__(self, labels, prob, prob_given_psi1, prob_given_psi2, true_error, guess, n):
+        for name, column in zip(self.__slots__, (labels, prob, prob_given_psi1, prob_given_psi2,
+                                                 true_error, guess, n)):
+            column = column.view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"StringSet is immutable; cannot set {name!r}")
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return StringSet(*(getattr(self, name)[index] for name in self.__slots__))
+        return _string(*(getattr(self, name)[index].item() for name in self.__slots__[:-1]))
+
+    def __iter__(self):
+        return map(_string, *(getattr(self, name).tolist() for name in self.__slots__[:-1]))
 
 
 @dataclass(frozen=True)
@@ -155,7 +203,7 @@ def enumerate_strings(
     eps: float,
     coverage_target: float = DEFAULT_COVERAGE,
     max_depth: int = DEFAULT_MAX_DEPTH,
-) -> tuple[list[TerminationString], float]:
+) -> tuple[StringSet, float]:
     """Termination strings of a fixed-angle strategy, in descending probability.
 
     Emits the strings a best-first expansion of outcome prefixes would emit
@@ -174,7 +222,7 @@ def enumerate_strings(
     # looked up here, so that a replaced module attribute is the one tabulated
     table = VerdictTable(problem, config, eps, posterior=posterior_from_counts)
     emitted, residual = _best_first(problem, config, table, coverage_target, max_depth)
-    return _strings(emitted), residual
+    return _string_set(emitted), residual
 
 
 def _best_first(problem, config, table, coverage_target, max_depth) -> tuple[list[tuple], float]:
@@ -281,35 +329,51 @@ def _unpopped(cut, carried, created, cut_off) -> float:
     return mass
 
 
-def _strings(emitted: list[tuple]) -> list[TerminationString]:
-    """TerminationString objects of the emitted columns, outcomes decoded in bulk."""
+def outcome_labels(twos: np.ndarray, n) -> np.ndarray:
+    """Row i of bool matrix `twos` (True for outcome 2) cut at length n[i], as ASCII
+    bytes such as b"121": one S{width} array, width the longest length."""
+    n = np.asarray(n)
+    width = int(n.max(initial=1))
+    chars = np.where(twos[:, :width], np.uint8(ord("2")), np.uint8(ord("1")))
+    chars[np.arange(width) >= n[:, None]] = 0  # a bytes view stops there
+    return chars.view(f"S{width}").ravel()
+
+
+def _string_set(emitted: list[tuple]) -> StringSet:
+    """The emitted columns as a StringSet, outcomes decoded in bulk."""
     if not emitted:
-        return []
+        none = np.zeros(0)
+        return StringSet(none.astype("S1"), none, none, none, none, none.astype(np.int8),
+                         none.astype(np.int64))
     n, code, prob, c1, c2, guess, error = (np.concatenate(col) for col in zip(*emitted))
-    # one byte per outcome (1 or 2), from the big-endian bytes of each word;
-    # zeroed past the string's end, where a fixed-width bytes view cuts it
-    outcomes = np.unpackbits(code.astype(">u8").view(np.uint8), axis=1) + np.uint8(1)
-    width = outcomes.shape[1]
-    outcomes[np.arange(width) >= n[:, None]] = 0
-    raw = outcomes.view(f"S{width}").ravel().tolist()
-    return list(map(TerminationString, map(tuple, raw), prob.tolist(), c1.tolist(),
-                    c2.tolist(), error.tolist(), guess.tolist()))
+    # one bit per outcome, from the big-endian bytes of each word
+    twos = np.unpackbits(code.astype(">u8").view(np.uint8), axis=1).view(bool)
+    return StringSet(outcome_labels(twos, n), prob, c1, c2, error, guess, n)
 
 
-def aggregate_by_length(strings: list[TerminationString]) -> list[LengthAggregate]:
+def _column(strings: Sequence[TerminationString], name: str) -> np.ndarray:
+    """Column `name` of a StringSet, or of any sequence of TerminationString objects."""
+    if isinstance(strings, StringSet):
+        return getattr(strings, name)
+    return np.array([getattr(s, name) for s in strings], dtype=float)
+
+
+def aggregate_by_length(strings: Sequence[TerminationString]) -> list[LengthAggregate]:
     """Combine strings of equal length: summed probability, probability-weighted error."""
-    by_n: dict[int, tuple[float, float]] = {}
-    for s in strings:
-        total, weighted = by_n.get(s.n, (0.0, 0.0))
-        by_n[s.n] = (total + s.prob, weighted + s.prob * s.true_error)
-    return [
-        LengthAggregate(n=n, total_prob=total, mean_error=weighted / total if total else 0.0)
-        for n, (total, weighted) in sorted(by_n.items())
-    ]
+    n, prob = _column(strings, "n"), _column(strings, "prob")
+    weighted = prob * _column(strings, "true_error")
+    aggregates = []
+    for length in np.unique(n).tolist():
+        at = n == length
+        # cumsum adds in emission order, left to right, as a loop over the strings would
+        total, error = float(np.cumsum(prob[at])[-1]), float(np.cumsum(weighted[at])[-1])
+        aggregates.append(LengthAggregate(n=int(length), total_prob=total,
+                                          mean_error=error / total if total else 0.0))
+    return aggregates
 
 
 def cost_from_strings(
-    strings: list[TerminationString],
+    strings: Sequence[TerminationString],
     residual: float,
     max_depth: int,
     tail_bound: float = 0.0,
@@ -320,7 +384,7 @@ def cost_from_strings(
     engine's worst-case tail bound to tighten the upper end beyond
     residual * max_depth.
     """
-    cost = sum(s.n * s.prob for s in strings)
+    cost = sum((_column(strings, "n") * _column(strings, "prob")).tolist())
     if residual <= 0.0:
         return CostResult(expected_copies=cost, exact=True)
     return CostResult(

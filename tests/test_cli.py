@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+import seqdisc.cli
+from seqdisc import DiscriminationProblem, StrategyKind, StrategySpec, enumerate_strings
 from seqdisc.cli import main
 
 
@@ -126,6 +128,70 @@ def test_strings_json_fixed_angle(tmp_path):
     assert all(row["strategy"] == "fixed:0.6" for row in payload)
     probs = [row["prob"] for row in payload]
     assert all(a >= b for a, b in zip(probs, probs[1:]))
+
+
+def _fmt(x) -> str:
+    """The CLI's rule for one CSV value."""
+    if x is None:
+        return ""
+    if isinstance(x, float):
+        return format(x, ".17g")
+    return str(x)
+
+
+def _reference_strings(theta, q1, eps, names, max_depth, fmt, aggregate) -> bytes:
+    """`strings` output rendered row by row from TerminationString objects."""
+    problem = DiscriminationProblem(theta=theta, q1=q1)
+    header = ["strategy", "string", "n", "prob", "true_error", "guess"]
+    rows = []
+    for name in names:
+        if name.startswith("fixed:"):
+            spec = StrategySpec(StrategyKind.FIXED_ANGLE, phi=float(name[6:]))
+        else:
+            spec = StrategySpec(StrategyKind[name.upper()])
+        strings, _ = enumerate_strings(problem, spec, eps, 0.998, max_depth)
+        if not aggregate:
+            rows += [[name, s.label, s.n, s.prob, s.true_error, s.guess] for s in strings]
+            continue
+        by_n = {}
+        for s in strings:
+            total, weighted = by_n.get(s.n, (0.0, 0.0))
+            by_n[s.n] = (total + s.prob, weighted + s.prob * s.true_error)
+        for n, (total, weighted) in sorted(by_n.items()):
+            rows.append([name, f"len={n}", n, total, weighted / total if total else 0.0, ""])
+    if fmt == "csv":
+        text = "".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows])
+    else:
+        text = json.dumps([dict(zip(header, row)) for row in rows], indent=2, sort_keys=True) + "\n"
+    return text.encode()
+
+
+# 7 rows a chunk puts chunk boundaries inside each strategy's rows
+@pytest.mark.parametrize("chunk_rows", [None, 7])
+@pytest.mark.parametrize("aggregate", [False, True])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("names,q1,eps,max_depth", [
+    (["fbm", "ubm", "fixed:0.7"], 0.5, 0.179, 64),
+    (["fbm", "ubm", "fixed:0.7"], 0.5, 0.15, 64),
+    (["fbm", "ubm", "fixed:0.7"], 0.3, 0.15, 64),
+    # no UBM string stops within one copy: an empty table
+    (["ubm"], 0.5, 0.01, 1),
+])
+def test_strings_bytes_match_row_by_row_reference(tmp_path, monkeypatch, names, q1, eps, max_depth,
+                                                  fmt, aggregate, chunk_rows):
+    if chunk_rows:
+        monkeypatch.setattr(seqdisc.cli, "_CHUNK_ROWS", chunk_rows)
+    theta = math.pi / 12
+    argv = ["strings", "--theta", repr(theta), "--q1", repr(q1), "--epsilon", repr(eps),
+            "--max-depth", str(max_depth), "--format", fmt]
+    for name in names:
+        argv += ["--strategy", name]
+    if aggregate:
+        argv.append("--aggregate")
+    code, out = run(tmp_path, f"s.{fmt}", *argv)
+    assert code == 0
+    expected = _reference_strings(theta, q1, eps, names, max_depth, fmt, aggregate)
+    assert out.read_bytes() == expected
 
 
 def test_optimize_csv(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import seqdisc.montecarlo
 from seqdisc import (
     MeasurementConfig,
     MonteCarloReport,
@@ -15,6 +16,7 @@ from seqdisc import (
     strategy_angle,
     ubm_cost,
 )
+from seqdisc.cli import main
 from seqdisc.montecarlo import _CHUNK_ROWS, _lol_trial, _Uniforms
 from seqdisc.posterior import _log_ratio
 
@@ -197,6 +199,22 @@ def test_lockstep_fallback_matches_per_trial_reference(problem12):
     report = run_trials(problem12, FBM, 1e-9, trials, seed=7)
     assert report.max_copies > 63
     assert report == _per_trial_reference(problem12, FBM, 1e-9, trials, 7)
+
+
+def _loop_labels(ones, n):
+    """The outcome strings of the rows of `ones`, one outcome at a time."""
+    return ["".join("1" if one else "2" for one in row[:k])
+            for row, k in zip(ones.tolist(), np.asarray(n).tolist())]
+
+
+@pytest.mark.parametrize("strategy", ["ubm", "fixed:0.6"])
+def test_simulate_json_matches_loop_labels(tmp_path, monkeypatch, strategy):
+    argv = ["simulate", "--theta", repr(math.pi / 12), "--epsilon", "0.074", "--strategy",
+            strategy, "--trials", str(TRIALS), "--seed", "7", "--format", "json", "-o"]
+    assert main([*argv, str(tmp_path / "bulk.json")]) == 0
+    monkeypatch.setattr(seqdisc.montecarlo, "_labels", _loop_labels)
+    assert main([*argv, str(tmp_path / "loop.json")]) == 0
+    assert (tmp_path / "bulk.json").read_bytes() == (tmp_path / "loop.json").read_bytes()
 
 
 def test_chunked_table_rows_continue_one_stream():

@@ -1,6 +1,7 @@
 import heapq
 import math
 
+import numpy as np
 import pytest
 
 import seqdisc.stringlab
@@ -20,7 +21,7 @@ from seqdisc import (
     ubm_cost,
 )
 from seqdisc.engine import worst_case_tail
-from seqdisc.stringlab import TerminationString
+from seqdisc.stringlab import StringSet, TerminationString, outcome_labels
 
 FBM = StrategySpec(StrategyKind.FBM)
 UBM = StrategySpec(StrategyKind.UBM)
@@ -115,6 +116,56 @@ def test_aggregate_edge_cases(problem12):
     assert aggs[0].n == 1
     assert aggs[0].total_prob == one[0].prob
     assert aggs[0].mean_error == one[0].true_error
+
+
+def test_string_set_behaves_as_a_list_of_its_items(problem12):
+    strings, _ = enumerate_strings(problem12, UBM, 0.179, coverage_target=1.0, max_depth=10)
+    assert isinstance(strings, StringSet)
+    items = list(strings)
+    assert len(strings) == len(items) > 8
+    for i in (0, 5, len(items) - 1, -1, -3, -len(items)):
+        assert strings[i] == items[i]
+        assert strings[i].label == items[i].label == "".join(map(str, items[i].outcomes))
+    for cut in (slice(None, 8), slice(3, -2), slice(-5, None), slice(None, None, -3),
+                slice(5, 5), slice(len(items) + 3, None)):
+        part = strings[cut]
+        assert isinstance(part, StringSet)
+        assert len(part) == len(items[cut])
+        assert list(part) == items[cut]
+        assert [part[i] for i in range(len(part))] == items[cut]
+    for i in (len(items), -len(items) - 1):
+        with pytest.raises(IndexError):
+            strings[i]
+    assert list(reversed(strings)) == items[::-1]
+    assert strings.index(items[4]) == 4 and items[4] in strings
+    assert strings.n.tolist() == [s.n for s in items]
+    assert aggregate_by_length(strings) == aggregate_by_length(items)
+    # both sum in emission order, left to right
+    assert cost_from_strings(strings, 0.0, 10).expected_copies == sum(s.n * s.prob for s in items)
+    with pytest.raises(ValueError):
+        strings.prob[0] = 1.0
+    with pytest.raises(AttributeError):
+        strings.prob = strings.prob[:1]
+
+
+def test_empty_string_set(problem12):
+    # UBM's single copy errs with probability about 0.37: nothing stops at depth 1
+    strings, residual = enumerate_strings(problem12, UBM, 0.01, max_depth=1)
+    assert len(strings) == 0 and list(strings) == [] and residual == 1.0
+    assert aggregate_by_length(strings) == []
+    assert cost_from_strings(strings, residual, 1).expected_copies == 0.0
+
+
+def test_outcome_labels_match_a_loop():
+    rng = np.random.default_rng(3)
+    twos = rng.random((300, 70)) < 0.5
+    n = rng.integers(1, 71, len(twos))
+    n[0] = 70
+    labels = outcome_labels(twos, n)
+    assert labels.dtype == np.dtype("S70")
+    assert [b.decode() for b in labels.tolist()] == [
+        "".join("2" if two else "1" for two in row[:k]) for row, k in zip(twos.tolist(), n.tolist())
+    ]
 
 
 def test_cost_from_strings_fbm(problem12):

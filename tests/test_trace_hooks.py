@@ -41,5 +41,23 @@ def test_tracer_counts_string_lab_calls_and_stop_tests(tmp_path):
     assert code == 0
     metrics = tracer.metrics()
     assert metrics["stringlab.calls"] == 1
-    assert metrics["stringlab.strings"] > 0
+    rows = (tmp_path / "strings.csv").read_text().splitlines()[1:]
+    assert metrics["stringlab.strings"] == len(rows) > 0
     assert metrics["posterior.stop_tests"] > 0
+
+
+def test_cli_calls_the_string_lab_through_its_module_attribute(tmp_path, monkeypatch):
+    # perfbench's worker taps residuals by replacing this attribute
+    specs = []
+    original = seqdisc.cli.enumerate_strings
+
+    def counted(problem, spec, *args):
+        specs.append(spec)
+        return original(problem, spec, *args)
+
+    monkeypatch.setattr(seqdisc.cli, "enumerate_strings", counted)
+    argv = ["strings", "--theta", repr(math.pi / 12), "--epsilon", "0.179"]
+    for strategy in ("fbm", "ubm", "fixed:0.7"):
+        argv += ["--strategy", strategy]
+    assert seqdisc.cli.main([*argv, "-o", str(tmp_path / "strings.csv")]) == 0
+    assert [spec.kind.name for spec in specs] == ["FBM", "UBM", "FIXED_ANGLE"]
