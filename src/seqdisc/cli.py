@@ -316,6 +316,7 @@ def _cmd_strings(run: _Run) -> None:
     coverage = run.get("coverage", 0.998)
     max_depth = run.get("max_depth", 64)
     aggregate = bool(run.get("aggregate"))
+    header = ["strategy", "string", "n", "prob", "true_error", "guess"]
     results = []
     for name in names:
         name, spec = _parse_strategy(name)
@@ -324,40 +325,34 @@ def _cmd_strings(run: _Run) -> None:
             spec = StrategySpec(StrategyKind.FIXED_ANGLE, phi=phi_opt)
         strings, _residual = enumerate_strings(problem, spec, eps, coverage, max_depth)
         results.append((name, strings))
-    if run.fmt not in ("csv", "json"):
-        raise ValueError("strings supports csv or json output")
-    csv = run.fmt == "csv"
-    with open(run.output, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("strategy,string,n,prob,true_error,guess\n" if csv else "[")
-        sep = "\n"  # written before the next JSON row: "\n" before the first, ",\n" later
-        for name, strings in results:
-            key = json.dumps(name)
-            for rows in _string_rows(strings, aggregate, blank_guess="" if csv else '""'):
-                # one f-string per row, laid out as _write_csv and _write_json lay it out
-                if csv:
+
+    if run.fmt == "csv":
+        with open(run.output, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for name, strings in results:
+                for rows in _string_rows(strings, aggregate):
+                    # one f-string per row, laid out as _write_csv lays it out
                     fh.write("".join([f"{name},{s},{k},{p:.17g},{e:.17g},{g}\n"
                                       for s, k, p, e, g in rows]))
-                elif rows:
-                    fh.write(sep + ",\n".join([
-                        f'  {{\n    "guess": {g},\n    "n": {k},\n    "prob": {p!r},\n    '
-                        f'"strategy": {key},\n    "string": "{s}",\n    "true_error": {e!r}\n  }}'
-                        for s, k, p, e, g in rows]))
-                    sep = ",\n"
-        if not csv:
-            fh.write("]\n" if sep == "\n" else "\n]\n")
+    elif run.fmt == "json":
+        _write_json(run.output, _rows_to_json(header, (
+            (name, *row) for name, strings in results
+            for rows in _string_rows(strings, aggregate) for row in rows)))
+    else:
+        raise ValueError("strings supports csv or json output")
 
 
 # rows formatted per write, so the text held at once stays a few hundred KiB
 _CHUNK_ROWS = 4096
 
 
-def _string_rows(strings, aggregate: bool, blank_guess: str):
+def _string_rows(strings, aggregate: bool):
     """Lists of (label, n, prob, true_error, guess) rows of `strings`, a chunk at a time.
 
-    With `aggregate`, one row per length, labelled "len=<n>", with guess `blank_guess`.
+    With `aggregate`, one row per length, labelled "len=<n>", with an empty guess.
     """
     if aggregate:
-        yield [(f"len={a.n}", a.n, a.total_prob, a.mean_error, blank_guess)
+        yield [(f"len={a.n}", a.n, a.total_prob, a.mean_error, "")
                for a in aggregate_by_length(strings)]
         return
     for start in range(0, len(strings), _CHUNK_ROWS):

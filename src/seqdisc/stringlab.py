@@ -95,6 +95,9 @@ class StringSet(Sequence):
     def __setattr__(self, name, value):
         raise AttributeError(f"StringSet is immutable; cannot set {name!r}")
 
+    def __reduce__(self):  # copy and pickle rebuild through __init__, not __setattr__
+        return StringSet, tuple(getattr(self, name) for name in self.__slots__)
+
     def __len__(self) -> int:
         return len(self.n)
 
@@ -351,25 +354,16 @@ def _string_set(emitted: list[tuple]) -> StringSet:
     return StringSet(outcome_labels(twos, n), prob, c1, c2, error, guess, n)
 
 
-def _column(strings: Sequence[TerminationString], name: str) -> np.ndarray:
-    """Column `name` of a StringSet, or of any sequence of TerminationString objects."""
-    if isinstance(strings, StringSet):
-        return getattr(strings, name)
-    return np.array([getattr(s, name) for s in strings], dtype=float)
-
-
 def aggregate_by_length(strings: Sequence[TerminationString]) -> list[LengthAggregate]:
     """Combine strings of equal length: summed probability, probability-weighted error."""
-    n, prob = _column(strings, "n"), _column(strings, "prob")
-    weighted = prob * _column(strings, "true_error")
-    aggregates = []
-    for length in np.unique(n).tolist():
-        at = n == length
-        # cumsum adds in emission order, left to right, as a loop over the strings would
-        total, error = float(np.cumsum(prob[at])[-1]), float(np.cumsum(weighted[at])[-1])
-        aggregates.append(LengthAggregate(n=int(length), total_prob=total,
-                                          mean_error=error / total if total else 0.0))
-    return aggregates
+    by_n: dict[int, tuple[float, float]] = {}
+    for s in strings:
+        total, weighted = by_n.get(s.n, (0.0, 0.0))
+        by_n[s.n] = (total + s.prob, weighted + s.prob * s.true_error)
+    return [
+        LengthAggregate(n=n, total_prob=total, mean_error=weighted / total if total else 0.0)
+        for n, (total, weighted) in sorted(by_n.items())
+    ]
 
 
 def cost_from_strings(
@@ -384,7 +378,7 @@ def cost_from_strings(
     engine's worst-case tail bound to tighten the upper end beyond
     residual * max_depth.
     """
-    cost = sum((_column(strings, "n") * _column(strings, "prob")).tolist())
+    cost = sum(s.n * s.prob for s in strings)
     if residual <= 0.0:
         return CostResult(expected_copies=cost, exact=True)
     return CostResult(

@@ -1,5 +1,7 @@
+import copy
 import heapq
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -146,6 +148,19 @@ def test_string_set_behaves_as_a_list_of_its_items(problem12):
         strings.prob[0] = 1.0
     with pytest.raises(AttributeError):
         strings.prob = strings.prob[:1]
+
+
+def test_string_set_survives_copy_and_pickle(problem12):
+    strings, _ = enumerate_strings(problem12, UBM, 0.179, coverage_target=1.0, max_depth=10)
+    items = list(strings)
+    for twin, expected in ((copy.copy(strings), items), (copy.deepcopy(strings), items),
+                           (pickle.loads(pickle.dumps(strings)), items),
+                           (pickle.loads(pickle.dumps(strings[2:7])), items[2:7])):
+        assert isinstance(twin, StringSet)
+        assert list(twin) == expected
+        assert not twin.prob.flags.writeable
+        with pytest.raises(AttributeError):
+            twin.prob = twin.prob[:1]
 
 
 def test_empty_string_set(problem12):
