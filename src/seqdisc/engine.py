@@ -136,7 +136,6 @@ def fixed_angle_cost(
     phi: float,
     eps: float,
     opts: EngineOptions | None = None,
-    on_depth=None,
     cost_cap: float | None = None,
 ) -> CostResult:
     """Expected copies until the posterior error reaches eps, at a fixed angle.
@@ -145,17 +144,13 @@ def fixed_angle_cost(
     checked after every copy; a terminated prefix is never extended.  The
     returned enclosure is [expected_copies, expected_copies + bound_width].
 
-    on_depth, if given, is called as on_depth(n, terminated_mass, frontier_mass)
-    after each depth (test instrumentation).  cost_cap, if given, raises
-    CostCapExceeded as soon as a lower bound on every result the angle can
-    still end with exceeds it (the angle optimizer uses this to abandon
-    hopeless angles); a cap at or above the angle's own cost never does.  An
-    angle at which no outcome string can stop within opts.max_copies copies
-    raises NonConvergenceError before the first copy.  This is a batch of one
-    angle of fixed_angle_costs.
+    cost_cap, if given, raises CostCapExceeded as soon as a lower bound on
+    every result the angle can still end with exceeds it; a cap at or above
+    the angle's own cost never does.  An angle at which no outcome string can
+    stop within opts.max_copies copies raises NonConvergenceError before the
+    first copy.  This is a batch of one angle of fixed_angle_costs.
     """
-    outcome = fixed_angle_costs(problem, [phi], eps, opts, cost_cap=cost_cap,
-                                on_depth=on_depth).outcomes[0]
+    outcome = fixed_angle_costs(problem, [phi], eps, opts, cost_cap=cost_cap).outcomes[0]
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -250,7 +245,6 @@ def fixed_angle_costs(
     eps: float,
     opts: EngineOptions | None = None,
     cost_cap: float | None = None,
-    on_depth=None,
 ) -> AngleBatch:
     """fixed_angle_cost at each of the angles phis, advanced together through one depth loop.
 
@@ -270,14 +264,11 @@ def fixed_angle_costs(
     or R * (n_end + worst_case_tail) <= bound_width_limit with a tail of at
     least one copy, so (n + 1) * R is at most the subtracted term.  An angle
     at the lowest cost, or at a cost equal to the cap, is therefore never
-    dropped.  on_depth needs a batch of one angle.  Invalid inputs raise
-    ValueError before any angle is run.
+    dropped.  Invalid inputs raise ValueError before any angle is run.
     """
     opts = opts or EngineOptions()
     phis = list(phis)
     rule = StoppingRule(problem, phis, eps)
-    if on_depth is not None and len(phis) != 1:
-        raise ValueError("on_depth needs a batch of one angle")
     if not phis:
         return AngleBatch([], 0, 0)
 
@@ -315,12 +306,12 @@ def fixed_angle_costs(
 
     # Per row (angle) running, all at the depth n: the run [lo, hi] of m1 that
     # its frontier holds, whose masses lie in `mass` (one plane per hypothesis,
-    # the rows' runs one after another), its cost so far, and its terminated
-    # and leaked mass.  Every row starts with a unit mass at m1 = 0.
+    # the rows' runs one after another), its cost so far and its leaked mass.
+    # Every row starts with a unit mass at m1 = 0.
     rows = np.array([i for i, outcome in enumerate(outcomes) if outcome is None], dtype=np.int64)
     lo, hi = np.zeros((2, len(rows)), dtype=np.int64)
     mass = np.ones((2, len(rows)))
-    cost, terminated, leaked = np.zeros((3, len(rows)))
+    cost, leaked = np.zeros((2, len(rows)))
     n = 0
     block = _FIRST_BLOCK
     depth_iterations = angle_steps = 0
@@ -366,9 +357,7 @@ def fixed_angle_costs(
         slot_sums = np.add.reduceat(stopped_cells, slot, axis=1)
         stopped = _stopped_mass(weight, slot_sums, lo_run, hi_run, origin)
         cost_n = np.concatenate((cost[None], ns * stopped)).cumsum(axis=0)[1:]
-        terminated_n = np.concatenate((terminated[None], stopped)).cumsum(axis=0)[1:]
-        out = front + leaked
-        drained = out <= opts.mass_tolerance
+        drained = front + leaked <= opts.mass_tolerance
         # a lower bound on the cost of any result the row can still end with
         bound = cost_n + front * (ns + 1) - np.maximum((ns + 1) * opts.mass_tolerance,
                                                        opts.bound_width_limit)
@@ -388,9 +377,6 @@ def fixed_angle_costs(
         # a window trim changes the frontier, so the block ends at the first one
         last = int(first[thin[at_first] & ~drained[at_first] & ~over[at_first]].min(initial=block - 1))
         ends = hit & (first <= last)
-        if on_depth is not None:
-            for j in range((first[0] if ends[0] else last) + 1):
-                on_depth(int(ns[j, 0]), float(terminated_n[j, 0]), float(out[j, 0]))
 
         done = np.zeros(count, dtype=bool)
         for k in np.nonzero(ends)[0]:
@@ -436,7 +422,7 @@ def fixed_angle_costs(
         run_len = hi - lo + 1
         mass = new[last][:, np.repeat(origin + lo - (np.cumsum(run_len) - run_len), run_len)
                          + np.arange(run_len.sum())]
-        cost, terminated, leaked = cost_n[last, going], terminated_n[last, going], leaked[going]
+        cost, leaked = cost_n[last, going], leaked[going]
     return AngleBatch(outcomes, depth_iterations, angle_steps)
 
 

@@ -114,10 +114,11 @@ def helstrom_error(problem: DiscriminationProblem) -> float:
 def collective_error(problem: DiscriminationProblem, n: int) -> float:
     """Minimum average error achievable with n copies (joint-measurement bound).
 
-    Strictly decreasing in n; n=1 reproduces the Helstrom error.
+    Strictly decreasing in n; n=1 reproduces the Helstrom error.  Evaluated
+    as x / (2 + 2 sqrt(1 - x)), x = 4 q1 q2 c^(2n), which equals
+    (1 - sqrt(1 - x)) / 2 without its cancellation at small x.
     """
     if n < 1:
         raise ValueError(f"copy count must be >= 1, got {n}")
-    q1, q2 = problem.q1, problem.q2
-    c = problem.overlap
-    return 0.5 - 0.5 * math.sqrt(1.0 - 4.0 * q1 * q2 * c ** (2 * n))
+    x = 4.0 * problem.q1 * problem.q2 * problem.overlap ** (2 * n)
+    return 0.5 * x / (1.0 + math.sqrt(1.0 - x))

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DiscriminationProblem, MeasurementConfig, helstrom_angle
+from .model import DiscriminationProblem, MeasurementConfig
 from .posterior import VerdictTable, _check_eps, meets_error_bound
-from .strategies import StrategyKind, StrategySpec, strategy_angle
+from .strategies import StrategyKind, StrategySpec, lol_next_angle, strategy_angle
 from .stringlab import outcome_labels
 
 __all__ = [
@@ -196,8 +196,7 @@ def _lol_trial(
     while True:
         config = angle_cache.get(belief)
         if config is None:
-            phi = helstrom_angle(DiscriminationProblem(theta=problem.theta, q1=belief))
-            config = MeasurementConfig.for_problem(problem, phi)
+            config = MeasurementConfig.for_problem(problem, lol_next_angle(problem, belief))
             angle_cache[belief] = config
         p1 = config.p1_given_psi1 if true_state == 1 else config.p1_given_psi2
         if u.next() < p1:

@@ -146,7 +146,7 @@ class StoppingRule:
     The closed form only seeds the run's ends; the predicate fixes them.
 
     phi is one angle or a sequence of them; d1, d2 and rate have its shape, and
-    `row` picks one angle of a batch.  The error is evaluated with numpy's exp,
+    the `row` of _logit picks angles of a batch.  The error is evaluated with numpy's exp,
     whose last bit can differ from math.exp, always in the same operation
     order, so a state on the boundary decides the same way in every caller.
     Raises ValueError unless 0 < eps < min(q1, q2) and every angle lies in
@@ -187,49 +187,9 @@ class StoppingRule:
         # above 700 the error underflows to 0, so it always stops
         return (abs_logit > 700.0) | (1.0 / (1.0 + np.exp(np.minimum(abs_logit, 700.0))) <= self.bound)
 
-    def stops(self, m1, m2, row=()):
+    def stops(self, m1, m2):
         """Whether the states (m1, m2) stop (scalars or arrays, the angles of a batch on the last axis)."""
-        return self._stops_at(np.abs(self._logit(m1, m2, row)))
-
-    def continuation(self, n: int, wlo: int, whi: int, row=()) -> tuple[int, int]:
-        """The run [lo, hi] of m1 in [wlo, whi] whose states at depth n do not stop.
-
-        Empty runs come back as hi = lo - 1.  The closed-form ends, widened by
-        one state, contain the run; the exact predicate then fixes each end.
-        """
-        if self.inf2[row]:
-            wlo = max(wlo, n)  # any outcome 2 stops
-        if self.inf1[row]:
-            whi = min(whi, 0)  # any outcome 1 stops
-        lo, hi = wlo, whi
-        if self.regular[row]:
-            rate = float(self.rate[row])
-            centre = self.logit0 + n * float(self.d2[row])
-            x = (centre - self.threshold) / rate
-            y = (centre + self.threshold) / rate
-            if x > wlo:
-                lo = whi + 1 if x >= whi + 1 else math.floor(x)
-            if y < whi:
-                hi = wlo - 1 if y <= wlo - 1 else math.ceil(y)
-
-        def stops(m1):
-            return self.stops(m1, n - m1, row)
-
-        start = lo
-        while lo <= hi and stops(lo):
-            lo += 1
-        if lo > hi:
-            return lo, lo - 1
-        if lo == start:
-            while lo > wlo and not stops(lo - 1):
-                lo -= 1
-        end = hi
-        while stops(hi):
-            hi -= 1
-        if hi == end:
-            while hi < whi and not stops(hi + 1):
-                hi += 1
-        return lo, hi
+        return self._stops_at(np.abs(self._logit(m1, m2)))
 
     def can_stop_within(self, max_copies: int) -> np.ndarray:
         """False only for the angles at which no state with m1 + m2 <= max_copies stops.
@@ -244,6 +204,25 @@ class StoppingRule:
         scale = abs(logit0) + max_copies * np.maximum(np.abs(self.d1), np.abs(self.d2))
         return self._stops_at(corners + 1e-9 * scale)
 
+    def _moves(self, lo, hi, n, row):
+        """The moves, -1, 0 or +1 state, that bring the ends lo and hi at depths n nearer the run.
+
+        lo moves up if it stops with log-odds >= 0 and down if the state below
+        it does not; hi moves down if it stops with log-odds < 0 and up if the
+        state above it does not.  The ends lie in [0, n + 1] and [-1, n].
+        """
+        m1 = np.empty(lo.shape + (4,), dtype=np.int64)
+        m1[..., 0], m1[..., 1], m1[..., 2], m1[..., 3] = lo - 1, lo, hi, hi + 1
+        np.maximum(m1, 0, out=m1)
+        np.minimum(m1, n[..., None], out=m1)
+        logit = self._logit(m1, n[..., None] - m1, row)
+        stops = self._stops_at(np.abs(logit))
+        up = logit >= 0.0
+        high, low = stops & up, stops & ~up
+        lo_move = np.subtract((lo <= n) & high[..., 1], (lo > 0) & ~high[..., 0], dtype=np.int64)
+        hi_move = np.subtract((hi < n) & ~low[..., 3], (hi >= 0) & low[..., 2], dtype=np.int64)
+        return lo_move, hi_move
+
     def runs(self, ns: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The runs [lo, hi] of m1 in [0, n] that continue, at each depth n of ns (steps x rows).
 
@@ -251,9 +230,9 @@ class StoppingRule:
         depth the log-odds fall as m1 rises, so the states that stop with
         log-odds >= 0 form a prefix of [0, n] and those that stop with log-odds
         < 0 a suffix; the run lies between them.  Each closed-form end is
-        checked against the predicate at the states on both sides of it; a
-        depth whose check fails is found by continuation instead.  Empty runs
-        come back with lo > hi.
+        checked against the predicate at the states on both sides of it; the
+        ends that fail the check move one state at a time until it passes.
+        Empty runs come back with lo = hi + 1.
         """
         n = ns[:, None]
         centre = self.logit0 + n * self.d2_sum[rows]
@@ -265,26 +244,22 @@ class StoppingRule:
             regular = self.regular[rows]
             lo = np.where(regular, lo, np.where(self.inf2[rows], n - 1, -1))
             hi = np.where(regular, hi, np.where(self.inf1[rows], 1, n + 1))
-        # the states on either side of each end of the run
-        probes = np.empty(lo.shape + (4,))
-        np.minimum(np.maximum(lo, -1.0), n, out=probes[..., 0])
-        np.minimum(np.maximum(hi, 0.0), n + 1.0, out=probes[..., 3])
-        probes[..., 1] = probes[..., 0] + 1.0
-        probes[..., 2] = probes[..., 3] - 1.0
-        m1 = probes.astype(np.int64)
         # the first and the last state the closed form lets continue
-        lo, hi = m1[..., 1].copy(), m1[..., 2].copy()
-        np.maximum(m1, 0, out=m1)
-        np.minimum(m1, n[..., None], out=m1)
-        logit = self._logit(m1, n[..., None] - m1, (rows, None))
-        stops = self._stops_at(np.abs(logit))
-        up = logit >= 0.0
-        high, low = stops & up, stops & ~up
-        ok = (((lo == 0) | high[..., 0]) & ((lo > n) | ~high[..., 1])
-              & ((hi == n) | low[..., 3]) & ((hi < 0) | ~low[..., 2]))
-        for j, k in zip(*np.nonzero(~ok)):
-            depth = int(ns[j])
-            lo[j, k], hi[j, k] = self.continuation(depth, 0, depth, rows[k])
+        lo = np.minimum(np.maximum(lo + 1.0, 0.0), n + 1.0).astype(np.int64)
+        hi = np.minimum(np.maximum(hi - 1.0, -1.0), n).astype(np.int64)
+        lo_move, hi_move = self._moves(lo, hi, n, (rows, None))
+        j, k = np.nonzero(lo_move | hi_move)
+        if len(j):
+            n, row = ns[j], (rows[k], None)
+            lo_fix, hi_fix, lo_move, hi_move = lo[j, k], hi[j, k], lo_move[j, k], hi_move[j, k]
+            # the prefix and the suffix place each end within n + 1 states
+            for _ in range(int(n.max()) + 1):
+                lo_fix += lo_move
+                hi_fix += hi_move
+                lo_move, hi_move = self._moves(lo_fix, hi_fix, n, row)
+                if not (lo_move.any() or hi_move.any()):
+                    break
+            lo[j, k], hi[j, k] = lo_fix, hi_fix
         return lo, hi
 
 

@@ -4,7 +4,15 @@ import math
 import pytest
 
 import seqdisc.cli
-from seqdisc import DiscriminationProblem, StrategyKind, StrategySpec, enumerate_strings
+from seqdisc import (
+    DiscriminationProblem,
+    StrategyKind,
+    StrategySpec,
+    enumerate_strings,
+    optimize_angle,
+    run_trials,
+    scan_angles,
+)
 from seqdisc.cli import main
 
 
@@ -147,6 +155,9 @@ def _reference_strings(theta, q1, eps, names, max_depth, fmt, aggregate) -> byte
     for name in names:
         if name.startswith("fixed:"):
             spec = StrategySpec(StrategyKind.FIXED_ANGLE, phi=float(name[6:]))
+        elif name == "gof":  # at the angle of `--resolution 200`
+            spec = StrategySpec(StrategyKind.FIXED_ANGLE,
+                                phi=optimize_angle(problem, eps, resolution=200)[0])
         else:
             spec = StrategySpec(StrategyKind[name.upper()])
         strings, _ = enumerate_strings(problem, spec, eps, 0.998, max_depth)
@@ -192,6 +203,67 @@ def test_strings_bytes_match_row_by_row_reference(tmp_path, monkeypatch, names, 
     assert code == 0
     expected = _reference_strings(theta, q1, eps, names, max_depth, fmt, aggregate)
     assert out.read_bytes() == expected
+
+
+def test_strings_gof_is_enumerate_strings_at_the_optimal_angle(tmp_path):
+    theta = math.pi / 12
+    code, out = run(tmp_path, "gof.csv", "strings", "--theta", repr(theta), "--epsilon", "0.179",
+                    "--strategy", "gof", "--resolution", "200")
+    assert code == 0
+    assert out.read_bytes() == _reference_strings(theta, 0.5, 0.179, ["gof"], 64, "csv", False)
+
+
+def test_simulate_gof_is_run_trials_at_the_optimal_angle(tmp_path):
+    problem = DiscriminationProblem(theta=math.pi / 12)
+    code, out = run(tmp_path, "gof.json", "simulate", "--theta", repr(problem.theta),
+                    "--epsilon", "0.179", "--strategy", "gof", "--resolution", "200",
+                    "--trials", "2000", "--seed", "7", "--format", "json")
+    assert code == 0
+    phi, _ = optimize_angle(problem, 0.179, resolution=200)
+    report = run_trials(problem, StrategySpec(StrategyKind.FIXED_ANGLE, phi=phi), 0.179, 2000, 7)
+    payload = json.loads(out.read_text())
+    assert payload["strategy"] == "gof"
+    assert [payload[k] for k in ("trials", "mean_copies", "mean_copies_stderr", "empirical_error",
+                                 "min_copies", "max_copies", "seed")] == \
+        [report.trials, report.mean_copies, report.mean_copies_stderr, report.empirical_error,
+         report.min_copies, report.max_copies, report.seed]
+    assert payload["per_string"] == {k: list(v) for k, v in report.per_string.items()}
+
+
+def test_cost_curve_json_and_svg_hold_the_csv_rows(tmp_path):
+    argv = ("cost-curve", "--theta", str(math.pi / 12), "--epsilon-range", "0.1:0.3:3:log",
+            "--resolution", "120")
+    _, csv_out = run(tmp_path, "curve.csv", *argv)
+    lines = csv_out.read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    code, json_out = run(tmp_path, "curve.json", *argv, "--format", "json")
+    assert code == 0
+    assert [[row[h] for h in header] for row in json.loads(json_out.read_text())] == rows
+    code, svg_out = run(tmp_path, "curve.svg", *argv, "--format", "svg")
+    assert code == 0
+    text = svg_out.read_text()
+    assert text.startswith("<svg") and text.count("<polyline") == 4
+    assert text.count("<circle") == 4 * len(rows)
+    for label in ("FBM", "UBM", "LOL", "GOF"):
+        assert f">{label}</text>" in text
+
+
+def test_angle_scan_json_is_scan_angles(tmp_path):
+    problem = DiscriminationProblem(theta=math.pi / 12)
+    code, out = run(tmp_path, "scan.json", "angle-scan", "--theta", repr(problem.theta),
+                    "--epsilon", "0.179", "--resolution", "25", "--format", "json")
+    assert code == 0
+    scan = scan_angles(problem, 0.179, 0.0, math.pi / 2 - 1e-9, 25)
+    expected = [
+        {"theta": problem.theta, "phi": phi, "cost": None, "residual_mass": None,
+         "bound_width": None, "note": scan.failures[phi]} if r is None else
+        {"theta": problem.theta, "phi": phi, "cost": r.expected_copies,
+         "residual_mass": r.residual_mass, "bound_width": r.bound_width, "note": ""}
+        for phi, r in scan.samples
+    ]
+    assert json.loads(out.read_text()) == expected
+    assert expected[0]["cost"] is None  # phi = 0 fails
 
 
 def test_optimize_csv(tmp_path):

@@ -61,21 +61,17 @@ def test_gof_angle_cost_near_paper_value(problem12, gof_179):
 
 
 def test_probability_conservation(problem12):
-    records = []
-
-    def on_depth(n, terminated, frontier):
-        records.append((n, terminated, frontier))
-
-    fixed_angle_cost(problem12, 0.9, 0.179, TIGHT, on_depth=on_depth)
+    # the single-angle reference, which the engine matches at this angle in
+    # test_batch_matches_single_angle_loop, keeps every depth's masses
+    records = _single_angle_reference(problem12, 0.9, 0.179, TIGHT)[3]
     assert records
     for _, terminated, frontier in records:
         assert terminated + frontier == pytest.approx(1.0, abs=1e-12)
 
 
 def test_monotone_residual(problem12):
-    frontiers = []
-    fixed_angle_cost(problem12, 0.9, 0.1, TIGHT,
-                     on_depth=lambda n, t, f: frontiers.append(f))
+    records = _single_angle_reference(problem12, 0.9, 0.1, TIGHT)[3]
+    frontiers = [frontier for _, _, frontier in records]
     assert all(a >= b - 1e-15 for a, b in zip(frontiers, frontiers[1:]))
 
 
@@ -230,45 +226,42 @@ def _continuation_cases(eps_values=(0.179, 0.01)):
     return cases
 
 
-@pytest.mark.parametrize("theta,q1,phi,eps", _continuation_cases())
-def test_continuation_interval_matches_stop_mask(theta, q1, phi, eps):
-    problem = DiscriminationProblem(theta=theta, q1=q1)
-    rule = StoppingRule(problem, phi, eps)
+def _assert_runs_match_stop_mask(rule, problem, phi, eps):
+    lo, hi = rule.runs(np.arange(1, 301), np.array([0]))
     for n in range(1, 301):
         m1 = np.arange(n + 1)
-        lo, hi = rule.continuation(n, 0, n)
-        inside = (m1 >= lo) & (m1 <= hi)
+        inside = (m1 >= lo[n - 1, 0]) & (m1 <= hi[n - 1, 0])
         assert np.array_equal(inside, ~_reference_stop_mask(problem, phi, eps, m1, n - m1)), n
-        # a narrower window gives the same run clipped to it
-        lo_w, hi_w = rule.continuation(n, n // 3, n - n // 4)
-        inside_w = (m1 >= lo_w) & (m1 <= hi_w)
-        assert np.array_equal(inside_w, inside & (m1 >= n // 3) & (m1 <= n - n // 4)), n
+        assert hi[n - 1, 0] - lo[n - 1, 0] >= -1, n  # an empty run comes back as lo = hi + 1
+
+
+@pytest.mark.parametrize("theta,q1,phi,eps", _continuation_cases())
+def test_runs_match_stop_mask(theta, q1, phi, eps):
+    problem = DiscriminationProblem(theta=theta, q1=q1)
+    _assert_runs_match_stop_mask(StoppingRule(problem, [phi], eps), problem, phi, eps)
 
 
 @pytest.mark.parametrize("phi,eps,shift", [
     (math.pi / 4, 1e-3, -1.5),  # runs of about 6 states
     (math.pi / 4, 1e-3, 3.0),
+    (math.pi / 4, 1e-3, 40.0),
     (0.3, 0.125, -0.6),  # runs of at most one state
+    (0.3, 0.125, -25.0),
 ])
-def test_continuation_ends_recover_from_a_shifted_closed_form(problem12, phi, eps, shift):
+def test_runs_recover_from_a_shifted_closed_form(problem12, phi, eps, shift):
     # the closed-form ends only seed the search: moved by `shift` states
     # (inward for negative shifts), the exact predicate still finds the run
-    rule = StoppingRule(problem12, phi, eps)
-    rule.threshold += shift * rule.rate
-    for n in range(1, 301):
-        m1 = np.arange(n + 1)
-        lo, hi = rule.continuation(n, 0, n)
-        inside = (m1 >= lo) & (m1 <= hi)
-        assert np.array_equal(inside, ~_reference_stop_mask(problem12, phi, eps, m1, n - m1)), n
+    rule = StoppingRule(problem12, [phi], eps)
+    rule.threshold += shift * float(rule.rate[0])
+    _assert_runs_match_stop_mask(rule, problem12, phi, eps)
 
 
 @pytest.mark.parametrize("phi", [0.0, math.pi / 2 - 1e-9])
 def test_prescreen_rejects_uninformative_angles(problem12, phi):
-    calls = []
-    with pytest.raises(NonConvergenceError, match="no outcome string can stop within 20000 copies"):
-        fixed_angle_cost(problem12, phi, 0.125, EngineOptions(max_copies=20_000),
-                         on_depth=lambda *args: calls.append(args))
-    assert calls == []
+    batch = fixed_angle_costs(problem12, [phi], 0.125, EngineOptions(max_copies=20_000))
+    assert isinstance(batch.outcomes[0], NonConvergenceError)
+    assert "no outcome string can stop within 20000 copies" in str(batch.outcomes[0])
+    assert batch.angle_steps == 0
 
 
 @pytest.mark.parametrize("q1,phi,eps", [
@@ -282,18 +275,13 @@ def test_prescreen_rejects_uninformative_angles(problem12, phi):
 def test_prescreen_fires_only_below_first_stop_depth(q1, phi, eps):
     problem = DiscriminationProblem(theta=math.pi / 12, q1=q1)
     k = _first_stop_depth(problem, phi, eps)
-    depths = []
-    try:
-        fixed_angle_cost(problem, phi, eps, EngineOptions(max_copies=k),
-                         on_depth=lambda n, t, f: depths.append(n))
-    except NonConvergenceError as exc:
-        assert "no outcome string can stop" not in str(exc)
-    assert depths == list(range(1, k + 1))
-    depths.clear()
-    with pytest.raises(NonConvergenceError, match=f"no outcome string can stop within {k - 1} copies"):
-        fixed_angle_cost(problem, phi, eps, EngineOptions(max_copies=k - 1),
-                         on_depth=lambda n, t, f: depths.append(n))
-    assert depths == []
+    batch = fixed_angle_costs(problem, [phi], eps, EngineOptions(max_copies=k))
+    assert "no outcome string can stop" not in str(batch.outcomes[0])
+    assert batch.angle_steps == k
+    batch = fixed_angle_costs(problem, [phi], eps, EngineOptions(max_copies=k - 1))
+    assert isinstance(batch.outcomes[0], NonConvergenceError)
+    assert f"no outcome string can stop within {k - 1} copies" in str(batch.outcomes[0])
+    assert batch.angle_steps == 0
 
 
 def test_prescreen_keeps_vacuous_result_under_unbounded_width_limit(problem12):
@@ -384,9 +372,8 @@ def test_batch_with_uneven_runs_matches_batches_of_one():
 def test_batch_of_one_is_fixed_angle_cost(problem12):
     batch = fixed_angle_costs(problem12, [0.05], 1e-3)
     assert batch.outcomes == [fixed_angle_cost(problem12, 0.05, 1e-3)]
-    depths = []
-    fixed_angle_cost(problem12, 0.05, 1e-3, on_depth=lambda n, t, f: depths.append(n))
-    assert batch.angle_steps == len(depths)
+    records = _single_angle_reference(problem12, 0.05, 1e-3, EngineOptions())[3]
+    assert batch.angle_steps == len(records)
     assert batch.depth_iterations >= batch.angle_steps
 
 
@@ -395,12 +382,14 @@ def test_batch_validates_inputs_before_running(problem12):
         fixed_angle_costs(problem12, [0.3, 0.5], 0.6)
     with pytest.raises(ValueError, match="measurement angle"):
         fixed_angle_costs(problem12, [0.3, math.pi / 2], 0.1)
-    with pytest.raises(ValueError, match="batch of one"):
-        fixed_angle_costs(problem12, [0.3, 0.5], 0.1, on_depth=lambda *args: None)
 
 
 def _single_angle_reference(problem, phi, eps, opts):
-    """One angle advanced alone with np.correlate, the reference the batched engine matches."""
+    """One angle advanced alone with np.correlate, the reference the batched engine matches.
+
+    Returns the cost, the residual mass, the number of window trims and, per
+    depth n, the record (n, terminated mass, frontier and leaked mass).
+    """
     config = MeasurementConfig.for_problem(problem, phi)
     rule = StoppingRule(problem, phi, eps)
     q1, q2 = problem.q1, problem.q2
@@ -408,19 +397,25 @@ def _single_angle_reference(problem, phi, eps, opts):
     kernel1, kernel2 = np.array([a1, 1.0 - a1]), np.array([a2, 1.0 - a2])
     mass1, mass2 = np.array([1.0]), np.array([1.0])
     base, n = 0, 0
-    cost_accum = leaked = 0.0
+    cost_accum = terminated = leaked = 0.0
     trims = 0
+    records = []
     while n < opts.max_copies:
         n += 1
         new1 = np.correlate(mass1, kernel1, "full")
         new2 = np.correlate(mass2, kernel2, "full")
         weight = q1 * new1 + q2 * new2
-        lo, hi = rule.continuation(n, base, base + len(weight) - 1)
-        i0, i1 = lo - base, hi + 1 - base
-        cost_accum += n * float(np.concatenate((weight[:i0], weight[i1:])).sum())
+        m1 = base + np.arange(len(weight))
+        go = np.nonzero(~rule.stops(m1, n - m1))[0]
+        i0, i1 = (int(go[0]), int(go[-1]) + 1) if len(go) else (0, 0)
+        assert i1 - i0 == len(go)  # the states that continue form one run
+        stopped = float(np.concatenate((weight[:i0], weight[i1:])).sum())
+        cost_accum += n * stopped
+        terminated += stopped
         mass1, mass2, live = new1[i0:i1], new2[i0:i1], weight[i0:i1]
         base += i0
         frontier = float(live.sum())
+        records.append((n, terminated, frontier + leaked))
         if frontier + leaked <= opts.mass_tolerance:
             break
         cut = frontier * 1e-40
@@ -437,22 +432,29 @@ def _single_angle_reference(problem, phi, eps, opts):
         mass1, mass2 = mass1[k0:k1], mass2[k0:k1]
         base += k0
     residual = float(q1 * mass1.sum() + q2 * mass2.sum()) + leaked
-    return cost_accum, residual, trims
+    return cost_accum, residual, trims, records
 
 
-@pytest.mark.parametrize("theta,phi,eps", [
-    (math.pi / 8, 0.00079, 0.125),  # a wide frontier, trimmed every few depths
-    (math.pi / 12, 0.001, 0.125),
-    (math.pi / 12, 1.5697, 0.05),
-    (math.pi / 12, 0.05, 1e-3),
-    (math.pi / 12, math.pi / 12, 0.05),  # an infinite step: outcome 2 stops at once
+LOOP_OPTS = EngineOptions(max_copies=6_000, bound_width_limit=math.inf)
+
+
+@pytest.mark.parametrize("theta,phi,eps,opts", [
+    (math.pi / 8, 0.00079, 0.125, LOOP_OPTS),  # a wide frontier, trimmed every few depths
+    (math.pi / 12, 0.001, 0.125, LOOP_OPTS),
+    (math.pi / 12, 1.5697, 0.05, LOOP_OPTS),
+    (math.pi / 12, 0.05, 1e-3, LOOP_OPTS),
+    (math.pi / 12, math.pi / 12, 0.05, LOOP_OPTS),  # an infinite step: outcome 2 stops at once
+    # the angles of test_probability_conservation and test_monotone_residual
+    (math.pi / 12, 0.9, 0.179, TIGHT),
+    (math.pi / 12, 0.9, 0.1, TIGHT),
 ])
-def test_batch_matches_single_angle_loop(theta, phi, eps):
+def test_batch_matches_single_angle_loop(theta, phi, eps, opts):
     problem = DiscriminationProblem(theta=theta)
-    opts = EngineOptions(max_copies=6_000, bound_width_limit=math.inf)
-    cost, residual, trims = _single_angle_reference(problem, phi, eps, opts)
-    result = fixed_angle_costs(problem, [phi], eps, opts).outcomes[0]
+    cost, residual, trims, records = _single_angle_reference(problem, phi, eps, opts)
+    batch = fixed_angle_costs(problem, [phi], eps, opts)
+    result = batch.outcomes[0]
     assert (result.expected_copies, result.residual_mass) == (cost, residual)
+    assert batch.angle_steps == len(records)
     if phi < 0.01:
         assert trims > 0
 

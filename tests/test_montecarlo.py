@@ -193,12 +193,16 @@ def test_lockstep_matches_per_trial_reference(problem12, spec, eps, seed, offset
     assert report == _per_trial_reference(problem12, spec, eps, trials, seed)
 
 
-def test_lockstep_fallback_matches_per_trial_reference(problem12):
-    # FBM at eps = 1e-9 needs up to 72 copies, past the 63 of a table row
+@pytest.mark.parametrize("spec", [FBM, UBM])
+def test_lockstep_fallback_matches_per_trial_reference(problem12, spec):
+    # at eps = 1e-9 trials need more than the 63 copies of a table row; past
+    # their row FBM trials see only outcome 1, UBM trials both outcomes
     trials = _CHUNK_ROWS + 300
-    report = run_trials(problem12, FBM, 1e-9, trials, seed=7)
+    report = run_trials(problem12, spec, 1e-9, trials, seed=7)
     assert report.max_copies > 63
-    assert report == _per_trial_reference(problem12, FBM, 1e-9, trials, 7)
+    past_row = [label[63:] for label in report.per_string if len(label) > 63]
+    assert any("2" in tail for tail in past_row) == (spec is UBM)
+    assert report == _per_trial_reference(problem12, spec, 1e-9, trials, 7)
 
 
 def _loop_labels(ones, n):

@@ -14,7 +14,7 @@ from seqdisc import (
     ubm_cost,
 )
 from seqdisc import optimizer
-from seqdisc.engine import CostCapExceeded
+from seqdisc.engine import CostCapExceeded, fixed_angle_costs
 
 RES = 400  # coarse enough for fast tests, fine enough for stable minima
 
@@ -92,15 +92,8 @@ def test_refinement_soundness(problem12):
 
 def test_scan_counts_its_depths(problem12):
     scan = scan_angles(problem12, 0.179, 0.0, 1.2, 20)
-    depths = []
-    for phi, _ in scan.samples:
-        calls = []
-        try:
-            fixed_angle_cost(problem12, phi, 0.179, EngineOptions(max_copies=20_000),
-                             on_depth=lambda n, t, f: calls.append(n))
-        except NonConvergenceError:
-            pass
-        depths.append(len(calls))
+    opts = EngineOptions(max_copies=20_000)
+    depths = [fixed_angle_costs(problem12, [phi], 0.179, opts).angle_steps for phi, _ in scan.samples]
     assert scan.angle_steps == sum(depths)
     assert max(depths) <= scan.depth_iterations < sum(depths)
 

@@ -104,13 +104,19 @@ def test_batch_rule_decides_as_one_rule_per_angle(q1):
             math.pi / 2 - 1e-9]
     batch = StoppingRule(problem, phis, 0.05)
     assert batch.d1.shape == batch.rate.shape == (len(phis),)
-    for n in (1, 2, 7, 40, 200):
+    ns = np.array([1, 2, 7, 40, 200])
+    lo, hi = batch.runs(ns, np.arange(len(phis)))
+    for j, n in enumerate(ns):
         m1 = np.arange(n + 1)[:, None]
         stops = batch.stops(m1, n - m1)
         for k, phi in enumerate(phis):
             alone = StoppingRule(problem, phi, 0.05)
             assert stops[:, k].tolist() == alone.stops(m1[:, 0], n - m1[:, 0]).tolist()
-            assert batch.continuation(n, 0, n, k) == alone.continuation(n, 0, n)
+            inside = (m1[:, 0] >= lo[j, k]) & (m1[:, 0] <= hi[j, k])
+            assert inside.tolist() == (~stops[:, k]).tolist()
+    for k, phi in enumerate(phis):
+        alone_lo, alone_hi = StoppingRule(problem, [phi], 0.05).runs(ns, np.array([0]))
+        assert (alone_lo[:, 0].tolist(), alone_hi[:, 0].tolist()) == (lo[:, k].tolist(), hi[:, k].tolist())
 
 
 def test_rule_validates_eps_and_angles(problem12):

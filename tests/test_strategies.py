@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -135,6 +137,28 @@ def test_lol_cost_minimality(theta, eps):
     assert collective_error(p, n) <= eps + 1e-12
     if n > 1:
         assert collective_error(p, n - 1) > eps
+
+
+def _exact_collective_error(problem, n):
+    """(1 - sqrt(1 - 4 q1 q2 c^(2n))) / 2 in 60-digit decimal arithmetic, from the float inputs."""
+    with decimal.localcontext(decimal.Context(prec=60)):
+        x = 4 * Decimal(problem.q1) * Decimal(problem.q2) * Decimal(problem.overlap) ** (2 * n)
+        return (1 - (1 - x).sqrt()) / 2
+
+
+@pytest.mark.parametrize("theta,q1", [(math.pi / 16, 0.5), (math.pi / 12, 0.5), (math.pi / 12, 0.3),
+                                      (math.pi / 8, 0.1), (0.6, 0.5)])
+def test_lol_cost_is_exact_at_tiny_eps(theta, q1):
+    # 0.5 - 0.5 * sqrt(1 - x) cancels once x nears the double rounding of 1,
+    # which made lol_cost stop short of the bound below eps of about 1e-13
+    p = DiscriminationProblem(theta=theta, q1=q1)
+    for eps in [k * 10.0 ** -e for e in range(9, 20) for k in (1, 2, 5)]:
+        n = lol_cost(p, eps)
+        bound = Decimal(eps) * (1 + Decimal("1e-10"))
+        assert _exact_collective_error(p, n) <= bound, eps
+        assert _exact_collective_error(p, n - 1) > bound, eps
+    if (theta, q1) == (math.pi / 12, 0.5):
+        assert (lol_cost(p, 1e-17), lol_cost(p, 5e-17)) == (132, 126)
 
 
 def test_lol_next_angle(problem12):

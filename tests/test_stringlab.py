@@ -272,6 +272,10 @@ def _exactness_grid():
                 if eps == 0.08 and max_depth != 10 and (coverage, max_depth) != (0.998, 64):
                     continue
                 grid.append((problem, spec, eps, coverage, max_depth))
+    # the coverage cut falls after prefixes were cut off at max_depth, so the
+    # residual counts those that popped before the cut
+    grid += [(pi12, StrategySpec(StrategyKind.FIXED_ANGLE, phi=0.9), 0.179, 0.8, 3),
+             (pi12, StrategySpec(StrategyKind.FIXED_ANGLE, phi=0.5), 0.01, 0.5, 8)]
     return grid
 
 
