@@ -2,7 +2,8 @@
 
 Every command is a pure function of its parsed configuration; identical
 invocations produce byte-identical output files.  Exit codes: 0 success,
-2 usage or validation error, 3 numerical non-convergence, 4 I/O error.
+2 usage or validation error, 3 numerical non-convergence or a simulated trial
+past its copy cap, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 
 from .engine import NonConvergenceError
 from .model import DiscriminationProblem
-from .montecarlo import run_trials
+from .montecarlo import TrialLengthError, run_trials
 from .optimizer import optimize_angle, scan_angles
 from .stringlab import aggregate_by_length, enumerate_strings
 from .strategies import (
@@ -447,7 +448,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, json.JSONDecodeError) as exc:
         print(f"seqdisc: {exc}", file=sys.stderr)
         return 2
-    except NonConvergenceError as exc:
+    except (NonConvergenceError, TrialLengthError) as exc:
         print(f"seqdisc: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

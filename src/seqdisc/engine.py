@@ -380,7 +380,7 @@ def fixed_angle_costs(
 
         done = np.zeros(count, dtype=bool)
         for k in np.nonzero(ends)[0]:
-            i, j = rows[k], first[k]
+            i, j = rows[k], int(first[k])
             depth = int(ns[j, 0])
             start = origin[k] + lo_run[j + 1, k]
             run = slice(start, max(start, origin[k] + hi_run[j + 1, k] + 1))

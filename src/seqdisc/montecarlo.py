@@ -9,12 +9,14 @@ independent by construction.
 
 The tableau is drawn in chunks of a fixed number of rows from one generator,
 which reproduces the rows of a single draw, so memory does not grow with the
-trial count.  Within a chunk the fixed-angle trials advance in lockstep: the
-outcomes of every copy of every row at once, the running outcome-1 counts,
-the stop verdict of each count state from a VerdictTable, and the first stop
-of each row (sought among the first few copies of all rows, then to the end
-of the rows that have not stopped).  LOL trials, whose angle adapts, run one
-at a time on the rows.
+trial count.  Every trial of every strategy runs through one lockstep loop:
+the live rows of a chunk advance one block of copies at a time (the first
+few copies of every row, then the rest of the rows not stopped, then, 64
+trials at a time, blocks of their fallback streams).  A stepper per kind of
+strategy turns a block's uniforms into outcomes and stop verdicts:
+fixed-angle trials carry their outcome-1 counts, LOL trials their posterior
+belief, moved one copy at a time.  Finished trials are tallied by outcome
+string.
 """
 
 from __future__ import annotations
@@ -60,159 +62,150 @@ class MonteCarloReport:
     max_copies: int
 
 
-class _Uniforms:
-    """Sequential uniforms: a table row, then a spawned per-trial stream."""
+class _FixedAngle:
+    """Fixed-angle trials: each row of a chunk carries its outcome-1 count."""
 
-    __slots__ = ("_buf", "_i", "_seed", "_trial", "_ext")
+    def __init__(self, problem: DiscriminationProblem, strategy: StrategySpec, eps: float):
+        self.config = MeasurementConfig.for_problem(problem, strategy_angle(problem, strategy))
+        self.table = VerdictTable(problem, self.config, eps)  # its StoppingRule checks eps
 
-    def __init__(self, row: np.ndarray, seed: int, trial: int):
-        self._buf = row
-        self._i = 0
-        self._seed = seed
-        self._trial = trial
-        self._ext = None
+    def start(self, psi1: np.ndarray) -> None:
+        self.p1 = np.where(psi1, self.config.p1_given_psi1, self.config.p1_given_psi2)
+        self.m1 = np.zeros(len(psi1), np.int64)
 
-    def next(self) -> float:
-        if self._i == len(self._buf):
-            if self._ext is None:
-                self._ext = np.random.default_rng((self._seed, self._trial))
-            self._buf = self._ext.random(_REFILL)
-            self._i = 0
-        u = self._buf[self._i]
-        self._i += 1
-        return u
+    def step(self, live: np.ndarray, u: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
+        """The outcomes (True for 1) of rows `live` on the uniforms u of the copies after
+        `depth`, and the verdict after each copy: 0 to continue, else the guess."""
+        ones = u < self.p1[live, None]
+        m1 = self.m1[live, None] + np.cumsum(ones, axis=1)
+        self.m1[live] = m1[:, -1]
+        n = np.arange(depth + 1, depth + u.shape[1] + 1)
+        if n[-1] < _ROW:
+            self.table.reach(n[-1])
+            return ones, self.table.guess[self.table.index(n, m1)]
+        # past the row the rule decides, as the table grows with the square of
+        # the depth; a stopping state's log-odds lie far from 0, so their sign
+        # is the guess of the table's posterior
+        rule, m2 = self.table.rule, n - m1
+        stops = rule.stops(m1, m2)
+        verdicts = np.zeros(stops.shape, np.int8)
+        verdicts[stops] = np.where(rule._logit(m1[stops], m2[stops]) > 0.0, 2, 1)
+        return ones, verdicts
 
 
-def _fixed_angle_chunk(
-    problem: DiscriminationProblem,
-    config: MeasurementConfig,
-    table: VerdictTable,
-    rows: np.ndarray,
-    seed: int,
-    first: int,
-    per_string: dict[str, list[int]],
-) -> None:
-    """Runs the fixed-angle trials of table rows first, first + 1, ... in lockstep.
+class _Lol:
+    """LOL trials: each row of a chunk carries its posterior belief in psi1, moved one
+    copy at a time through the Helstrom measurement of the belief, built once per belief."""
 
-    Each trial's outcomes are decided for its whole row at once; its counts
-    after each copy index the verdict table, and it stops at the first
-    stopping state.  A trial that does not stop within its row continues one
-    copy at a time on its fallback stream.
-    """
-    psi1 = rows[:, 0] < problem.q1
-    p1 = np.where(psi1, config.p1_given_psi1, config.p1_given_psi2)
-    ones = rows[:, 1:] < p1[:, None]  # outcome 1 at each copy of the row
-    copies = ones.shape[1]
-    n, guess = _first_stops(table, ones)
-    done = np.flatnonzero(n)
-    wrong = guess[done] != np.where(psi1[done], 1, 2)
-    # one integer per outcome string: bit j for outcome 2 at copy j, and bit n
-    twos = ~ones[done] & (np.arange(copies) < n[done, None])
-    keys = np.packbits(twos, axis=1, bitorder="little").view("<u8").ravel()
-    keys |= np.uint64(1) << n[done].astype(np.uint64)
+    def __init__(self, problem: DiscriminationProblem, eps: float):
+        _check_eps(problem, eps)
+        self.problem, self.eps = problem, eps
+        self.measured: dict[float, tuple[float, float, float, float]] = {}
+
+    def start(self, psi1: np.ndarray) -> None:
+        self.psi1, self.belief = psi1, np.full(len(psi1), self.problem.q1)
+
+    def _probs(self, beliefs: np.ndarray) -> np.ndarray:
+        """The rows p1|psi1, p1|psi2, p2|psi1, p2|psi2 at each belief's measurement."""
+        distinct, inverse = np.unique(beliefs, return_inverse=True)
+        for b in distinct.tolist():
+            if b not in self.measured:
+                c = MeasurementConfig.for_problem(self.problem, lol_next_angle(self.problem, b))
+                self.measured[b] = (c.p1_given_psi1, c.p1_given_psi2,
+                                    c.p2_given_psi1, c.p2_given_psi2)
+        return np.array([self.measured[b] for b in distinct.tolist()])[inverse].T
+
+    def step(self, live: np.ndarray, u: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
+        """As _FixedAngle.step; a row does not move past its stop."""
+        ones = np.zeros(u.shape, bool)
+        verdicts = np.zeros(u.shape, np.int8)
+        belief, psi1 = self.belief[live], self.psi1[live]
+        at = np.arange(len(live))  # the rows not stopped yet
+        for k in range(u.shape[1]):
+            if not len(at):
+                break
+            p11, p12, p21, p22 = self._probs(belief[at])
+            ones[at, k] = one = u[at, k] < np.where(psi1[at], p11, p12)
+            num, den, b = np.where(one, p11, p21), np.where(one, p12, p22), belief[at]
+            evidence = b * num + (1.0 - b) * den
+            belief[at] = b = b * num / evidence
+            stop = meets_error_bound(np.minimum(b, 1.0 - b), self.eps)
+            verdicts[at[stop], k] = np.where(b[stop] >= 0.5, 1, 2)
+            at = at[~stop]
+        self.belief[live] = belief
+        return ones, verdicts
+
+
+def _tally(per_string: dict[str, list[int]], ones: np.ndarray, n: np.ndarray,
+           wrong: np.ndarray) -> None:
+    """Adds finished trials to the tally: outcome strings the rows of `ones` cut at n."""
+    width = ones.shape[1]
+    words = width // 64 + 1  # room for bit n <= width
+    # one key per outcome string: bit j for outcome 2 at copy j, and bit n
+    bits = np.zeros((len(n), 64 * words), bool)
+    bits[:, :width] = ~ones & (np.arange(width) < n[:, None])
+    bits[np.arange(len(n)), n] = True
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    keys = packed.view("<u8" if words == 1 else np.dtype((np.void, 8 * words))).ravel()
     _, where, inverse = np.unique(keys, return_index=True, return_inverse=True)
     counts = np.bincount(inverse, minlength=len(where))
     errors = np.bincount(inverse[wrong], minlength=len(where))
-    for label, count, errs in zip(_labels(ones[done[where]], n[done[where]]), counts.tolist(),
-                                  errors.tolist()):
-        _count(per_string, label, count, errs)
-    for j in np.flatnonzero(n == 0).tolist():
-        label, guess_j = _fixed_angle_fallback(
-            table, p1[j], _Uniforms(rows[j, copies + 1:], seed, first + j),
-            _labels(ones[j:j + 1], [copies])[0],
-        )
-        _count(per_string, label, 1, int(guess_j != (1 if psi1[j] else 2)))
+    labels = outcome_labels(~ones[where], n[where]).astype(str).tolist()
+    for label, count, errs in zip(labels, counts.tolist(), errors.tolist()):
+        tally = per_string.setdefault(label, [0, 0])
+        tally[0] += count
+        tally[1] += errs
 
 
-def _first_stops(table: VerdictTable, ones: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(copies used, guess) of each row at its first stopping state; (0, 0) if none."""
-    n = np.zeros(len(ones), np.int64)
-    guess = np.zeros(len(ones), np.int8)
-    live = np.arange(len(ones))
-    # most trials stop within a few copies, so a short prefix of the row is
-    # tried first, and only the rows not stopped in it are run to the end
-    for width in (min(_FIRST_COPIES, ones.shape[1]), ones.shape[1]):
-        table.reach(width)
-        depth = np.arange(1, width + 1)
-        verdicts = table.guess[table.index(depth, np.cumsum(ones[live, :width], axis=1))]
-        stops = verdicts != 0
-        at = stops.argmax(axis=1)
-        hit = stops[np.arange(len(live)), at]
-        n[live[hit]] = at[hit] + 1
-        guess[live[hit]] = verdicts[hit, at[hit]]
-        live = live[~hit]
-    return n, guess
+def _step(stepper: _FixedAngle | _Lol, live: np.ndarray, u: np.ndarray, depth: int,
+          blocks: list[tuple[np.ndarray, np.ndarray]], psi1: np.ndarray,
+          per_string: dict[str, list[int]]) -> np.ndarray:
+    """Advances rows `live` over the uniforms u, tallies those that stop; returns the rest.
+
+    `blocks` holds the (rows kept, outcomes) of the blocks stepped so far; a row's
+    outcomes are joined only when it stops.
+    """
+    ones, verdicts = stepper.step(live, u, depth)
+    blocks.append((live, ones))
+    stops = verdicts != 0
+    at = stops.argmax(axis=1)
+    hit = stops[np.arange(len(live)), at]
+    # copies each row needs at least: its stop, or one past the block
+    if np.where(hit, depth + at + 1, depth + u.shape[1] + 1).max(initial=0) > TRIAL_COPY_CAP:
+        raise TrialLengthError(f"trial exceeded {TRIAL_COPY_CAP} copies without reaching the bound")
+    done = live[hit]
+    if len(done):
+        history = np.concatenate([outcomes[np.searchsorted(kept, done)]
+                                  for kept, outcomes in blocks], axis=1)
+        guess = verdicts[hit, at[hit]]
+        _tally(per_string, history, depth + at[hit] + 1, guess != np.where(psi1[done], 1, 2))
+    return live[~hit]
 
 
-def _labels(ones: np.ndarray, n) -> list[str]:
-    """The outcome strings of the rows of `ones`, each cut at its length in `n`."""
-    return outcome_labels(~ones, n).astype(str).tolist()
+def _run_chunk(problem: DiscriminationProblem, stepper: _FixedAngle | _Lol, rows: np.ndarray,
+               seed: int, first: int, per_string: dict[str, list[int]]) -> None:
+    """Runs the trials of table rows first, first + 1, ... in lockstep.
 
-
-def _fixed_angle_fallback(
-    table: VerdictTable,
-    p1: float,
-    u: _Uniforms,
-    outcomes: str,
-) -> tuple[str, int]:
-    """Continues a fixed-angle trial that outlived its row; returns (outcome string, guess)."""
-    m1 = outcomes.count("1")
-    m2 = len(outcomes) - m1
-    chars = list(outcomes)
-    while True:
-        if u.next() < p1:
-            m1 += 1
-            chars.append("1")
-        else:
-            m2 += 1
-            chars.append("2")
-        guess, _ = table.verdict(m1, m2)
-        if guess:
-            return "".join(chars), guess
-        if len(chars) >= TRIAL_COPY_CAP:
-            raise TrialLengthError(
-                f"trial exceeded {TRIAL_COPY_CAP} copies without reaching the bound"
-            )
-
-
-def _count(per_string: dict[str, list[int]], label: str, count: int, errors: int) -> None:
-    tally = per_string.get(label)
-    if tally is None:
-        tally = per_string[label] = [0, 0]
-    tally[0] += count
-    tally[1] += errors
-
-
-def _lol_trial(
-    problem: DiscriminationProblem,
-    eps: float,
-    u: _Uniforms,
-    angle_cache: dict[float, MeasurementConfig],
-) -> tuple[int, str, int]:
-    """One adaptive run: Helstrom angle recomputed from the posterior each copy."""
-    true_state = 1 if u.next() < problem.q1 else 2
-    belief = problem.q1  # posterior of psi1, updated exactly each copy
-    outcomes = []
-    while True:
-        config = angle_cache.get(belief)
-        if config is None:
-            config = MeasurementConfig.for_problem(problem, lol_next_angle(problem, belief))
-            angle_cache[belief] = config
-        p1 = config.p1_given_psi1 if true_state == 1 else config.p1_given_psi2
-        if u.next() < p1:
-            outcomes.append("1")
-            num, den = config.p1_given_psi1, config.p1_given_psi2
-        else:
-            outcomes.append("2")
-            num, den = config.p2_given_psi1, config.p2_given_psi2
-        evidence = belief * num + (1.0 - belief) * den
-        belief = belief * num / evidence
-        if meets_error_bound(min(belief, 1.0 - belief), eps):
-            return true_state, "".join(outcomes), (1 if belief >= 0.5 else 2)
-        if len(outcomes) >= TRIAL_COPY_CAP:
-            raise TrialLengthError(
-                f"trial exceeded {TRIAL_COPY_CAP} copies without reaching the bound"
-            )
+    The live rows advance one block of copies at a time: the first
+    _FIRST_COPIES copies of the row, then the rest of it, then, _ROW trials at
+    a time, blocks of _REFILL uniforms from each trial's fallback stream.
+    """
+    psi1 = rows[:, 0] < problem.q1
+    stepper.start(psi1)
+    blocks: list[tuple[np.ndarray, np.ndarray]] = []
+    live = np.arange(len(rows))
+    live = _step(stepper, live, rows[:, 1:_FIRST_COPIES + 1], 0, blocks, psi1, per_string)
+    live = _step(stepper, live, rows[live, _FIRST_COPIES + 1:], _FIRST_COPIES, blocks, psi1,
+                 per_string)
+    for start in range(0, len(live), _ROW):
+        group = live[start:start + _ROW]
+        streams = {j: np.random.default_rng((seed, first + j)) for j in group.tolist()}
+        group_blocks = blocks.copy()
+        depth = _ROW - 1
+        while len(group):
+            u = np.stack([streams[j].random(_REFILL) for j in group.tolist()])
+            group = _step(stepper, group, u, depth, group_blocks, psi1, per_string)
+            depth += _REFILL
 
 
 def run_trials(
@@ -225,26 +218,17 @@ def run_trials(
     """Simulate independent discrimination runs and aggregate their statistics."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    adaptive = strategy.kind is StrategyKind.LOL
-    if adaptive:
-        _check_eps(problem, eps)
+    if strategy.kind is StrategyKind.LOL:
+        stepper = _Lol(problem, eps)
     else:
-        config = MeasurementConfig.for_problem(problem, strategy_angle(problem, strategy))
-        table = VerdictTable(problem, config, eps)  # its StoppingRule checks eps
-    angle_cache: dict[float, MeasurementConfig] = {}
+        stepper = _FixedAngle(problem, strategy, eps)
 
     rng = np.random.default_rng(seed)
     per_string: dict[str, list[int]] = {}
     for first in range(0, trials, _CHUNK_ROWS):
         # consecutive draws from one generator continue one table row by row
         rows = rng.random((min(_CHUNK_ROWS, trials - first), _ROW))
-        if not adaptive:
-            _fixed_angle_chunk(problem, config, table, rows, seed, first, per_string)
-            continue
-        for j, row in enumerate(rows):
-            true_state, label, guess = _lol_trial(problem, eps, _Uniforms(row, seed, first + j),
-                                                  angle_cache)
-            _count(per_string, label, 1, int(guess != true_state))
+        _run_chunk(problem, stepper, rows, seed, first, per_string)
 
     total = total_sq = errors = 0
     for label, (count, errs) in per_string.items():

@@ -281,7 +281,9 @@ class VerdictTable:
     stops comes from the StoppingRule `rule`, one call per row, and the guess
     and its error from `posterior` (posterior_from_counts unless a caller
     passes an instrumented copy), called once per state.  Depth 0, before any
-    copy, never stops.
+    copy, never stops.  The string lab reads whole rows; the simulator indexes
+    `guess` by count state within the 63 copies of a trial's table row and asks
+    `rule` past them, where the table would grow with the square of the depth.
     """
 
     def __init__(
@@ -298,13 +300,6 @@ class VerdictTable:
         self.depth = 0
         self.guess = np.zeros(1, dtype=np.int8)
         self.error = np.zeros(1)
-
-    def verdict(self, m1: int, m2: int) -> tuple[int, float]:
-        """(guess, true error) of one state; guess 0 means the state continues."""
-        state = self._posterior(self._problem, self._config, m1, m2)
-        if not self.rule.stops(m1, m2):
-            return 0, 0.0
-        return _guess(state)
 
     def reach(self, depth: int) -> None:
         """Fill every row up to `depth`."""

@@ -4,6 +4,7 @@ import math
 import pytest
 
 import seqdisc.cli
+import seqdisc.montecarlo
 from seqdisc import (
     DiscriminationProblem,
     StrategyKind,
@@ -97,6 +98,16 @@ def test_angle_scan_exits_3_when_no_angle_converges(tmp_path, capsys):
                   "--resolution", "2")
     assert code == 3
     assert "no grid point converged over the scan range" in capsys.readouterr().err
+
+
+def test_simulate_exits_3_when_a_trial_passes_the_copy_cap(tmp_path, capsys, monkeypatch):
+    # at eps = 1e-9 the longest of these 4,396 FBM trials takes 73 copies
+    monkeypatch.setattr(seqdisc.montecarlo, "TRIAL_COPY_CAP", 72)
+    code, out = run(tmp_path, "sim.json", "simulate", "--theta", repr(math.pi / 12),
+                    "--epsilon", "1e-9", "--strategy", "fbm", "--trials", "4396", "--seed", "7")
+    assert code == 3
+    assert "seqdisc: trial exceeded 72 copies without reaching the bound" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cost_curve_refines_from_an_anchor_when_no_grid_point_converges(tmp_path):

@@ -1,10 +1,13 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import seqdisc.montecarlo
 from seqdisc import (
+    DiscriminationProblem,
     MeasurementConfig,
     MonteCarloReport,
     StrategyKind,
@@ -12,17 +15,22 @@ from seqdisc import (
     empirical_string_errors,
     enumerate_strings,
     lol_cost,
+    lol_next_angle,
     run_trials,
     strategy_angle,
     ubm_cost,
 )
 from seqdisc.cli import main
-from seqdisc.montecarlo import _CHUNK_ROWS, _lol_trial, _Uniforms
-from seqdisc.posterior import _log_ratio
+from seqdisc.montecarlo import _CHUNK_ROWS, _REFILL, TRIAL_COPY_CAP, TrialLengthError
+from seqdisc.posterior import _log_ratio, meets_error_bound
 
 UBM = StrategySpec(StrategyKind.UBM)
 FBM = StrategySpec(StrategyKind.FBM)
 LOL = StrategySpec(StrategyKind.LOL)
+
+# theta = 0.05, q1 = 0.3, eps = 0.01: every LOL run takes lol_cost = 305
+# copies, all but 63 of them past its table row
+SLOW_LOL = DiscriminationProblem(theta=0.05, q1=0.3)
 
 TRIALS = 20_000
 # the reference trial's own slack on the error bound
@@ -112,6 +120,61 @@ def test_empirical_string_errors_sorted(problem12):
     assert all(count > 0 for count, _ in report.per_string.values())
 
 
+class _Uniforms:
+    """Sequential uniforms: a table row, then a spawned per-trial stream."""
+
+    __slots__ = ("_buf", "_i", "_seed", "_trial", "_ext")
+
+    def __init__(self, row: np.ndarray, seed: int, trial: int):
+        self._buf = row
+        self._i = 0
+        self._seed = seed
+        self._trial = trial
+        self._ext = None
+
+    def next(self) -> float:
+        if self._i == len(self._buf):
+            if self._ext is None:
+                self._ext = np.random.default_rng((self._seed, self._trial))
+            self._buf = self._ext.random(_REFILL)
+            self._i = 0
+        u = self._buf[self._i]
+        self._i += 1
+        return u
+
+
+def _lol_trial(
+    problem: DiscriminationProblem,
+    eps: float,
+    u: _Uniforms,
+    angle_cache: dict[float, MeasurementConfig],
+) -> tuple[int, str, int]:
+    """One adaptive run: Helstrom angle recomputed from the posterior each copy."""
+    true_state = 1 if u.next() < problem.q1 else 2
+    belief = problem.q1  # posterior of psi1, updated exactly each copy
+    outcomes = []
+    while True:
+        config = angle_cache.get(belief)
+        if config is None:
+            config = MeasurementConfig.for_problem(problem, lol_next_angle(problem, belief))
+            angle_cache[belief] = config
+        p1 = config.p1_given_psi1 if true_state == 1 else config.p1_given_psi2
+        if u.next() < p1:
+            outcomes.append("1")
+            num, den = config.p1_given_psi1, config.p1_given_psi2
+        else:
+            outcomes.append("2")
+            num, den = config.p2_given_psi1, config.p2_given_psi2
+        evidence = belief * num + (1.0 - belief) * den
+        belief = belief * num / evidence
+        if meets_error_bound(min(belief, 1.0 - belief), eps):
+            return true_state, "".join(outcomes), (1 if belief >= 0.5 else 2)
+        if len(outcomes) >= TRIAL_COPY_CAP:
+            raise TrialLengthError(
+                f"trial exceeded {TRIAL_COPY_CAP} copies without reaching the bound"
+            )
+
+
 def _fixed_angle_reference_trial(problem, config, eps, u):
     """One fixed-angle trial, every copy stepped in Python with the stopping test inline."""
     true_state = 1 if u.next() < problem.q1 else 2
@@ -193,30 +256,64 @@ def test_lockstep_matches_per_trial_reference(problem12, spec, eps, seed, offset
     assert report == _per_trial_reference(problem12, spec, eps, trials, seed)
 
 
-@pytest.mark.parametrize("spec", [FBM, UBM])
-def test_lockstep_fallback_matches_per_trial_reference(problem12, spec):
+@pytest.mark.parametrize("problem,spec,eps,trials,seed,twos_past_row", [
     # at eps = 1e-9 trials need more than the 63 copies of a table row; past
     # their row FBM trials see only outcome 1, UBM trials both outcomes
-    trials = _CHUNK_ROWS + 300
-    report = run_trials(problem12, spec, 1e-9, trials, seed=7)
+    (DiscriminationProblem(theta=math.pi / 12), FBM, 1e-9, _CHUNK_ROWS + 300, 7, False),
+    (DiscriminationProblem(theta=math.pi / 12), UBM, 1e-9, _CHUNK_ROWS + 300, 7, True),
+    (SLOW_LOL, LOL, 0.01, 300, 3, True),
+], ids=["fbm", "ubm", "lol"])
+def test_lockstep_fallback_matches_per_trial_reference(problem, spec, eps, trials, seed,
+                                                       twos_past_row):
+    report = run_trials(problem, spec, eps, trials, seed)
     assert report.max_copies > 63
     past_row = [label[63:] for label in report.per_string if len(label) > 63]
-    assert any("2" in tail for tail in past_row) == (spec is UBM)
-    assert report == _per_trial_reference(problem12, spec, 1e-9, trials, 7)
+    assert any("2" in tail for tail in past_row) == twos_past_row
+    assert report == _per_trial_reference(problem, spec, eps, trials, seed)
 
 
-def _loop_labels(ones, n):
-    """The outcome strings of the rows of `ones`, one outcome at a time."""
-    return ["".join("1" if one else "2" for one in row[:k])
-            for row, k in zip(ones.tolist(), np.asarray(n).tolist())]
+@pytest.mark.parametrize("problem,spec,eps,trials,seed,max_copies", [
+    (DiscriminationProblem(theta=math.pi / 12), FBM, 1e-9, 4396, 7, 73),
+    (SLOW_LOL, LOL, 0.01, 300, 3, 305),
+], ids=["fbm", "lol"])
+def test_copy_cap_is_exact(monkeypatch, problem, spec, eps, trials, seed, max_copies):
+    # a trial may stop at the cap's own copy, and must not run past it
+    monkeypatch.setattr(seqdisc.montecarlo, "TRIAL_COPY_CAP", max_copies)
+    assert run_trials(problem, spec, eps, trials, seed).max_copies == max_copies
+    monkeypatch.setattr(seqdisc.montecarlo, "TRIAL_COPY_CAP", max_copies - 1)
+    with pytest.raises(TrialLengthError, match=f"exceeded {max_copies - 1} copies"):
+        run_trials(problem, spec, eps, trials, seed)
 
 
-@pytest.mark.parametrize("strategy", ["ubm", "fixed:0.6"])
+def test_trials_past_their_row_hold_bounded_memory(problem12, monkeypatch):
+    # at phi = 0 no trial ever stops; the trials past their row advance a
+    # _ROW-trial group at a time, so what is held stays at most 64 x cap
+    monkeypatch.setattr(seqdisc.montecarlo, "TRIAL_COPY_CAP", 20_000)
+    spec = StrategySpec(StrategyKind.FIXED_ANGLE, phi=0.0)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(TrialLengthError):
+            run_trials(problem12, spec, 0.179, _CHUNK_ROWS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert time.perf_counter() - start < 10.0
+
+
+def _loop_labels(twos, n):
+    """The outcome strings of the rows of `twos`, one outcome at a time."""
+    return np.array(["".join("2" if two else "1" for two in row[:k]).encode()
+                     for row, k in zip(twos.tolist(), np.asarray(n).tolist())])
+
+
+@pytest.mark.parametrize("strategy", ["ubm", "fixed:0.6", "lol"])
 def test_simulate_json_matches_loop_labels(tmp_path, monkeypatch, strategy):
     argv = ["simulate", "--theta", repr(math.pi / 12), "--epsilon", "0.074", "--strategy",
             strategy, "--trials", str(TRIALS), "--seed", "7", "--format", "json", "-o"]
     assert main([*argv, str(tmp_path / "bulk.json")]) == 0
-    monkeypatch.setattr(seqdisc.montecarlo, "_labels", _loop_labels)
+    monkeypatch.setattr(seqdisc.montecarlo, "outcome_labels", _loop_labels)
     assert main([*argv, str(tmp_path / "loop.json")]) == 0
     assert (tmp_path / "bulk.json").read_bytes() == (tmp_path / "loop.json").read_bytes()
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -96,6 +97,10 @@ def test_scan_counts_its_depths(problem12):
     depths = [fixed_angle_costs(problem12, [phi], 0.179, opts).angle_steps for phi, _ in scan.samples]
     assert scan.angle_steps == sum(depths)
     assert max(depths) <= scan.depth_iterations < sum(depths)
+    # plain ints, so the counts serialize as JSON
+    counts = [scan.angle_steps, scan.depth_iterations, *depths]
+    assert all(type(c) is int for c in counts)
+    assert json.loads(json.dumps(counts)) == counts
 
 
 class _sequential_reference:
