@@ -30,8 +30,10 @@ def show(title, spec, aggregate=False, top=12):
             print(f"{agg.n:7d} {agg.total_prob:10.6f} {agg.mean_error:11.6f}")
         return
     print(f"{'string':>10} {'P':>10} {'error':>9}  guess")
-    for s in strings[:top]:
-        print(f"{s.label:>10} {s.prob:10.6f} {s.true_error:9.6f}  {s.guess}")
+    rows = zip(strings.labels[:top].astype(str).tolist(), strings.prob[:top].tolist(),
+               strings.true_error[:top].tolist(), strings.guess[:top].tolist())
+    for label, prob, error, guess in rows:
+        print(f"{label:>10} {prob:10.6f} {error:9.6f}  {guess}")
 
 
 show("fully biased (phi = theta)", StrategySpec(StrategyKind.FBM))

@@ -29,7 +29,6 @@ from .posterior import (
 from .stringlab import (
     LengthAggregate,
     StringSet,
-    TerminationString,
     aggregate_by_length,
     cost_from_strings,
     enumerate_strings,
@@ -55,9 +54,9 @@ __all__ = [
     "run_trials", "AngleScan", "optimize_angle", "scan_angles", "LikelihoodSteps",
     "PosteriorState", "StoppingRule", "log_likelihood_steps", "meets_error_bound",
     "posterior_error", "posterior_from_counts", "LengthAggregate", "StringSet",
-    "TerminationString", "aggregate_by_length", "cost_from_strings", "enumerate_strings",
-    "CostResult", "StrategyKind", "StrategySpec", "WalkSpec", "fbm_cost", "fbm_threshold",
-    "lol_cost", "lol_next_angle", "strategy_angle", "ubm_boundary", "ubm_cost",
+    "aggregate_by_length", "cost_from_strings", "enumerate_strings", "CostResult",
+    "StrategyKind", "StrategySpec", "WalkSpec", "fbm_cost", "fbm_threshold", "lol_cost",
+    "lol_next_angle", "strategy_angle", "ubm_boundary", "ubm_cost",
 ]
 
 __version__ = "0.1.0"

@@ -77,6 +77,18 @@ def _rows_to_json(header: list[str], rows) -> list[dict]:
     return [dict(zip(header, row)) for row in rows]
 
 
+def _write_rows(run: _Run, header: list[str], rows, svg=None) -> None:
+    """Writes `rows` as CSV or JSON, or `svg` = (series, xlabel, ylabel) as SVG if given."""
+    if run.fmt == "csv":
+        _write_csv(run.output, header, rows)
+    elif run.fmt == "json":
+        _write_json(run.output, _rows_to_json(header, rows))
+    elif svg is None:
+        raise ValueError(f"{run.command} supports csv or json output")
+    else:
+        _write_svg(run.output, *svg)
+
+
 def _write_svg(path: str, series: list[tuple[str, list[tuple[float, float]]]],
                xlabel: str, ylabel: str) -> None:
     """Minimal self-contained scatter/line plot; one polyline per series."""
@@ -268,12 +280,7 @@ def _cmd_angle_scan(run: _Run) -> None:
                              result.residual_mass, result.bound_width, ""])
                 pts.append((phi, result.expected_copies))
         series.append((f"theta={theta:.4f}", pts))
-    if run.fmt == "csv":
-        _write_csv(run.output, header, rows)
-    elif run.fmt == "json":
-        _write_json(run.output, _rows_to_json(header, rows))
-    else:
-        _write_svg(run.output, series, "measurement angle phi (rad)", "expected copies")
+    _write_rows(run, header, rows, (series, "measurement angle phi (rad)", "expected copies"))
 
 
 def _cmd_cost_curve(run: _Run) -> None:
@@ -295,14 +302,9 @@ def _cmd_cost_curve(run: _Run) -> None:
             gof.expected_copies,
             phi_opt,
         ])
-    if run.fmt == "csv":
-        _write_csv(run.output, header, rows)
-    elif run.fmt == "json":
-        _write_json(run.output, _rows_to_json(header, rows))
-    else:
-        series = [(name, [(r[1], r[idx]) for r in rows])
-                  for name, idx in (("FBM", 2), ("UBM", 3), ("LOL", 4), ("GOF", 5))]
-        _write_svg(run.output, series, "-ln(epsilon)", "expected copies")
+    series = [(name, [(r[1], r[idx]) for r in rows])
+              for name, idx in (("FBM", 2), ("UBM", 3), ("LOL", 4), ("GOF", 5))]
+    _write_rows(run, header, rows, (series, "-ln(epsilon)", "expected copies"))
 
 
 def _cmd_strings(run: _Run) -> None:
@@ -357,9 +359,10 @@ def _string_rows(strings, aggregate: bool):
                for a in aggregate_by_length(strings)]
         return
     for start in range(0, len(strings), _CHUNK_ROWS):
-        part = strings[start:start + _CHUNK_ROWS]
-        yield list(zip(part.labels.astype(str).tolist(), part.n.tolist(), part.prob.tolist(),
-                       part.true_error.tolist(), part.guess.tolist()))
+        part = slice(start, start + _CHUNK_ROWS)
+        yield list(zip(strings.labels[part].astype(str).tolist(), strings.n[part].tolist(),
+                       strings.prob[part].tolist(), strings.true_error[part].tolist(),
+                       strings.guess[part].tolist()))
 
 
 def _cmd_optimize(run: _Run) -> None:
@@ -372,12 +375,7 @@ def _cmd_optimize(run: _Run) -> None:
         for eps in run.epsilons:
             phi_opt, result = optimize_angle(problem, eps, resolution=resolution)
             rows.append([theta, eps, phi_opt, result.expected_copies, result.bound_width])
-    if run.fmt == "csv":
-        _write_csv(run.output, header, rows)
-    elif run.fmt == "json":
-        _write_json(run.output, _rows_to_json(header, rows))
-    else:
-        raise ValueError("optimize supports csv or json output")
+    _write_rows(run, header, rows)
 
 
 def _cmd_simulate(run: _Run) -> None:

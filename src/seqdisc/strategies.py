@@ -88,7 +88,6 @@ class WalkSpec:
 
     p_up: float
     boundary: int
-    start: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.p_up < 1.0:

@@ -10,13 +10,13 @@ advanced one depth at a time, above a probability threshold that falls in
 rounds until the emitted strings reach the coverage target.  Whether a prefix
 stops depends only on its outcome counts, so each count state is tested once,
 through a VerdictTable, whatever the number of prefixes that reach it.
+The strings come back as a StringSet, one numpy column per field and no
+object per string; aggregate_by_length and cost_from_strings read the columns.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .posterior import VerdictTable, posterior_from_counts
 from .strategies import CostResult, StrategyKind, StrategySpec, strategy_angle
 
 __all__ = [
-    "TerminationString",
     "StringSet",
     "LengthAggregate",
     "enumerate_strings",
@@ -42,44 +41,13 @@ _FIRST_THRESHOLD = 2.0 ** -10
 _THRESHOLD_STEP = 0.5
 
 
-@dataclass(frozen=True)
-class TerminationString:
-    """A successful outcome string with its probabilities and true error."""
+class StringSet:
+    """Termination strings in emission order, as seven read-only columns of equal length.
 
-    outcomes: tuple[int, ...]
-    prob: float
-    prob_given_psi1: float
-    prob_given_psi2: float
-    true_error: float
-    guess: int
-
-    @property
-    def n(self) -> int:
-        return len(self.outcomes)
-
-    @cached_property
-    def label(self) -> str:
-        """The outcomes as text, such as "121"."""
-        return "".join(map(str, self.outcomes))
-
-
-_OUTCOMES = bytes.maketrans(b"12", b"\x01\x02")  # label byte -> outcome
-
-
-def _string(label: bytes, prob, prob_given_psi1, prob_given_psi2, true_error, guess):
-    """One row of a StringSet as a TerminationString, its label already decoded."""
-    string = TerminationString(tuple(label.translate(_OUTCOMES)), prob, prob_given_psi1,
-                               prob_given_psi2, true_error, guess)
-    string.__dict__["label"] = label.decode("ascii")  # where cached_property keeps it
-    return string
-
-
-class StringSet(Sequence):
-    """Termination strings in emission order, held as read-only columns.
-
-    labels holds the outcome strings as ASCII bytes (b"121"); the others are
-    numpy columns.  Indexing with an integer and iterating build
-    TerminationString objects one at a time; a slice is a StringSet of views.
+    labels holds the outcome strings as ASCII bytes (b"121"); prob,
+    prob_given_psi1, prob_given_psi2, true_error, guess and n are numpy
+    columns.  The record has no item access and no ==: callers read, slice
+    and compare the columns.
     """
 
     __slots__ = ("labels", "prob", "prob_given_psi1", "prob_given_psi2", "true_error", "guess",
@@ -100,14 +68,6 @@ class StringSet(Sequence):
 
     def __len__(self) -> int:
         return len(self.n)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return StringSet(*(getattr(self, name)[index] for name in self.__slots__))
-        return _string(*(getattr(self, name)[index].item() for name in self.__slots__[:-1]))
-
-    def __iter__(self):
-        return map(_string, *(getattr(self, name).tolist() for name in self.__slots__[:-1]))
 
 
 @dataclass(frozen=True)
@@ -354,20 +314,22 @@ def _string_set(emitted: list[tuple]) -> StringSet:
     return StringSet(outcome_labels(twos, n), prob, c1, c2, error, guess, n)
 
 
-def aggregate_by_length(strings: Sequence[TerminationString]) -> list[LengthAggregate]:
-    """Combine strings of equal length: summed probability, probability-weighted error."""
-    by_n: dict[int, tuple[float, float]] = {}
-    for s in strings:
-        total, weighted = by_n.get(s.n, (0.0, 0.0))
-        by_n[s.n] = (total + s.prob, weighted + s.prob * s.true_error)
+def aggregate_by_length(strings: StringSet) -> list[LengthAggregate]:
+    """Combine strings of equal length: summed probability, probability-weighted error.
+
+    Both sums add the strings in emission order.
+    """
+    lengths, index = np.unique(strings.n, return_inverse=True)
+    total = np.bincount(index, strings.prob, len(lengths))
+    weighted = np.bincount(index, strings.prob * strings.true_error, len(lengths))
     return [
-        LengthAggregate(n=n, total_prob=total, mean_error=weighted / total if total else 0.0)
-        for n, (total, weighted) in sorted(by_n.items())
+        LengthAggregate(n=n, total_prob=t, mean_error=w / t if t else 0.0)
+        for n, t, w in zip(lengths.tolist(), total.tolist(), weighted.tolist())
     ]
 
 
 def cost_from_strings(
-    strings: Sequence[TerminationString],
+    strings: StringSet,
     residual: float,
     max_depth: int,
     tail_bound: float = 0.0,
@@ -378,7 +340,7 @@ def cost_from_strings(
     engine's worst-case tail bound to tighten the upper end beyond
     residual * max_depth.
     """
-    cost = sum(s.n * s.prob for s in strings)
+    cost = sum((strings.n * strings.prob).tolist())
     if residual <= 0.0:
         return CostResult(expected_copies=cost, exact=True)
     return CostResult(

@@ -72,7 +72,7 @@ def test_acceptance_03_ubm_semianalytic(problem12, capsys):
     cost = ubm_cost(problem12, 0.179).expected_copies
     strings, _ = enumerate_strings(problem12, UBM, 0.179, coverage_target=1.0,
                                    max_depth=20)
-    errors_ok = all(abs(s.true_error - 0.1) <= 1e-12 for s in strings)
+    errors_ok = bool((abs(strings.true_error - 0.1) <= 1e-12).all())
     ok = walk.boundary == 2 and abs(cost - 3.2) <= 1e-12 and errors_ok
     _report(capsys, 3, "symmetric-walk strategy", ok,
             f"K = {walk.boundary}, cost = {cost!r}, per-string error 0.1: {errors_ok}")
@@ -83,7 +83,7 @@ def test_acceptance_04_fbm_closed_form(problem12, capsys):
     cost = fbm_cost(problem12, 0.179).expected_copies
     strings, _ = enumerate_strings(problem12, FBM, 0.179, coverage_target=1.0,
                                    max_depth=64)
-    labels = {s.label for s in strings}
+    labels = set(strings.labels.astype(str).tolist())
     ok = n_t == 6 and abs(cost - 4.6441) <= 5e-4 and labels == PAPER_FBM_SET
     _report(capsys, 4, "biased-strategy closed form", ok,
             f"threshold = {n_t}, cost = {cost:.6f}, string set match: "
@@ -94,13 +94,12 @@ def test_acceptance_05_string_sets(problem12, capsys):
     phi_opt, _ = _gof(problem12, 0.179)
     spec = StrategySpec(StrategyKind.FIXED_ANGLE, phi=phi_opt)
     gof_strings, _ = enumerate_strings(problem12, spec, 0.179)
-    top8 = gof_strings[:8]
-    gof_cum = sum(s.prob for s in top8)
-    gof_ok = {s.label for s in top8} == PAPER_GOF_SET and gof_cum >= 0.997
+    gof_cum = sum(gof_strings.prob[:8].tolist())
+    gof_ok = set(gof_strings.labels[:8].astype(str).tolist()) == PAPER_GOF_SET and gof_cum >= 0.997
 
     ubm_strings, _ = enumerate_strings(problem12, UBM, 0.179, coverage_target=1.0,
                                        max_depth=10)
-    ubm_cum = sum(s.prob for s in ubm_strings)
+    ubm_cum = sum(ubm_strings.prob.tolist())
     ubm_ok = ubm_cum >= 0.99
     _report(capsys, 5, "termination-string sets", gof_ok and ubm_ok,
             f"optimized top-8 cum = {gof_cum:.5f} (set match {gof_ok}), "
@@ -150,8 +149,8 @@ def test_acceptance_07_conservation_prefix_free(capsys):
         p = DiscriminationProblem(theta=theta)
         strings, residual = enumerate_strings(p, spec, eps, coverage_target=1.0,
                                               max_depth=24)
-        worst_gap = max(worst_gap, abs(sum(s.prob for s in strings) + residual - 1.0))
-        labels = sorted(s.label for s in strings)
+        worst_gap = max(worst_gap, abs(sum(strings.prob.tolist()) + residual - 1.0))
+        labels = sorted(strings.labels.astype(str).tolist())
         for a, b in zip(labels, labels[1:]):
             if b.startswith(a):
                 prefix_free = False
@@ -165,8 +164,8 @@ def test_acceptance_08_per_string_error_bound(capsys):
     for spec, theta, eps in _ENUM_CONFIGS:
         p = DiscriminationProblem(theta=theta)
         strings, _ = enumerate_strings(p, spec, eps, coverage_target=1.0, max_depth=24)
-        for s in strings:
-            worst_excess = max(worst_excess, s.true_error - eps)
+        for error in strings.true_error.tolist():
+            worst_excess = max(worst_excess, error - eps)
     ok = worst_excess <= 1e-9
     _report(capsys, 8, "per-string error bound", ok,
             f"max(true_error - eps) = {worst_excess:.3e}")

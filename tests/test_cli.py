@@ -159,7 +159,7 @@ def _fmt(x) -> str:
 
 
 def _reference_strings(theta, q1, eps, names, max_depth, fmt, aggregate) -> bytes:
-    """`strings` output rendered row by row from TerminationString objects."""
+    """`strings` output rendered row by row, through `_fmt`, from the string set's columns."""
     problem = DiscriminationProblem(theta=theta, q1=q1)
     header = ["strategy", "string", "n", "prob", "true_error", "guess"]
     rows = []
@@ -172,13 +172,15 @@ def _reference_strings(theta, q1, eps, names, max_depth, fmt, aggregate) -> byte
         else:
             spec = StrategySpec(StrategyKind[name.upper()])
         strings, _ = enumerate_strings(problem, spec, eps, 0.998, max_depth)
+        labels = strings.labels.astype(str).tolist()
+        ns, probs, errors = strings.n.tolist(), strings.prob.tolist(), strings.true_error.tolist()
         if not aggregate:
-            rows += [[name, s.label, s.n, s.prob, s.true_error, s.guess] for s in strings]
+            rows += [[name, *row] for row in zip(labels, ns, probs, errors, strings.guess.tolist())]
             continue
         by_n = {}
-        for s in strings:
-            total, weighted = by_n.get(s.n, (0.0, 0.0))
-            by_n[s.n] = (total + s.prob, weighted + s.prob * s.true_error)
+        for n, prob, error in zip(ns, probs, errors):
+            total, weighted = by_n.get(n, (0.0, 0.0))
+            by_n[n] = (total + prob, weighted + prob * error)
         for n, (total, weighted) in sorted(by_n.items()):
             rows.append([name, f"len={n}", n, total, weighted / total if total else 0.0, ""])
     if fmt == "csv":

@@ -75,7 +75,7 @@ def test_lol_is_deterministic_in_length(problem12):
 def test_fbm_string_frequencies_match_enumeration(problem12):
     report = run_trials(problem12, FBM, 0.179, TRIALS, seed=1)
     strings, _ = enumerate_strings(problem12, FBM, 0.179, coverage_target=1.0, max_depth=64)
-    expected = {s.label: s.prob for s in strings}
+    expected = dict(zip(strings.labels.astype(str).tolist(), strings.prob.tolist()))
     assert set(report.per_string) <= set(expected)
     for label, prob in expected.items():
         count = report.per_string.get(label, (0, 0))[0]
@@ -87,7 +87,7 @@ def test_per_string_errors_within_wilson_interval(problem12):
     # observed conditional error vs the enumerated true error, 99% Wilson band
     report = run_trials(problem12, UBM, 0.179, TRIALS, seed=2)
     strings, _ = enumerate_strings(problem12, UBM, 0.179, coverage_target=1.0, max_depth=20)
-    expected = {s.label: s.true_error for s in strings}
+    expected = dict(zip(strings.labels.astype(str).tolist(), strings.true_error.tolist()))
     z = 2.5758
     checked = 0
     for label, observed_err, _ in empirical_string_errors(report):

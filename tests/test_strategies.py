@@ -80,7 +80,6 @@ def test_ubm_boundary_examples(problem12):
     walk = ubm_boundary(problem12, 0.179)
     assert walk.p_up == pytest.approx(0.75, abs=1e-12)
     assert walk.boundary == 2
-    assert walk.start == 0
     # the error at K=2 is exactly 0.1: inclusive comparison keeps K=2 at eps=0.1
     assert ubm_boundary(problem12, 0.1).boundary == 2
     assert ubm_boundary(problem12, 0.099).boundary == 3

@@ -23,10 +23,42 @@ from seqdisc import (
     ubm_cost,
 )
 from seqdisc.engine import worst_case_tail
-from seqdisc.stringlab import StringSet, TerminationString, outcome_labels
+from seqdisc.stringlab import LengthAggregate, StringSet, outcome_labels
 
 FBM = StrategySpec(StrategyKind.FBM)
 UBM = StrategySpec(StrategyKind.UBM)
+COLUMNS = ("labels", "prob", "prob_given_psi1", "prob_given_psi2", "true_error", "guess", "n")
+
+
+def _labels(strings) -> list[str]:
+    return strings.labels.astype(str).tolist()
+
+
+def _subset(strings, index) -> StringSet:
+    """The strings at `index` (a slice or mask), as a StringSet."""
+    return StringSet(*(getattr(strings, name)[index] for name in COLUMNS))
+
+
+def _columns(strings) -> list[list]:
+    return [getattr(strings, name).tolist() for name in COLUMNS]
+
+
+def _aggregate_loop(strings) -> list[LengthAggregate]:
+    """aggregate_by_length as a loop over the strings, one at a time in emission order."""
+    by_n: dict[int, tuple[float, float]] = {}
+    for n, prob, error in zip(strings.n.tolist(), strings.prob.tolist(),
+                              strings.true_error.tolist()):
+        total, weighted = by_n.get(n, (0.0, 0.0))
+        by_n[n] = (total + prob, weighted + prob * error)
+    return [
+        LengthAggregate(n=n, total_prob=total, mean_error=weighted / total if total else 0.0)
+        for n, (total, weighted) in sorted(by_n.items())
+    ]
+
+
+def _cost_loop(strings):
+    """cost_from_strings' sum of n * P(X_n) as a loop over the strings."""
+    return sum(n * prob for n, prob in zip(strings.n.tolist(), strings.prob.tolist()))
 
 PAPER_FBM_SET = {"2", "12", "112", "1112", "11112", "111112", "111111"}
 PAPER_GOF_SET = {"2", "11", "122", "1212", "12111", "121122", "1211212", "12112111"}
@@ -35,13 +67,13 @@ PAPER_GOF_SET = {"2", "11", "122", "1212", "12111", "121122", "1211212", "121121
 def test_fbm_string_set(problem12):
     strings, residual = enumerate_strings(problem12, FBM, 0.179,
                                           coverage_target=1.0, max_depth=64)
-    assert {s.label for s in strings} == PAPER_FBM_SET
+    assert set(_labels(strings)) == PAPER_FBM_SET
     assert residual == pytest.approx(0.0, abs=1e-15)
-    by_label = {s.label: s for s in strings}
+    row = {label: i for i, label in enumerate(_labels(strings))}
     for label in PAPER_FBM_SET - {"111111"}:
-        assert by_label[label].true_error == 0.0
-        assert by_label[label].guess == 2
-    assert by_label["111111"].guess == 1
+        assert strings.true_error[row[label]] == 0.0
+        assert strings.guess[row[label]] == 2
+    assert strings.guess[row["111111"]] == 1
 
 
 def test_ubm_aggregates(problem12):
@@ -59,16 +91,15 @@ def test_gof_string_set(problem12, gof_179):
     phi_opt, _ = gof_179
     spec = StrategySpec(StrategyKind.FIXED_ANGLE, phi=phi_opt)
     strings, _ = enumerate_strings(problem12, spec, 0.179)
-    top8 = strings[:8]
-    assert {s.label for s in top8} == PAPER_GOF_SET
-    assert sum(s.prob for s in top8) >= 0.997
+    assert set(_labels(strings)[:8]) == PAPER_GOF_SET
+    assert sum(strings.prob[:8].tolist()) >= 0.997
 
 
 def test_descending_probability_order(problem12, gof_179):
     phi_opt, _ = gof_179
     spec = StrategySpec(StrategyKind.FIXED_ANGLE, phi=phi_opt)
     strings, _ = enumerate_strings(problem12, spec, 0.179)
-    probs = [s.prob for s in strings]
+    probs = strings.prob.tolist()
     assert all(a >= b for a, b in zip(probs, probs[1:]))
 
 
@@ -83,14 +114,13 @@ def test_conservation_and_prefix_freeness(spec, theta, eps):
     p = DiscriminationProblem(theta=theta)
     # depth kept moderate: exhaustive coverage grows the live prefix set geometrically
     strings, residual = enumerate_strings(p, spec, eps, coverage_target=1.0, max_depth=24)
-    total = sum(s.prob for s in strings)
+    total = sum(strings.prob.tolist())
     assert total + residual == pytest.approx(1.0, abs=1e-12)
-    labels = sorted(s.label for s in strings)
+    labels = sorted(_labels(strings))
     for a, b in zip(labels, labels[1:]):
         assert not b.startswith(a)
     # every emitted string respects the bound
-    for s in strings:
-        assert s.true_error <= eps + 1e-9
+    assert (strings.true_error <= eps + 1e-9).all()
 
 
 @pytest.mark.parametrize("spec,eps", [(FBM, 0.179), (UBM, 0.1),
@@ -98,10 +128,10 @@ def test_conservation_and_prefix_freeness(spec, theta, eps):
 def test_bayes_identity(problem12, spec, eps):
     # e(X) from the terminal posterior equals q_wrong * P(X|wrong) / P(X)
     strings, _ = enumerate_strings(problem12, spec, eps, coverage_target=0.999, max_depth=24)
-    for s in strings:
-        wrong_prob = s.prob_given_psi2 if s.guess == 1 else s.prob_given_psi1
-        q_wrong = problem12.q2 if s.guess == 1 else problem12.q1
-        assert s.true_error == pytest.approx(q_wrong * wrong_prob / s.prob, abs=1e-12)
+    for prob, pg1, pg2, error, guess in zip(*_columns(strings)[1:6]):
+        wrong_prob = pg2 if guess == 1 else pg1
+        q_wrong = problem12.q2 if guess == 1 else problem12.q1
+        assert error == pytest.approx(q_wrong * wrong_prob / prob, abs=1e-12)
 
 
 def test_lol_rejected(problem12):
@@ -110,54 +140,68 @@ def test_lol_rejected(problem12):
 
 
 def test_aggregate_edge_cases(problem12):
-    assert aggregate_by_length([]) == []
     strings, _ = enumerate_strings(problem12, FBM, 0.179, coverage_target=1.0, max_depth=64)
-    one = [s for s in strings if s.label == "2"]
+    assert aggregate_by_length(_subset(strings, slice(0, 0))) == []
+    one = _subset(strings, strings.labels == b"2")
     aggs = aggregate_by_length(one)
-    assert len(aggs) == 1
+    assert len(one) == len(aggs) == 1
     assert aggs[0].n == 1
-    assert aggs[0].total_prob == one[0].prob
-    assert aggs[0].mean_error == one[0].true_error
+    assert aggs[0].total_prob == one.prob[0]
+    assert aggs[0].mean_error == one.true_error[0]
 
 
-def test_string_set_behaves_as_a_list_of_its_items(problem12):
+def test_string_set_is_read_only_columns(problem12):
     strings, _ = enumerate_strings(problem12, UBM, 0.179, coverage_target=1.0, max_depth=10)
     assert isinstance(strings, StringSet)
-    items = list(strings)
-    assert len(strings) == len(items) > 8
-    for i in (0, 5, len(items) - 1, -1, -3, -len(items)):
-        assert strings[i] == items[i]
-        assert strings[i].label == items[i].label == "".join(map(str, items[i].outcomes))
-    for cut in (slice(None, 8), slice(3, -2), slice(-5, None), slice(None, None, -3),
-                slice(5, 5), slice(len(items) + 3, None)):
-        part = strings[cut]
-        assert isinstance(part, StringSet)
-        assert len(part) == len(items[cut])
-        assert list(part) == items[cut]
-        assert [part[i] for i in range(len(part))] == items[cut]
-    for i in (len(items), -len(items) - 1):
-        with pytest.raises(IndexError):
-            strings[i]
-    assert list(reversed(strings)) == items[::-1]
-    assert strings.index(items[4]) == 4 and items[4] in strings
-    assert strings.n.tolist() == [s.n for s in items]
-    assert aggregate_by_length(strings) == aggregate_by_length(items)
+    assert len(strings) > 8
+    assert all(len(column) == len(strings) for column in _columns(strings))
+    assert strings.n.tolist() == [len(label) for label in _labels(strings)]
+    assert aggregate_by_length(strings) == _aggregate_loop(strings)
     # both sum in emission order, left to right
-    assert cost_from_strings(strings, 0.0, 10).expected_copies == sum(s.n * s.prob for s in items)
+    assert cost_from_strings(strings, 0.0, 10).expected_copies == _cost_loop(strings)
     with pytest.raises(ValueError):
         strings.prob[0] = 1.0
     with pytest.raises(AttributeError):
         strings.prob = strings.prob[:1]
 
 
+# fig4's three sets, the benchmark's large UBM set, a fixed angle, and (at one copy) none
+_AGGREGATE_CASES = [
+    ("fig4-fbm", FBM, 0.179, 64),
+    ("fig4-ubm", UBM, 0.179, 64),
+    ("fig4-gof", None, 0.179, 64),
+    ("ubm-0.074", UBM, 0.074, 64),
+    ("fixed:0.7", StrategySpec(StrategyKind.FIXED_ANGLE, phi=0.7), 0.15, 64),
+    ("empty", UBM, 0.01, 1),
+]
+
+
+@pytest.mark.parametrize("name,spec,eps,max_depth", _AGGREGATE_CASES,
+                         ids=[case[0] for case in _AGGREGATE_CASES])
+def test_column_aggregates_match_the_loops_bit_for_bit(problem12, gof_179, name, spec, eps,
+                                                       max_depth):
+    if spec is None:
+        spec = StrategySpec(StrategyKind.FIXED_ANGLE, phi=gof_179[0])
+    strings, residual = enumerate_strings(problem12, spec, eps, max_depth=max_depth)
+    assert (len(strings) == 0) == (name == "empty")
+    aggs, expected = aggregate_by_length(strings), _aggregate_loop(strings)
+    assert aggs == expected
+    assert [(a.n, a.total_prob.hex(), a.mean_error.hex()) for a in aggs] == \
+        [(a.n, a.total_prob.hex(), a.mean_error.hex()) for a in expected]
+    cost = cost_from_strings(strings, residual, max_depth).expected_copies
+    assert cost == _cost_loop(strings)
+    assert float(cost).hex() == float(_cost_loop(strings)).hex()
+
+
 def test_string_set_survives_copy_and_pickle(problem12):
     strings, _ = enumerate_strings(problem12, UBM, 0.179, coverage_target=1.0, max_depth=10)
-    items = list(strings)
-    for twin, expected in ((copy.copy(strings), items), (copy.deepcopy(strings), items),
-                           (pickle.loads(pickle.dumps(strings)), items),
-                           (pickle.loads(pickle.dumps(strings[2:7])), items[2:7])):
+    columns = _columns(strings)
+    part = [column[2:7] for column in columns]
+    for twin, expected in ((copy.copy(strings), columns), (copy.deepcopy(strings), columns),
+                           (pickle.loads(pickle.dumps(strings)), columns),
+                           (pickle.loads(pickle.dumps(_subset(strings, slice(2, 7)))), part)):
         assert isinstance(twin, StringSet)
-        assert list(twin) == expected
+        assert _columns(twin) == expected
         assert not twin.prob.flags.writeable
         with pytest.raises(AttributeError):
             twin.prob = twin.prob[:1]
@@ -166,7 +210,7 @@ def test_string_set_survives_copy_and_pickle(problem12):
 def test_empty_string_set(problem12):
     # UBM's single copy errs with probability about 0.37: nothing stops at depth 1
     strings, residual = enumerate_strings(problem12, UBM, 0.01, max_depth=1)
-    assert len(strings) == 0 and list(strings) == [] and residual == 1.0
+    assert len(strings) == 0 and _columns(strings) == [[]] * len(COLUMNS) and residual == 1.0
     assert aggregate_by_length(strings) == []
     assert cost_from_strings(strings, residual, 1).expected_copies == 0.0
 
@@ -203,8 +247,9 @@ def test_cost_from_strings_ubm_enclosure(problem12):
     assert oracle < result.expected_copies + result.bound_width
 
 
-def test_single_certain_string():
-    result = cost_from_strings([], 0.0, 5)
+def test_single_certain_string(problem12):
+    strings, _ = enumerate_strings(problem12, UBM, 0.01, max_depth=1)
+    result = cost_from_strings(strings, 0.0, 5)
     assert result.expected_copies == 0.0
 
 
@@ -212,40 +257,42 @@ def _heap_reference(problem, strategy, eps, coverage_target, max_depth):
     """The best-first heap enumerator that the depth-wise frontier replaced."""
     config = MeasurementConfig.for_problem(problem, strategy_angle(problem, strategy))
     q1, q2 = problem.q1, problem.q2
-    heap = [(-1.0, (), 0, 0, 1.0, 1.0)]
-    emitted = []
+    # (outcome, likelihood under psi1, likelihood under psi2, count increments)
+    steps = [(b"1", config.likelihood(1, 1), config.likelihood(1, 2), 1, 0),
+             (b"2", config.likelihood(2, 1), config.likelihood(2, 2), 0, 1)]
+    verdicts = {}  # (m1, m2) -> (guess, true error), guess 0 while the posterior goes on
+    # outcomes as ASCII bytes (b"121"), which order as the outcome tuples do
+    heap = [(-1.0, b"", 0, 0, 1.0, 1.0)]
+    emitted = []  # (label, prob, prob_given_psi1, prob_given_psi2, true_error, guess)
     covered = 0.0
     dropped = 0.0
     while heap and covered < coverage_target:
         neg_prob, outcomes, m1, m2, pg1, pg2 = heapq.heappop(heap)
         n = len(outcomes)
         if n > 0:
-            state = posterior_from_counts(problem, config, m1, m2)
-            if meets_error_bound(posterior_error(state), eps):
-                guess = 1 if state.p1 >= 0.5 else 2
-                emitted.append(TerminationString(
-                    outcomes=outcomes, prob=-neg_prob, prob_given_psi1=pg1, prob_given_psi2=pg2,
-                    true_error=(1.0 - state.p1) if guess == 1 else state.p1, guess=guess,
-                ))
+            verdict = verdicts.get((m1, m2))
+            if verdict is None:
+                state = posterior_from_counts(problem, config, m1, m2)
+                guess = 0
+                if meets_error_bound(posterior_error(state), eps):
+                    guess = 1 if state.p1 >= 0.5 else 2
+                verdict = verdicts[m1, m2] = (guess, (1.0 - state.p1) if guess == 1 else state.p1)
+            guess, error = verdict
+            if guess:
+                emitted.append((outcomes, -neg_prob, pg1, pg2, error, guess))
                 covered += -neg_prob
                 continue
             if n >= max_depth:
                 dropped += -neg_prob
                 continue
-        for d in (1, 2):
-            c1 = pg1 * config.likelihood(d, 1)
-            c2 = pg2 * config.likelihood(d, 2)
+        for outcome, lik1, lik2, dm1, dm2 in steps:
+            c1 = pg1 * lik1
+            c2 = pg2 * lik2
             prob = q1 * c1 + q2 * c2
             if prob == 0.0:
                 continue
-            k1, k2 = (m1 + 1, m2) if d == 1 else (m1, m2 + 1)
-            heapq.heappush(heap, (-prob, outcomes + (d,), k1, k2, c1, c2))
+            heapq.heappush(heap, (-prob, outcomes + outcome, m1 + dm1, m2 + dm2, c1, c2))
     return emitted, dropped + sum(-entry[0] for entry in heap)
-
-
-def _bits(s):
-    return (s.outcomes, s.prob.hex(), s.prob_given_psi1.hex(), s.prob_given_psi2.hex(),
-            s.true_error.hex(), s.guess)
 
 
 def _exactness_grid():
@@ -283,10 +330,17 @@ def _exactness_grid():
 def test_frontier_matches_heap_reference(problem, spec, eps, coverage, max_depth):
     strings, residual = enumerate_strings(problem, spec, eps, coverage, max_depth)
     expected, expected_residual = _heap_reference(problem, spec, eps, coverage, max_depth)
-    assert [_bits(s) for s in strings] == [_bits(s) for s in expected]
+    labels, *floats, guess = zip(*expected) if expected else [()] * 6
+    assert strings.labels.tolist() == list(labels)
+    # the floats bit for bit
+    for name, column in zip(COLUMNS[1:5], floats):
+        assert np.array_equal(getattr(strings, name).view(np.uint64),
+                              np.array(column, dtype=np.float64).view(np.uint64)), name
+    assert strings.guess.tolist() == list(guess)
+    assert strings.n.tolist() == [len(label) for label in labels]
     assert residual == pytest.approx(expected_residual, abs=1e-14)
     if eps == 1e-9 and max_depth == 70:
-        assert max(s.n for s in strings) == 70
+        assert strings.n.max() == 70
 
 
 def test_string_lab_tabulates_through_its_posterior_attribute(problem12, monkeypatch):
