@@ -29,6 +29,9 @@ FBM = StrategySpec(StrategyKind.FBM)
 UBM = StrategySpec(StrategyKind.UBM)
 COLUMNS = ("labels", "prob", "prob_given_psi1", "prob_given_psi2", "true_error", "guess", "n")
 
+PAPER_FBM_SET = {"2", "12", "112", "1112", "11112", "111112", "111111"}
+PAPER_GOF_SET = {"2", "11", "122", "1212", "12111", "121122", "1211212", "12112111"}
+
 
 def _labels(strings) -> list[str]:
     return strings.labels.astype(str).tolist()
@@ -59,9 +62,6 @@ def _aggregate_loop(strings) -> list[LengthAggregate]:
 def _cost_loop(strings):
     """cost_from_strings' sum of n * P(X_n) as a loop over the strings."""
     return sum(n * prob for n, prob in zip(strings.n.tolist(), strings.prob.tolist()))
-
-PAPER_FBM_SET = {"2", "12", "112", "1112", "11112", "111112", "111111"}
-PAPER_GOF_SET = {"2", "11", "122", "1212", "12111", "121122", "1211212", "12112111"}
 
 
 def test_fbm_string_set(problem12):
