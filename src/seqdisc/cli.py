@@ -13,6 +13,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .engine import NonConvergenceError
 from .model import DiscriminationProblem
 from .montecarlo import TrialLengthError, run_trials
@@ -78,15 +80,19 @@ def _rows_to_json(header: list[str], rows) -> list[dict]:
 
 
 def _write_rows(run: _Run, header: list[str], rows, svg=None) -> None:
-    """Writes `rows` as CSV or JSON, or `svg` = (series, xlabel, ylabel) as SVG if given."""
+    """Writes `rows` as CSV or JSON, or `svg` = (series, xlabel, ylabel) as SVG."""
     if run.fmt == "csv":
         _write_csv(run.output, header, rows)
     elif run.fmt == "json":
         _write_json(run.output, _rows_to_json(header, rows))
-    elif svg is None:
-        raise ValueError(f"{run.command} supports csv or json output")
     else:
         _write_svg(run.output, *svg)
+
+
+def _check_text_format(run: _Run) -> None:
+    """Rejects SVG output for a command that writes only tables, before any work."""
+    if run.fmt not in ("csv", "json"):
+        raise ValueError(f"{run.command} supports csv or json output")
 
 
 def _write_svg(path: str, series: list[tuple[str, list[tuple[float, float]]]],
@@ -308,6 +314,7 @@ def _cmd_cost_curve(run: _Run) -> None:
 
 
 def _cmd_strings(run: _Run) -> None:
+    _check_text_format(run)
     problem = run.problem
     eps = run.epsilons
     if len(eps) != 1:
@@ -333,39 +340,51 @@ def _cmd_strings(run: _Run) -> None:
         with open(run.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
             for name, strings in results:
-                for rows in _string_rows(strings, aggregate):
+                for rows in _string_rows(strings, aggregate, text=True):
                     # one f-string per row, laid out as _write_csv lays it out
-                    fh.write("".join([f"{name},{s},{k},{p:.17g},{e:.17g},{g}\n"
-                                      for s, k, p, e, g in rows]))
-    elif run.fmt == "json":
+                    fh.write("".join([f"{name},{s},{k},{p},{e},{g}\n" for s, k, p, e, g in rows]))
+    else:
         _write_json(run.output, _rows_to_json(header, (
             (name, *row) for name, strings in results
             for rows in _string_rows(strings, aggregate) for row in rows)))
-    else:
-        raise ValueError("strings supports csv or json output")
 
 
 # rows formatted per write, so the text held at once stays a few hundred KiB
 _CHUNK_ROWS = 4096
 
 
-def _string_rows(strings, aggregate: bool):
+def _string_rows(strings, aggregate: bool, text: bool = False):
     """Lists of (label, n, prob, true_error, guess) rows of `strings`, a chunk at a time.
 
     With `aggregate`, one row per length, labelled "len=<n>", with an empty guess.
+    With `text`, prob and true_error come as their CSV text.
     """
     if aggregate:
-        yield [(f"len={a.n}", a.n, a.total_prob, a.mean_error, "")
-               for a in aggregate_by_length(strings)]
+        rows = [(f"len={a.n}", a.n, a.total_prob, a.mean_error, "")
+                for a in aggregate_by_length(strings)]
+        yield [(s, k, _fmt(p), _fmt(e), g) for s, k, p, e, g in rows] if text else rows
         return
+    prob, error = strings.prob, strings.true_error
+    if text:
+        prob, error = _float_texts(prob), _float_texts(error)
     for start in range(0, len(strings), _CHUNK_ROWS):
         part = slice(start, start + _CHUNK_ROWS)
         yield list(zip(strings.labels[part].astype(str).tolist(), strings.n[part].tolist(),
-                       strings.prob[part].tolist(), strings.true_error[part].tolist(),
-                       strings.guess[part].tolist()))
+                       prob[part].tolist(), error[part].tolist(), strings.guess[part].tolist()))
+
+
+def _float_texts(column: np.ndarray) -> np.ndarray:
+    """The CSV text of each value of a float column, as an object array.
+
+    A set of strings holds few distinct probabilities and errors, so each
+    distinct value (by its bits) is formatted once.
+    """
+    values, index = np.unique(column.view(np.uint64), return_inverse=True)
+    return np.array([_fmt(x) for x in values.view(np.float64).tolist()], dtype=object)[index]
 
 
 def _cmd_optimize(run: _Run) -> None:
+    _check_text_format(run)
     q1 = run.get("q1", 0.5)
     resolution = run.get("resolution", 2000)
     header = ["theta", "epsilon", "phi_opt", "cost", "bound_width"]
@@ -379,6 +398,8 @@ def _cmd_optimize(run: _Run) -> None:
 
 
 def _cmd_simulate(run: _Run) -> None:
+    if run.fmt == "svg" and len(run.epsilons) < 2:
+        raise ValueError("svg output needs an --epsilon-range")
     problem = run.problem
     trials = run.get("trials", 100_000)
     seed = run.get("seed", 0)
@@ -423,8 +444,6 @@ def _cmd_simulate(run: _Run) -> None:
                 rows.append([eps, label, count, errs, errs / count, count / r.trials])
         _write_csv(run.output, header, rows)
     else:
-        if len(reports) < 2:
-            raise ValueError("svg output needs an --epsilon-range")
         pts = [(-math.log(eps), r.mean_copies) for eps, r in reports]
         _write_svg(run.output, [(name, pts)], "-ln(epsilon)", "mean copies")
 

@@ -7,9 +7,12 @@ a lexicographic tie-break, exactly as a best-first expansion of prefixes would
 emit them.  The prefixes are held as a frontier of numpy arrays (conditional
 probabilities, outcome-1 count, outcomes packed into uint64 words) and
 advanced one depth at a time, above a probability threshold that falls in
-rounds until the emitted strings reach the coverage target.  Whether a prefix
-stops depends only on its outcome counts, so each count state is tested once,
-through a VerdictTable, whatever the number of prefixes that reach it.
+rounds until the emitted strings reach the coverage target.  The frontier of
+a depth is a list of parts, each split, classified and extended on its own,
+so that the working memory stays a small multiple of the prefixes held.
+Whether a prefix stops depends only on its outcome counts, so each count
+state is tested once, through a VerdictTable, whatever the number of
+prefixes that reach it.
 The strings come back as a StringSet, one numpy column per field and no
 object per string; aggregate_by_length and cost_from_strings read the columns.
 """
@@ -39,6 +42,8 @@ _WORD_BITS = 64  # outcomes packed per code word
 # found do not reach the coverage target, the threshold falls by this step
 _FIRST_THRESHOLD = 2.0 ** -10
 _THRESHOLD_STEP = 0.5
+# runs of smaller parts of the frontier are joined into one part
+_PART_ROWS = 1 << 16
 
 
 class StringSet:
@@ -82,41 +87,55 @@ class LengthAggregate:
 class _Prefixes:
     """Outcome prefixes of one length n, as parallel arrays.
 
-    c1 and c2 are the prefix's probabilities under psi1 and psi2, prob their
-    prior-weighted sum, parent the prob of the prefix one outcome shorter.
+    c1 and c2 are the prefix's probabilities under psi1 and psi2 and m1 its
+    count of outcome 1, in the smallest unsigned type that holds max_depth.
     code packs the outcomes first to last, from the top bit of each uint64
     word down, outcome 2 as a set bit: comparing the words in order compares
     the outcome tuples, except that a prefix and its extensions by outcome 1
-    share a code and differ only in n.
+    share a code and differ only in n.  The prefix's probability q1 * c1 +
+    q2 * c2 is held in prob only while the prefix is in a round, not while it
+    waits for one.  parent, the prob of the prefix one outcome shorter, is
+    read only by the residual, and only for the prefixes created in the
+    current round: a part of prefixes carried into the round has parent None,
+    and a joined part gives them parent inf, which pops first.
     """
 
-    __slots__ = ("n", "c1", "c2", "prob", "parent", "m1", "code")
+    __slots__ = ("n", "c1", "c2", "m1", "code", "prob", "parent")
 
-    def __init__(self, n, c1, c2, prob, parent, m1, code):
+    def __init__(self, n, c1, c2, m1, code, prob=None, parent=None):
         self.n = n
         self.c1 = c1
         self.c2 = c2
-        self.prob = prob
-        self.parent = parent
         self.m1 = m1
         self.code = code
+        self.prob = prob
+        self.parent = parent
 
     def __len__(self) -> int:
-        return len(self.prob)
+        return len(self.c1)
 
     def take(self, mask) -> "_Prefixes":
-        return _Prefixes(self.n, self.c1[mask], self.c2[mask], self.prob[mask],
-                         self.parent[mask], self.m1[mask], self.code[mask])
+        return _Prefixes(self.n, self.c1[mask], self.c2[mask], self.m1[mask], self.code[mask],
+                         self.prob[mask], None if self.parent is None else self.parent[mask])
+
+    def lean(self) -> "_Prefixes":
+        """The same prefixes without prob and parent, as they wait for a later round."""
+        return _Prefixes(self.n, self.c1, self.c2, self.m1, self.code)
 
     @staticmethod
     def join(parts: list["_Prefixes"]) -> "_Prefixes":
         if len(parts) == 1:
             return parts[0]
-        return _Prefixes(parts[0].n, *(np.concatenate([getattr(p, f) for p in parts])
-                                       for f in _Prefixes.__slots__[1:]))
+        joined = _Prefixes(parts[0].n, *(np.concatenate(cols) for cols in zip(*(
+            (part.c1, part.c2, part.m1, part.code, part.prob) for part in parts))))
+        if any(part.parent is not None for part in parts):
+            joined.parent = np.concatenate([np.full(len(part), np.inf) if part.parent is None
+                                            else part.parent for part in parts])
+        return joined
 
-    def extend(self, config: MeasurementConfig, q1: float, q2: float) -> "_Prefixes":
-        """Both one-outcome extensions of every prefix, less those of probability 0."""
+    def extend(self, config: MeasurementConfig, q1: float, q2: float) -> list["_Prefixes"]:
+        """Both one-outcome extensions of every prefix, as up to two parts whose
+        parent is this prob, less those of probability 0."""
         n = self.n
         parts = []
         for d in (1, 2):
@@ -127,10 +146,42 @@ class _Prefixes:
                 m1, code = self.m1 + 1, self.code
             else:
                 m1, code = self.m1, _with_bit(self.code, n, True)
-            parts.append(_Prefixes(n + 1, c1, c2, prob, self.prob, m1, code))
-        children = _Prefixes.join(parts)
-        possible = children.prob != 0.0
-        return children if possible.all() else children.take(possible)
+            child = _Prefixes(n + 1, c1, c2, m1, code, prob, self.prob)
+            parts.append(child if prob.all() else child.take(prob != 0.0))
+        return [part for part in parts if len(part)]
+
+
+def _packed(parts: list[_Prefixes]) -> list[_Prefixes]:
+    """The parts taken out of list `parts`, each run of parts under _PART_ROWS
+    rows joined into one as soon as the run reaches _PART_ROWS rows.
+
+    The number of parts stays at most rows / _PART_ROWS + 1, and no joined
+    copy holds 2 * _PART_ROWS rows.
+    """
+    packed, run, rows = [], [], 0
+    while parts:
+        part = parts.pop()
+        if len(part) >= _PART_ROWS:
+            packed.append(part)
+            continue
+        run.append(part)
+        rows += len(part)
+        if rows >= _PART_ROWS:
+            packed.append(_Prefixes.join(run))
+            run, rows = [], 0
+    if run:
+        packed.append(_Prefixes.join(run))
+    return packed
+
+
+def _split(part: _Prefixes, mask: np.ndarray) -> tuple[_Prefixes | None, _Prefixes | None]:
+    """(the rows of `part` where mask is set, the others), None for an empty side."""
+    count = np.count_nonzero(mask)
+    if count == len(mask):
+        return part, None
+    if count == 0:
+        return None, part
+    return part.take(mask), part.take(~mask)
 
 
 def _with_bit(code: np.ndarray, i: int, value: bool) -> np.ndarray:
@@ -200,95 +251,127 @@ def _best_first(problem, config, table, coverage_target, max_depth) -> tuple[lis
     them in rounds, one depth at a time: a round classifies and expands the
     prefixes of probability >= threshold, and leaves the others for a later
     round with a lower threshold; no prefix is expanded twice.
+
+    The prefixes of one depth are a list of parts, and each part is split at
+    the threshold, classified and extended on its own, so that no copy of a
+    whole depth is made next to its parts.  Only runs of small parts are
+    joined (_packed), which keeps the number of parts bounded.  A prefix left
+    below the threshold keeps no prob, and the residual reads the parent prob
+    of this round's prefixes only.
     """
     q1, q2 = problem.q1, problem.q2
     words = -(-max_depth // _WORD_BITS)
     one = np.ones(1)
-    root = _Prefixes(0, one, one, one, one, np.zeros(1, np.int64), np.zeros((1, words), np.uint64))
+    root = _Prefixes(0, one, one, np.zeros(1, np.min_scalar_type(max_depth)),
+                     np.zeros((1, words), np.uint64), one)
     # unclassified prefixes below the threshold, by length
-    pending: dict[int, list[_Prefixes]] = {1: [root.extend(config, q1, q2)]}
+    pending: dict[int, list[_Prefixes]] = {1: [part.lean() for part in root.extend(config, q1, q2)]}
     emitted: list[tuple] = []  # per round: (n, code, prob, c1, c2, guess, error) in pop order
     covered = 0.0
     dropped = 0.0  # prefixes cut off at max_depth, in rounds before the last
     threshold = _FIRST_THRESHOLD
     while True:
-        # (n, prob, code) of the prefixes carried into the round, and
-        # (n, prob, parent prob, code) of those created in it
-        carried = [(part.n, part.prob, part.code) for parts in pending.values() for part in parts]
-        created = []
-        stopped: list[tuple[_Prefixes, np.ndarray, np.ndarray]] = []
+        waiting = 0.0  # mass of the prefixes carried into the round that stay below it
+        # (n, prob, code, parent) of the round's other prefixes; parent None or
+        # inf for those carried into it
+        seen: list[tuple] = []
+        stopped: list[_Prefixes] = []
         cut_off: list[_Prefixes] = []
         below: dict[int, list[_Prefixes]] = {}
-        children = None
+        highest = 0.0  # the largest prob below the threshold
+        children: list[_Prefixes] = []
         for n in range(min(pending), max_depth + 1):
-            parts = pending.pop(n, [])
-            if children is not None and len(children):
-                parts.append(children)
-            children = None
+            for part in pending.get(n, []):  # carried into the round
+                part.prob = q1 * part.c1 + q2 * part.c2
+            children += pending.pop(n, [])  # all parts of length n
+            parts = _packed(children)  # empties `children`, which collects length n + 1
             if not parts:
                 if not pending:
                     break
                 continue
-            group = _Prefixes.join(parts)
-            low = group.prob < threshold
-            if low.any():
-                below[n] = [group.take(low)]
-                group = group.take(~low)
-            guess_row, error_row = table.row(n)
-            guess = guess_row[group.m1]
-            stops = guess != 0
-            if stops.any():
-                stopped.append((group.take(stops), guess[stops], error_row[group.m1[stops]]))
-            live = group.take(~stops)
-            if n == max_depth:
-                cut_off.append(live)
-            else:
-                children = live.extend(config, q1, q2)
-                created.append((children.n, children.prob, children.parent, children.code))
+            guess_row = table.row(n)[0]
+            while parts:  # popped, so that a part's arrays are freed once it is split
+                part = parts.pop()
+                low, part = _split(part, part.prob < threshold)
+                if low is not None:
+                    highest = max(highest, float(low.prob.max()))
+                    if low.parent is None:
+                        waiting += float(low.prob.sum())
+                    else:
+                        seen.append((n, low.prob, low.code, low.parent))
+                    below.setdefault(n, []).append(low.lean())
+                if part is None:
+                    continue
+                seen.append((n, part.prob, part.code, part.parent))
+                stop, live = _split(part, guess_row[part.m1] != 0)
+                if stop is not None:
+                    stopped.append(stop)
+                if live is None:
+                    continue
+                if n == max_depth:
+                    cut_off.append(live)
+                else:
+                    children += live.extend(config, q1, q2)
         pending = below
 
         if stopped:
-            n = np.concatenate([np.full(len(part), part.n) for part, _, _ in stopped])
-            code, prob, c1, c2, guess, error = (
-                np.concatenate(col) for col in
-                zip(*((part.code, part.prob, part.c1, part.c2, g, e) for part, g, e in stopped))
-            )
-            order = np.lexsort((n, *code.T[::-1], -prob))
-            columns = tuple(col[order] for col in (n, code, prob, c1, c2, guess, error))
-            prob = columns[2]
-            # the running sum in pop order, exactly as a one-by-one loop adds it
-            running = np.cumsum(np.concatenate(([covered], prob)))[1:]
-            reached = np.flatnonzero(running >= coverage_target)
-            end = int(reached[0]) + 1 if len(reached) else len(prob)
-            emitted.append(tuple(col[:end] for col in columns))
-            covered = float(running[end - 1])
-            if len(reached):
-                cut = (prob[end - 1], columns[1][end - 1], int(columns[0][end - 1]))
-                return emitted, dropped + _unpopped(cut, carried, created, cut_off)
+            columns, covered, reached = _pop_order(stopped, table, covered, coverage_target)
+            emitted.append(columns)
+            if reached:
+                n, code, prob = (column[-1] for column in columns[:3])
+                return emitted, dropped + _unpopped((prob, code, int(n)), waiting, seen, cut_off)
         dropped += sum(float(part.prob.sum()) for part in cut_off)
         if not pending:
             return emitted, dropped
-        highest = max(float(part.prob.max()) for parts in pending.values() for part in parts)
         threshold = min(threshold * _THRESHOLD_STEP, highest)
 
 
-def _unpopped(cut, carried, created, cut_off) -> float:
+def _pop_order(stopped: list[_Prefixes], table: VerdictTable, covered: float,
+               coverage_target: float) -> tuple[tuple, float, bool]:
+    """The stopped prefixes in pop order, up to the first at which the running
+    sum of their probabilities, from `covered`, reaches coverage_target.
+
+    Returns their columns (n, code, prob, c1, c2, guess, error), the running
+    sum at the last of them, and whether it reached the target.  The columns
+    are gathered one at a time, and only for the rows kept.
+    """
+    def gather(name) -> np.ndarray:
+        return np.concatenate([getattr(part, name) for part in stopped])
+
+    n = np.concatenate([np.full(len(part), part.n) for part in stopped])
+    code, prob = gather("code"), gather("prob")
+    order = np.lexsort((n, *code.T[::-1], -prob))
+    prob = prob[order]
+    # the running sum in pop order, exactly as a one-by-one loop adds it
+    running = np.cumsum(np.concatenate(([covered], prob)))[1:]
+    reached = np.flatnonzero(running >= coverage_target)
+    end = int(reached[0]) + 1 if len(reached) else len(prob)
+    order = order[:end]
+    n = n[order]
+    state = table.index(n, gather("m1")[order])
+    columns = (n, code[order], prob[:end], gather("c1")[order], gather("c2")[order],
+               table.guess[state], table.error[state])
+    return columns, float(running[end - 1]), len(reached) > 0
+
+
+def _unpopped(cut, waiting, seen, cut_off) -> float:
     """Mass a best-first expansion leaves unemitted when it stops at string `cut`.
 
     That is the prefixes cut off at max_depth that popped before `cut`, plus
     the prefixes left in its queue: those popped after `cut` whose parent
     popped before it.  Only the last round's prefixes can be either, and the
     parents of the prefixes carried into that round popped before `cut`.
+    Those of them that stayed below the round's threshold, of mass `waiting`,
+    all pop after `cut`, whose probability is at least the threshold.
     """
-    mass = 0.0
+    mass = waiting
     for part in cut_off:
         mass += float(part.prob[_compare(part.prob, part.code, part.n, cut) < 0].sum())
-    for n, prob, code in carried:
-        mass += float(prob[_compare(prob, code, n, cut) > 0].sum())
-    for n, prob, parent, code in created:
-        after = _compare(prob, code, n, cut) > 0
-        parent_before = _compare(parent, _with_bit(code, n - 1, False), n - 1, cut) < 0
-        mass += float(prob[after & parent_before].sum())
+    for n, prob, code, parent in seen:
+        left = _compare(prob, code, n, cut) > 0
+        if parent is not None:
+            left &= _compare(parent, _with_bit(code, n - 1, False), n - 1, cut) < 0
+        mass += float(prob[left].sum())
     return mass
 
 
@@ -309,8 +392,10 @@ def _string_set(emitted: list[tuple]) -> StringSet:
         return StringSet(none.astype("S1"), none, none, none, none, none.astype(np.int8),
                          none.astype(np.int64))
     n, code, prob, c1, c2, guess, error = (np.concatenate(col) for col in zip(*emitted))
-    # one bit per outcome, from the big-endian bytes of each word
-    twos = np.unpackbits(code.astype(">u8").view(np.uint8), axis=1).view(bool)
+    # one bit per outcome, from the big-endian bytes of each word that the strings use
+    width = int(n.max())
+    used = code[:, :-(-width // _WORD_BITS)].astype(">u8").view(np.uint8)[:, :-(-width // 8)]
+    twos = np.unpackbits(used, axis=1).view(bool)
     return StringSet(outcome_labels(twos, n), prob, c1, c2, error, guess, n)
 
 
@@ -340,7 +425,7 @@ def cost_from_strings(
     engine's worst-case tail bound to tighten the upper end beyond
     residual * max_depth.
     """
-    cost = sum((strings.n * strings.prob).tolist())
+    cost = sum((strings.n * strings.prob).tolist(), 0.0)
     if residual <= 0.0:
         return CostResult(expected_copies=cost, exact=True)
     return CostResult(

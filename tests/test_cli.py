@@ -200,6 +200,8 @@ def _reference_strings(theta, q1, eps, names, max_depth, fmt, aggregate) -> byte
     (["fbm", "ubm", "fixed:0.7"], 0.3, 0.15, 64),
     # no UBM string stops within one copy: an empty table
     (["ubm"], 0.5, 0.01, 1),
+    # 7,617 strings: many rows share each prob and true_error text
+    (["fixed:0.6"], 0.5, 0.074, 64),
 ])
 def test_strings_bytes_match_row_by_row_reference(tmp_path, monkeypatch, names, q1, eps, max_depth,
                                                   fmt, aggregate, chunk_rows):
@@ -360,6 +362,25 @@ def test_exit_code_usage_errors(tmp_path):
     code, _ = run(tmp_path, "x4.csv", "strings", "--theta", "0.3",
                   "--epsilon", "0.2", "--strategy", "mystery")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["strings", "--strategy", "ubm"], "strings supports csv or json output"),
+    (["optimize"], "optimize supports csv or json output"),
+    (["simulate", "--strategy", "ubm"], "svg output needs an --epsilon-range"),
+])
+def test_unsupported_format_is_rejected_before_any_work(tmp_path, monkeypatch, capsys, argv,
+                                                        message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("called before the output format was checked")
+
+    for name in ("enumerate_strings", "optimize_angle", "run_trials"):
+        monkeypatch.setattr(seqdisc.cli, name, refuse)
+    code, out = run(tmp_path, "out.svg", *argv, "--theta", repr(math.pi / 12),
+                    "--epsilon", "0.179", "--format", "svg")
+    assert code == 2
+    assert capsys.readouterr().err == f"seqdisc: {message}\n"
+    assert not out.exists()
 
 
 def test_exit_code_io_error(tmp_path):

@@ -1,7 +1,9 @@
 import copy
+import hashlib
 import heapq
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,7 +214,8 @@ def test_empty_string_set(problem12):
     strings, residual = enumerate_strings(problem12, UBM, 0.01, max_depth=1)
     assert len(strings) == 0 and _columns(strings) == [[]] * len(COLUMNS) and residual == 1.0
     assert aggregate_by_length(strings) == []
-    assert cost_from_strings(strings, residual, 1).expected_copies == 0.0
+    cost = cost_from_strings(strings, residual, 1).expected_copies
+    assert cost == 0.0 and type(cost) is float
 
 
 def test_outcome_labels_match_a_loop():
@@ -357,3 +360,80 @@ def test_string_lab_tabulates_through_its_posterior_attribute(problem12, monkeyp
     # one test per count state (m1, m2) with 1 <= m1 + m2 <= 10, not one per prefix
     assert sorted(calls) == sorted((m1, n - m1) for n in range(1, 11) for m1 in range(n + 1))
     assert len(strings) > len(calls) / 2
+
+
+def test_frontier_in_small_parts_gives_the_same_strings(problem12, monkeypatch):
+    # parts of 1 and 7 rows: every depth's frontier is split, packed and joined
+    cases = [(UBM, 0.1, 0.999, 24), (FBM, 1e-9, 0.998, 70),
+             (StrategySpec(StrategyKind.FIXED_ANGLE, phi=0.5), 0.01, 0.5, 8)]
+    expected = [enumerate_strings(problem12, *case) for case in cases]
+    for part_rows in (1, 7):
+        monkeypatch.setattr(seqdisc.stringlab, "_PART_ROWS", part_rows)
+        for case, (strings, residual) in zip(cases, expected):
+            twin, twin_residual = enumerate_strings(problem12, *case)
+            assert all(getattr(twin, name).tobytes() == getattr(strings, name).tobytes()
+                       for name in COLUMNS)
+            assert twin_residual == pytest.approx(residual, abs=1e-14)
+
+
+def test_large_enumeration_stays_in_bounded_memory(problem12):
+    # 158,744 strings, 9.7 MiB of columns: the working memory stays a small multiple of that
+    tracemalloc.start()
+    try:
+        strings, _ = enumerate_strings(problem12, UBM, 0.074)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(strings) == 158_744
+    assert peak <= 40 * 2**20
+
+
+# sha256 of each column's bytes, in COLUMNS order: a change to any bit of a column fails
+_COLUMN_DIGESTS = {
+    "ubm-0.074": (UBM, 0.074, (
+        "cdbabd263b8107bf222ee5391bf3221e59800decabc1c18631e812af52cf4a4c",
+        "ea4a9893488ce9d9b34a466eb5f52cc8eda7a1a7bf8e5cae8ac28283e41b158c",
+        "5525cd87f744f8c9eaaa7e49e512d7e103904f6417826dafe3f0fd0f063471f0",
+        "3946b912bfb15f9c778154ba8c2a623f0d877cd638ed5efa939605fbadfc363c",
+        "7ccb49a9aeee9b339d0401dc5a368eb484745b5f73a7e983636a56029850327b",
+        "9bf5bcaaaf751b5542931d5311e0d8e5bde0a58e8c3fd00ecacd9322f6f6a64f",
+        "da94e4251a9451dc1f7023626fd8ef2d92502f9c4f5278887f011d8033dd8c54",
+    )),
+    "fig4-fbm": (FBM, 0.179, (
+        "6524daff1f77163d86b84b9406f25b28a4ba93e12c419c38bfa03a4f6689f9b5",
+        "fdd6adda733e5b8b5493c94cdd1f166fcbba4173f52417c34761dd30630c818b",
+        "29294b7b64b48923bbe5d0ab141834536d4bfa133c29e689e5217956bcf00331",
+        "ff15044368af596f774a5097919998f19831a445bbf33854e3fbbe43eb4a2f88",
+        "bacfabe3dc2ed872d9ae368bf0eb15316d23ba442b09be24213c63fa929c5b07",
+        "b7b4b2c4dafc7d55a6844fd38867abe2bad77c0aa2ab6f6a44ad9b4f3d6852d5",
+        "bde841d5dcc2f07e192f18cfae205d7b06570901d49daf39864651e5946478a7",
+    )),
+    "fig4-ubm": (UBM, 0.179, (
+        "b50ec363cfbb007ed26b573bdbcd29099bcbc480106efac481e4ae13fa0d0df7",
+        "c392681163bf781fe2f84abb2d46e620da3799700895bdb794aaf10cf7cfde97",
+        "86bc91b892c9de32bb1d0a6026d9881812b8484f53b984c15413262734bf75f8",
+        "59776d1bbd60636b9381235c4c0137bb330d3896b7613296ff6d789659a6308a",
+        "237cc31e6b4845412d8f3c0fff850a67540a8ef9a98708d6d70ff7e71f0d3d4d",
+        "84d084c0bfc4b9c7b99f7fd6d73d38a9b8399207570efee5d71946bd0e42bbc9",
+        "4374a75443cf561b11c27a3afb98c1c7697c12e6f6174790fdb96061b17e8a7e",
+    )),
+    "fig4-gof": (None, 0.179, (
+        "f465f946105f04252943ee248da396bae698e9aa55cd9c08a7b48af85921b6e5",
+        "5dd01b81fc91814fafada682d61ff35067481eddfb95642b17c22b62749081a0",
+        "320556d68e39b1383b7008d5d6c7969b63af37355232c6a12c51b5829f71f75f",
+        "2401717d3932bc1a5968a4b382f5b70b9a1e5b9f0baa58480ac1768144b7ea0c",
+        "63874497c551dddadcdd9ed176294523ce93ab260ac8f17719f4780483cb8460",
+        "62edcf89a3b4b84e9602e0b8451c535332454341a6526cf16907aafab60e18aa",
+        "1426400e5626977b4758db259ef55ecb52084ca05a14e8c7adbe132a880c56df",
+    )),
+}
+
+
+@pytest.mark.parametrize("name", list(_COLUMN_DIGESTS))
+def test_string_set_columns_keep_their_bytes(problem12, gof_179, name):
+    spec, eps, digests = _COLUMN_DIGESTS[name]
+    if spec is None:
+        spec = StrategySpec(StrategyKind.FIXED_ANGLE, phi=gof_179[0])
+    strings, _ = enumerate_strings(problem12, spec, eps)
+    assert tuple(hashlib.sha256(getattr(strings, column).tobytes()).hexdigest()
+                 for column in COLUMNS) == digests
