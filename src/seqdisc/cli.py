@@ -19,7 +19,7 @@ from .engine import NonConvergenceError
 from .model import DiscriminationProblem
 from .montecarlo import TrialLengthError, run_trials
 from .optimizer import optimize_angle, scan_angles
-from .stringlab import aggregate_by_length, enumerate_strings
+from .stringlab import DEFAULT_COVERAGE, DEFAULT_MAX_DEPTH, aggregate_by_length, enumerate_strings
 from .strategies import (
     StrategyKind,
     StrategySpec,
@@ -323,8 +323,8 @@ def _cmd_strings(run: _Run) -> None:
     names = run.get("strategy") or ["fbm"]
     if isinstance(names, str):
         names = [names]
-    coverage = run.get("coverage", 0.998)
-    max_depth = run.get("max_depth", 64)
+    coverage = run.get("coverage", DEFAULT_COVERAGE)
+    max_depth = run.get("max_depth", DEFAULT_MAX_DEPTH)
     aggregate = bool(run.get("aggregate"))
     header = ["strategy", "string", "n", "prob", "true_error", "guess"]
     results = []

@@ -14,9 +14,11 @@ the live rows of a chunk advance one block of copies at a time (the first
 few copies of every row, then the rest of the rows not stopped, then, 64
 trials at a time, blocks of their fallback streams).  A stepper per kind of
 strategy turns a block's uniforms into outcomes and stop verdicts:
-fixed-angle trials carry their outcome-1 counts, LOL trials their posterior
-belief, moved one copy at a time.  Finished trials are tallied by outcome
-string.
+fixed-angle trials carry their outcome-1 counts and take their verdicts from
+the StoppingRule's `verdicts`, LOL trials their posterior belief, moved one
+copy at a time.  Finished trials are tallied by outcome string.  A fixed
+angle at which no count state stops within TRIAL_COPY_CAP copies fails
+before any trial runs.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DiscriminationProblem, MeasurementConfig
-from .posterior import VerdictTable, _check_eps, meets_error_bound
+from .posterior import StoppingRule, _check_eps, meets_error_bound
 from .strategies import StrategyKind, StrategySpec, lol_next_angle, strategy_angle
 from .stringlab import outcome_labels
 
@@ -63,11 +65,24 @@ class MonteCarloReport:
 
 
 class _FixedAngle:
-    """Fixed-angle trials: each row of a chunk carries its outcome-1 count."""
+    """Fixed-angle trials: each row of a chunk carries its outcome-1 count.
+
+    Within the _ROW - 1 copies of a table row the verdicts come from one flat
+    triangle of count states, computed once; past the row, where the triangle
+    would grow with the square of the depth, from the rule itself.
+    """
 
     def __init__(self, problem: DiscriminationProblem, strategy: StrategySpec, eps: float):
-        self.config = MeasurementConfig.for_problem(problem, strategy_angle(problem, strategy))
-        self.table = VerdictTable(problem, self.config, eps)  # its StoppingRule checks eps
+        phi = strategy_angle(problem, strategy)
+        self.config = MeasurementConfig.for_problem(problem, phi)
+        self.rule = StoppingRule(problem, phi, eps)
+        if not self.rule.can_stop_within(TRIAL_COPY_CAP):
+            raise TrialLengthError(
+                f"no outcome string can stop within {TRIAL_COPY_CAP} copies at phi={phi}")
+        # state (m1, n - m1) at flat index n * (n + 1) // 2 + m1, for n < _ROW
+        n = np.repeat(np.arange(_ROW), np.arange(1, _ROW + 1))
+        m1 = np.arange(len(n)) - n * (n + 1) // 2
+        self.row_verdicts = self.rule.verdicts(m1, n - m1)
 
     def start(self, psi1: np.ndarray) -> None:
         self.p1 = np.where(psi1, self.config.p1_given_psi1, self.config.p1_given_psi2)
@@ -81,16 +96,8 @@ class _FixedAngle:
         self.m1[live] = m1[:, -1]
         n = np.arange(depth + 1, depth + u.shape[1] + 1)
         if n[-1] < _ROW:
-            self.table.reach(n[-1])
-            return ones, self.table.guess[self.table.index(n, m1)]
-        # past the row the rule decides, as the table grows with the square of
-        # the depth; a stopping state's log-odds lie far from 0, so their sign
-        # is the guess of the table's posterior
-        rule, m2 = self.table.rule, n - m1
-        stops = rule.stops(m1, m2)
-        verdicts = np.zeros(stops.shape, np.int8)
-        verdicts[stops] = np.where(rule._logit(m1[stops], m2[stops]) > 0.0, 2, 1)
-        return ones, verdicts
+            return ones, self.row_verdicts[n * (n + 1) // 2 + m1]
+        return ones, self.rule.verdicts(m1, n - m1)
 
 
 class _Lol:

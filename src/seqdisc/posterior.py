@@ -6,8 +6,9 @@ floating-point drift and absorption decisions are order-independent.
 
 StoppingRule is the one stopping predicate of the package: the DP engine, the
 brute-force oracle, the string lab and the fixed-angle simulator all decide
-through it, and meets_error_bound is its form in error space, used by the
-closed-form thresholds and the adaptive simulator.  A run stops at the first
+through it, the last two reading its `verdicts`, which carry the guess made
+on stopping as well.  meets_error_bound is its form in error space, used by
+the closed-form thresholds and the adaptive simulator.  A run stops at the first
 copy after which its posterior error is at most eps; the bound carries a
 relative slack of 1e-10, so every true error is at most eps * (1 + 1e-10).
 """
@@ -29,7 +30,6 @@ __all__ = [
     "posterior_error",
     "log_likelihood_steps",
     "meets_error_bound",
-    "VerdictTable",
 ]
 
 # Stopping comparisons are inclusive (error <= eps).  Several anchor cases
@@ -191,6 +191,14 @@ class StoppingRule:
         """Whether the states (m1, m2) stop (scalars or arrays, the angles of a batch on the last axis)."""
         return self._stops_at(np.abs(self._logit(m1, m2)))
 
+    def verdicts(self, m1, m2) -> np.ndarray:
+        """The verdicts of the states (m1, m2) as int8, shaped as in `stops`: 0 where a
+        state continues, else the hypothesis guessed on stopping, 2 where the log-odds
+        are positive and 1 otherwise."""
+        logit = self._logit(m1, m2)
+        guess = np.where(logit > 0.0, 2, 1)
+        return np.where(self._stops_at(np.abs(logit)), guess, 0).astype(np.int8)
+
     def can_stop_within(self, max_copies: int) -> np.ndarray:
         """False only for the angles at which no state with m1 + m2 <= max_copies stops.
 
@@ -261,77 +269,6 @@ class StoppingRule:
                     break
             lo[j, k], hi[j, k] = lo_fix, hi_fix
         return lo, hi
-
-
-def _guess(state: PosteriorState) -> tuple[int, float]:
-    """The hypothesis guessed on stopping at a state (1 or 2), and that guess's true error."""
-    if state.p1 >= 0.5:
-        return 1, 1.0 - state.p1
-    return 2, state.p1
-
-
-class VerdictTable:
-    """Stopping verdict of every count state (m1, m2) of one (problem, angle, eps).
-
-    The verdict depends on the counts alone, not on the order of the outcomes.
-    States are stored depth by depth, n = m1 + m2, each row indexed by m1, in
-    flat triangular arrays: `guess` is 0 where the state continues, else the
-    hypothesis guessed on stopping (1 or 2); `error` is that guess's true error.
-    Rows are filled by `reach` only as deep as a caller asks: whether a state
-    stops comes from the StoppingRule `rule`, one call per row, and the guess
-    and its error from `posterior` (posterior_from_counts unless a caller
-    passes an instrumented copy), called once per state.  Depth 0, before any
-    copy, never stops.  The string lab reads whole rows; the simulator indexes
-    `guess` by count state within the 63 copies of a trial's table row and asks
-    `rule` past them, where the table would grow with the square of the depth.
-    """
-
-    def __init__(
-        self,
-        problem: DiscriminationProblem,
-        config: MeasurementConfig,
-        eps: float,
-        posterior=posterior_from_counts,
-    ):
-        self.rule = StoppingRule(problem, config.phi, eps)
-        self._problem = problem
-        self._config = config
-        self._posterior = posterior
-        self.depth = 0
-        self.guess = np.zeros(1, dtype=np.int8)
-        self.error = np.zeros(1)
-
-    def reach(self, depth: int) -> None:
-        """Fill every row up to `depth`."""
-        if depth <= self.depth:
-            return
-        size = self.index(depth + 1, 0)
-        if size > len(self.guess):
-            # capacity doubles, so filling depth by depth stays linear in the table size
-            capacity = max(size, 2 * len(self.guess))
-            self.guess = np.concatenate((self.guess, np.zeros(capacity - len(self.guess), np.int8)))
-            self.error = np.concatenate((self.error, np.zeros(capacity - len(self.error))))
-        problem, config, posterior = self._problem, self._config, self._posterior
-        for n in range(self.depth + 1, depth + 1):
-            start = self.index(n, 0)
-            m1s = np.arange(n + 1)
-            # the rows past the table's depth are still zero: states that continue
-            for m1, stops in enumerate(self.rule.stops(m1s, n - m1s).tolist()):
-                state = posterior(problem, config, m1, n - m1)
-                if stops:
-                    self.guess[start + m1], self.error[start + m1] = _guess(state)
-        self.depth = depth
-
-    @staticmethod
-    def index(n, m1):
-        """Flat index of the state (m1, n - m1); works elementwise on arrays."""
-        return n * (n + 1) // 2 + m1
-
-    def row(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(guess, error) of the states at depth n, indexed by m1; fills up to n."""
-        self.reach(n)
-        start = self.index(n, 0)
-        return self.guess[start:start + n + 1], self.error[start:start + n + 1]
 
 
 def log_likelihood_steps(problem: DiscriminationProblem, phi: float) -> LikelihoodSteps:

@@ -10,9 +10,10 @@ advanced one depth at a time, above a probability threshold that falls in
 rounds until the emitted strings reach the coverage target.  The frontier of
 a depth is a list of parts, each split, classified and extended on its own,
 so that the working memory stays a small multiple of the prefixes held.
-Whether a prefix stops depends only on its outcome counts, so each count
-state is tested once, through a VerdictTable, whatever the number of
-prefixes that reach it.
+Whether a prefix stops, and the hypothesis it then guesses, depend only on
+its outcome counts: the StoppingRule's verdicts are computed once per depth,
+for every count state, and a string's true error once per count state
+emitted, whatever the number of prefixes that reach it.
 The strings come back as a StringSet, one numpy column per field and no
 object per string; aggregate_by_length and cost_from_strings read the columns.
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DiscriminationProblem, MeasurementConfig
-from .posterior import VerdictTable, posterior_from_counts
+from .posterior import StoppingRule, posterior_error, posterior_from_counts
 from .strategies import CostResult, StrategyKind, StrategySpec, strategy_angle
 
 __all__ = [
@@ -232,14 +233,14 @@ def enumerate_strings(
         raise ValueError(f"coverage_target must lie in (0, 1], got {coverage_target}")
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
-    config = MeasurementConfig.for_problem(problem, strategy_angle(problem, strategy))
-    # looked up here, so that a replaced module attribute is the one tabulated
-    table = VerdictTable(problem, config, eps, posterior=posterior_from_counts)
-    emitted, residual = _best_first(problem, config, table, coverage_target, max_depth)
-    return _string_set(emitted), residual
+    phi = strategy_angle(problem, strategy)
+    config = MeasurementConfig.for_problem(problem, phi)
+    rule = StoppingRule(problem, phi, eps)
+    emitted, residual = _best_first(problem, config, rule, coverage_target, max_depth)
+    return _string_set(problem, config, emitted), residual
 
 
-def _best_first(problem, config, table, coverage_target, max_depth) -> tuple[list[tuple], float]:
+def _best_first(problem, config, rule, coverage_target, max_depth) -> tuple[list[tuple], float]:
     """The strings a best-first expansion emits, as columns, and the mass it leaves.
 
     A best-first queue pops prefixes in descending probability, ties in
@@ -266,7 +267,8 @@ def _best_first(problem, config, table, coverage_target, max_depth) -> tuple[lis
                      np.zeros((1, words), np.uint64), one)
     # unclassified prefixes below the threshold, by length
     pending: dict[int, list[_Prefixes]] = {1: [part.lean() for part in root.extend(config, q1, q2)]}
-    emitted: list[tuple] = []  # per round: (n, code, prob, c1, c2, guess, error) in pop order
+    emitted: list[tuple] = []  # per round: (n, code, prob, c1, c2, m1, guess) in pop order
+    verdicts: dict[int, np.ndarray] = {}  # the rule's verdicts at depth n, by m1
     covered = 0.0
     dropped = 0.0  # prefixes cut off at max_depth, in rounds before the last
     threshold = _FIRST_THRESHOLD
@@ -289,7 +291,9 @@ def _best_first(problem, config, table, coverage_target, max_depth) -> tuple[lis
                 if not pending:
                     break
                 continue
-            guess_row = table.row(n)[0]
+            if n not in verdicts:
+                m1s = np.arange(n + 1)
+                verdicts[n] = rule.verdicts(m1s, n - m1s)
             while parts:  # popped, so that a part's arrays are freed once it is split
                 part = parts.pop()
                 low, part = _split(part, part.prob < threshold)
@@ -303,7 +307,7 @@ def _best_first(problem, config, table, coverage_target, max_depth) -> tuple[lis
                 if part is None:
                     continue
                 seen.append((n, part.prob, part.code, part.parent))
-                stop, live = _split(part, guess_row[part.m1] != 0)
+                stop, live = _split(part, verdicts[n][part.m1] != 0)
                 if stop is not None:
                     stopped.append(stop)
                 if live is None:
@@ -315,7 +319,7 @@ def _best_first(problem, config, table, coverage_target, max_depth) -> tuple[lis
         pending = below
 
         if stopped:
-            columns, covered, reached = _pop_order(stopped, table, covered, coverage_target)
+            columns, covered, reached = _pop_order(stopped, verdicts, covered, coverage_target)
             emitted.append(columns)
             if reached:
                 n, code, prob = (column[-1] for column in columns[:3])
@@ -326,12 +330,12 @@ def _best_first(problem, config, table, coverage_target, max_depth) -> tuple[lis
         threshold = min(threshold * _THRESHOLD_STEP, highest)
 
 
-def _pop_order(stopped: list[_Prefixes], table: VerdictTable, covered: float,
+def _pop_order(stopped: list[_Prefixes], verdicts: dict[int, np.ndarray], covered: float,
                coverage_target: float) -> tuple[tuple, float, bool]:
     """The stopped prefixes in pop order, up to the first at which the running
     sum of their probabilities, from `covered`, reaches coverage_target.
 
-    Returns their columns (n, code, prob, c1, c2, guess, error), the running
+    Returns their columns (n, code, prob, c1, c2, m1, guess), the running
     sum at the last of them, and whether it reached the target.  The columns
     are gathered one at a time, and only for the rows kept.
     """
@@ -347,10 +351,9 @@ def _pop_order(stopped: list[_Prefixes], table: VerdictTable, covered: float,
     reached = np.flatnonzero(running >= coverage_target)
     end = int(reached[0]) + 1 if len(reached) else len(prob)
     order = order[:end]
-    n = n[order]
-    state = table.index(n, gather("m1")[order])
-    columns = (n, code[order], prob[:end], gather("c1")[order], gather("c2")[order],
-               table.guess[state], table.error[state])
+    guess = np.concatenate([verdicts[part.n][part.m1] for part in stopped])
+    columns = (n[order], code[order], prob[:end], gather("c1")[order], gather("c2")[order],
+               gather("m1")[order], guess[order])
     return columns, float(running[end - 1]), len(reached) > 0
 
 
@@ -385,13 +388,22 @@ def outcome_labels(twos: np.ndarray, n) -> np.ndarray:
     return chars.view(f"S{width}").ravel()
 
 
-def _string_set(emitted: list[tuple]) -> StringSet:
+def _true_errors(problem, config, n: np.ndarray, m1: np.ndarray) -> np.ndarray:
+    """The posterior error at each count state (m1, n - m1), that of the hypothesis
+    guessed on stopping there, evaluated once per distinct state."""
+    _, first, state = np.unique(n * (n + 1) // 2 + m1, return_index=True, return_inverse=True)
+    return np.array([posterior_error(posterior_from_counts(problem, config, k, j - k))
+                     for j, k in zip(n[first].tolist(), m1[first].tolist())])[state]
+
+
+def _string_set(problem, config, emitted: list[tuple]) -> StringSet:
     """The emitted columns as a StringSet, outcomes decoded in bulk."""
     if not emitted:
         none = np.zeros(0)
         return StringSet(none.astype("S1"), none, none, none, none, none.astype(np.int8),
                          none.astype(np.int64))
-    n, code, prob, c1, c2, guess, error = (np.concatenate(col) for col in zip(*emitted))
+    n, code, prob, c1, c2, m1, guess = (np.concatenate(col) for col in zip(*emitted))
+    error = _true_errors(problem, config, n, m1)
     # one bit per outcome, from the big-endian bytes of each word that the strings use
     width = int(n.max())
     used = code[:, :-(-width // _WORD_BITS)].astype(">u8").view(np.uint8)[:, :-(-width // 8)]

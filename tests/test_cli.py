@@ -110,6 +110,16 @@ def test_simulate_exits_3_when_a_trial_passes_the_copy_cap(tmp_path, capsys, mon
     assert not out.exists()
 
 
+def test_simulate_exits_3_when_no_string_can_stop(tmp_path, capsys):
+    # at phi = 0 no outcome tells the states apart, so nothing ever stops
+    code, out = run(tmp_path, "sim.json", "simulate", "--theta", repr(math.pi / 12),
+                    "--epsilon", "0.1", "--strategy", "fixed:0.0", "--trials", "5000")
+    assert code == 3
+    assert ("seqdisc: no outcome string can stop within 1000000 copies at phi=0.0"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_cost_curve_refines_from_an_anchor_when_no_grid_point_converges(tmp_path):
     # a two-point grid holds only the uninformative endpoints, but the FBM and
     # Helstrom angles converge, so the search refines from the better of them

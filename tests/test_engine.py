@@ -13,11 +13,12 @@ from seqdisc import (
     brute_force_cost,
     fbm_cost,
     fixed_angle_cost,
+    posterior_from_counts,
     ubm_cost,
 )
 from seqdisc import engine
 from seqdisc.engine import CostCapExceeded, fixed_angle_costs
-from seqdisc.posterior import StoppingRule, VerdictTable, log_likelihood_steps
+from seqdisc.posterior import StoppingRule, log_likelihood_steps
 
 TIGHT = EngineOptions(max_copies=50_000, mass_tolerance=1e-14)
 
@@ -293,16 +294,25 @@ def test_prescreen_keeps_vacuous_result_under_unbounded_width_limit(problem12):
     assert result.residual_mass == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("theta,q1,phi,eps", _continuation_cases((0.179, 0.1, 0.01)))
-def test_verdict_table_decides_as_stop_rule(theta, q1, phi, eps):
-    # the string lab and the simulator stop through VerdictTable, the engine
-    # through StoppingRule: both must agree on every state
+# eps just below 1/2: every state whose log-odds lie more than about 2e-10
+# from 0 stops, so the guess is taken on states of nearly even odds
+@pytest.mark.parametrize("theta,q1,phi,eps", _continuation_cases((0.179, 0.1, 0.01)) + [
+    case for case in _continuation_cases((0.4999999999,)) if case[1] == 0.5])
+def test_verdicts_decide_as_stop_rule_and_guess_as_posterior(theta, q1, phi, eps):
+    # the string lab and the simulator stop through verdicts, the engine
+    # through stops: both must agree on every state, and a stopping state's
+    # guess must be the posterior's more probable hypothesis
     problem = DiscriminationProblem(theta=theta, q1=q1)
+    config = MeasurementConfig.for_problem(problem, phi)
     rule = StoppingRule(problem, phi, eps)
-    table = VerdictTable(problem, MeasurementConfig.for_problem(problem, phi), eps)
     for n in range(1, 65):
-        guess, _ = table.row(n)
-        assert [rule.stops(m1, n - m1) for m1 in range(n + 1)] == (guess != 0).tolist(), n
+        verdicts = rule.verdicts(np.arange(n + 1), n - np.arange(n + 1))
+        assert verdicts.dtype == np.int8
+        assert [rule.stops(m1, n - m1) for m1 in range(n + 1)] == (verdicts != 0).tolist(), n
+        stopping = np.flatnonzero(verdicts).tolist()
+        guesses = [1 if posterior_from_counts(problem, config, m1, n - m1).p1 >= 0.5 else 2
+                   for m1 in stopping]
+        assert verdicts[stopping].tolist() == guesses, n
 
 
 def _batch_cases():

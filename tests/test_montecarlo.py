@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 
@@ -286,20 +287,39 @@ def test_copy_cap_is_exact(monkeypatch, problem, spec, eps, trials, seed, max_co
 
 
 def test_trials_past_their_row_hold_bounded_memory(problem12, monkeypatch):
-    # at phi = 0 no trial ever stops; the trials past their row advance a
-    # _ROW-trial group at a time, so what is held stays at most 64 x cap
+    # at phi = 1e-5 a state can stop within the cap, but after 20,000 copies
+    # the log-odds have moved by about 6e-3 against a threshold of 1.52, so no
+    # trial stops; the trials past their row advance a _ROW-trial group at a
+    # time, so what is held stays at most 64 x cap
     monkeypatch.setattr(seqdisc.montecarlo, "TRIAL_COPY_CAP", 20_000)
-    spec = StrategySpec(StrategyKind.FIXED_ANGLE, phi=0.0)
+    spec = StrategySpec(StrategyKind.FIXED_ANGLE, phi=1e-5)
     tracemalloc.start()
     start = time.perf_counter()
     try:
-        with pytest.raises(TrialLengthError):
+        # the cap of the fallback path, not the check made before any trial
+        with pytest.raises(TrialLengthError, match="trial exceeded 20000 copies"):
             run_trials(problem12, spec, 0.179, _CHUNK_ROWS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
     assert time.perf_counter() - start < 10.0
+
+
+@pytest.mark.parametrize("phi,cap", [(0.0, None), (1e-7, None), (math.pi / 4, 1)])
+def test_angles_that_cannot_stop_fail_before_any_trial(problem12, monkeypatch, phi, cap):
+    # no state stops within the cap (read when the run starts): not one chunk runs
+    if cap is not None:
+        monkeypatch.setattr(seqdisc.montecarlo, "TRIAL_COPY_CAP", cap)
+
+    def no_chunk(*args):
+        raise AssertionError("a chunk of trials ran")
+
+    monkeypatch.setattr(seqdisc.montecarlo, "_run_chunk", no_chunk)
+    spec = StrategySpec(StrategyKind.FIXED_ANGLE, phi=phi)
+    message = f"no outcome string can stop within {cap or TRIAL_COPY_CAP} copies at phi={phi}"
+    with pytest.raises(TrialLengthError, match=re.escape(message)):
+        run_trials(problem12, spec, 0.1, 5000)
 
 
 def _loop_labels(twos, n):

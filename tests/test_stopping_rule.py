@@ -1,8 +1,11 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import seqdisc
 from seqdisc import (
     DiscriminationProblem,
     MeasurementConfig,
@@ -17,7 +20,6 @@ from seqdisc import (
     posterior_from_counts,
     ubm_boundary,
 )
-from seqdisc.posterior import VerdictTable
 
 TINY_EPS = [1e-13, 1e-15, 1e-30]
 # the guarantee is true_error <= eps * (1 + 1e-10); this allows for the rounding
@@ -44,14 +46,17 @@ def test_stopping_states_keep_the_error_bound_for_tiny_eps(problem12, eps, angle
     # FBM at theta = pi/12 and eps = 1e-30 first stops after 241 outcomes 1
     depth = 260
     phi = {"fbm": problem12.theta, "ubm": helstrom_angle(problem12)}.get(angle, angle)
-    table = VerdictTable(problem12, MeasurementConfig.for_problem(problem12, phi), eps)
-    guess, _ = table.row(depth)
-    assert guess[0] != 0 and guess[depth] != 0  # the table reaches the stops on both sides
-    states = table.index(depth + 1, 0)
-    stopping = np.flatnonzero(table.guess[:states])
-    assert table.error[stopping].max() <= eps * GUARANTEE
-    n = np.repeat(np.arange(depth + 1), np.arange(1, depth + 2))[stopping]
-    m1 = stopping - table.index(n, 0)
+    rule = StoppingRule(problem12, phi, eps)
+    # the count triangle to depth 260, state (m1, n - m1) at n * (n + 1) // 2 + m1
+    n = np.repeat(np.arange(depth + 1), np.arange(1, depth + 2))
+    m1 = np.arange(len(n)) - n * (n + 1) // 2
+    verdicts = rule.verdicts(m1, n - m1)
+    assert verdicts[-depth - 1] != 0 and verdicts[-1] != 0  # it reaches the stops on both sides
+    stopping = np.flatnonzero(verdicts)
+    n, m1 = n[stopping], m1[stopping]
+    config = MeasurementConfig.for_problem(problem12, phi)
+    assert max(posterior_error(posterior_from_counts(problem12, config, k, j - k))
+               for j, k in zip(n.tolist(), m1.tolist())) <= eps * GUARANTEE
     assert _log_odds_error(problem12, phi, m1, n - m1).max() <= eps * GUARANTEE
 
 
@@ -125,3 +130,14 @@ def test_rule_validates_eps_and_angles(problem12):
             StoppingRule(problem12, 0.3, eps)
     with pytest.raises(ValueError, match="measurement angle"):
         StoppingRule(problem12, [0.3, math.pi / 2], 0.1)
+
+
+def test_only_the_posterior_module_reaches_into_the_rule():
+    # the stopping rule is one object: other modules use its public methods
+    # and hold no table of verdicts of their own
+    forbidden = re.compile(r"\._logit\b|\._stops_at\b|\bVerdictTable\b")
+    sources = sorted(Path(seqdisc.__file__).parent.glob("*.py"))
+    assert len(sources) > 1
+    for path in sources:
+        if path.name != "posterior.py":
+            assert not forbidden.findall(path.read_text()), path.name

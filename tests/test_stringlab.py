@@ -346,8 +346,8 @@ def test_frontier_matches_heap_reference(problem, spec, eps, coverage, max_depth
         assert strings.n.max() == 70
 
 
-def test_string_lab_tabulates_through_its_posterior_attribute(problem12, monkeypatch):
-    # perfbench/tracing.py counts stopping tests by replacing this attribute
+def test_string_lab_evaluates_true_errors_through_its_posterior_attribute(problem12, monkeypatch):
+    # perfbench/tracing.py counts these evaluations by replacing this attribute
     calls = []
     original = seqdisc.stringlab.posterior_from_counts
 
@@ -357,8 +357,11 @@ def test_string_lab_tabulates_through_its_posterior_attribute(problem12, monkeyp
 
     monkeypatch.setattr(seqdisc.stringlab, "posterior_from_counts", counted)
     strings, _ = enumerate_strings(problem12, UBM, 0.179, coverage_target=1.0, max_depth=10)
-    # one test per count state (m1, m2) with 1 <= m1 + m2 <= 10, not one per prefix
-    assert sorted(calls) == sorted((m1, n - m1) for n in range(1, 11) for m1 in range(n + 1))
+    # one call per distinct count state (m1, m2) of the strings: not one per
+    # string, none repeated, and none for a state that continues
+    m1 = [label.count(b"1") for label in strings.labels.tolist()]
+    states = {(k, n - k) for k, n in zip(m1, strings.n.tolist())}
+    assert sorted(calls) == sorted(states)
     assert len(strings) > len(calls) / 2
 
 

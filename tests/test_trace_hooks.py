@@ -1,7 +1,8 @@
 """The names the benchmark's tracer replaces stay module attributes of seqdisc.
 
-perfbench/tracing.py wraps each name in its `_WRAPPED` list and counts the
-string lab's stopping tests through `seqdisc.stringlab.posterior_from_counts`.
+perfbench/tracing.py wraps each name in its `_WRAPPED` list and counts, through
+`seqdisc.stringlab.posterior_from_counts`, the string lab's true-error
+evaluations, one per count state it emits (its metric `posterior.stop_tests`).
 A name that moves or is no longer looked up there would make `--trace 1`
 fail, or report zeros, without any other test noticing.
 """
