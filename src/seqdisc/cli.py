@@ -2,13 +2,14 @@
 
 Every command is a pure function of its parsed configuration; identical
 invocations produce byte-identical output files.  Exit codes: 0 success,
-2 usage or validation error, 3 numerical non-convergence or a simulated trial
-past its copy cap, 4 I/O error.
+2 usage or validation error, 3 numerical non-convergence, a simulated trial
+past its copy cap or a string search past its prefix cap, 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -19,7 +20,13 @@ from .engine import NonConvergenceError
 from .model import DiscriminationProblem
 from .montecarlo import TrialLengthError, run_trials
 from .optimizer import optimize_angle, scan_angles
-from .stringlab import DEFAULT_COVERAGE, DEFAULT_MAX_DEPTH, aggregate_by_length, enumerate_strings
+from .stringlab import (
+    DEFAULT_COVERAGE,
+    DEFAULT_MAX_DEPTH,
+    PrefixLimitError,
+    aggregate_by_length,
+    enumerate_strings,
+)
 from .strategies import (
     StrategyKind,
     StrategySpec,
@@ -184,6 +191,7 @@ def _parse_strategy(token: str) -> tuple[str, StrategySpec | None]:
     raise ValueError(f"unknown strategy {token!r}")
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqdisc",
@@ -336,51 +344,61 @@ def _cmd_strings(run: _Run) -> None:
         strings, _residual = enumerate_strings(problem, spec, eps, coverage, max_depth)
         results.append((name, strings))
 
-    if run.fmt == "csv":
-        with open(run.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for name, strings in results:
-                for rows in _string_rows(strings, aggregate, text=True):
-                    # one f-string per row, laid out as _write_csv lays it out
-                    fh.write("".join([f"{name},{s},{k},{p},{e},{g}\n" for s, k, p, e, g in rows]))
-    else:
-        _write_json(run.output, _rows_to_json(header, (
-            (name, *row) for name, strings in results
-            for rows in _string_rows(strings, aggregate) for row in rows)))
+    if aggregate or run.fmt == "json":
+        _write_rows(run, header, ((name, *row) for name, strings in results
+                                  for rows in _string_rows(strings, aggregate) for row in rows))
+        return
+    with open(run.output, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for name, strings in results:
+            head = f"{name},".encode()
+            ends, index = _row_ends(strings)
+            for start in range(0, len(strings), _CHUNK_ROWS):
+                part = slice(start, start + _CHUNK_ROWS)
+                # name, + label + end, for each row of the chunk
+                fh.write(head + head.join(map(bytes.__add__, strings.labels[part].tolist(),
+                                              ends[index[part]].tolist())))
 
 
 # rows formatted per write, so the text held at once stays a few hundred KiB
 _CHUNK_ROWS = 4096
 
 
-def _string_rows(strings, aggregate: bool, text: bool = False):
+def _string_rows(strings, aggregate: bool):
     """Lists of (label, n, prob, true_error, guess) rows of `strings`, a chunk at a time.
 
     With `aggregate`, one row per length, labelled "len=<n>", with an empty guess.
-    With `text`, prob and true_error come as their CSV text.
     """
     if aggregate:
-        rows = [(f"len={a.n}", a.n, a.total_prob, a.mean_error, "")
-                for a in aggregate_by_length(strings)]
-        yield [(s, k, _fmt(p), _fmt(e), g) for s, k, p, e, g in rows] if text else rows
+        yield [(f"len={a.n}", a.n, a.total_prob, a.mean_error, "")
+               for a in aggregate_by_length(strings)]
         return
-    prob, error = strings.prob, strings.true_error
-    if text:
-        prob, error = _float_texts(prob), _float_texts(error)
     for start in range(0, len(strings), _CHUNK_ROWS):
         part = slice(start, start + _CHUNK_ROWS)
         yield list(zip(strings.labels[part].astype(str).tolist(), strings.n[part].tolist(),
-                       prob[part].tolist(), error[part].tolist(), strings.guess[part].tolist()))
+                       strings.prob[part].tolist(), strings.true_error[part].tolist(),
+                       strings.guess[part].tolist()))
 
 
-def _float_texts(column: np.ndarray) -> np.ndarray:
-    """The CSV text of each value of a float column, as an object array.
+def _row_ends(strings) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct CSV row ends `,n,prob,true_error,guess\\n` of `strings` as bytes,
+    in an object array, and the index of each row's end in it.
 
-    A set of strings holds few distinct probabilities and errors, so each
-    distinct value (by its bits) is formatted once.
+    A row's end is keyed on its n, the bits of its prob and true_error, and its
+    guess, all at full width, and each distinct key is formatted once.  Rows
+    of one probability are adjacent in emission order, so the keys are first
+    cut into runs of equal rows, and only the runs' keys are sorted.
     """
-    values, index = np.unique(column.view(np.uint64), return_inverse=True)
-    return np.array([_fmt(x) for x in values.view(np.float64).tolist()], dtype=object)[index]
+    key = np.stack([strings.n.astype(np.uint64), strings.prob.view(np.uint64),
+                    strings.true_error.view(np.uint64), strings.guess.astype(np.uint64)], axis=1)
+    starts = np.ones(len(key), bool)
+    starts[1:] = (key[1:] != key[:-1]).any(axis=1)
+    _, first, of_run = np.unique(key[starts], axis=0, return_index=True, return_inverse=True)
+    rows = np.flatnonzero(starts)[first]
+    ends = [f",{n},{_fmt(p)},{_fmt(e)},{g}\n".encode() for n, p, e, g in zip(
+        strings.n[rows].tolist(), strings.prob[rows].tolist(), strings.true_error[rows].tolist(),
+        strings.guess[rows].tolist())]
+    return np.array(ends, dtype=object), of_run.reshape(-1)[np.cumsum(starts) - 1]
 
 
 def _cmd_optimize(run: _Run) -> None:
@@ -465,7 +483,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, json.JSONDecodeError) as exc:
         print(f"seqdisc: {exc}", file=sys.stderr)
         return 2
-    except (NonConvergenceError, TrialLengthError) as exc:
+    except (NonConvergenceError, TrialLengthError, PrefixLimitError) as exc:
         print(f"seqdisc: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

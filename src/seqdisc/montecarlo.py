@@ -15,10 +15,11 @@ few copies of every row, then the rest of the rows not stopped, then, 64
 trials at a time, blocks of their fallback streams).  A stepper per kind of
 strategy turns a block's uniforms into outcomes and stop verdicts:
 fixed-angle trials carry their outcome-1 counts and take their verdicts from
-the StoppingRule's `verdicts`, LOL trials their posterior belief, moved one
-copy at a time.  Finished trials are tallied by outcome string.  A fixed
-angle at which no count state stops within TRIAL_COPY_CAP copies fails
-before any trial runs.
+the StoppingRule's `verdicts`; LOL trials carry an index into a table of the
+distinct posterior beliefs met so far, whose entry maps each outcome to the
+verdict and the next index, so that a copy is a few gathers per trial.
+Finished trials are tallied by outcome string.  A fixed angle at which no
+count state stops within TRIAL_COPY_CAP copies fails before any trial runs.
 """
 
 from __future__ import annotations
@@ -101,45 +102,92 @@ class _FixedAngle:
 
 
 class _Lol:
-    """LOL trials: each row of a chunk carries its posterior belief in psi1, moved one
-    copy at a time through the Helstrom measurement of the belief, built once per belief."""
+    """LOL trials: each row of a chunk carries the index of its posterior belief in psi1
+    in a table of the distinct beliefs met so far.
+
+    A belief's entry holds the outcome-1 probabilities of its Helstrom
+    measurement under psi1 and psi2 and, per outcome, the verdict after the
+    update and the index of the updated belief if it does not stop.  An entry
+    is built the first time a row holds its belief, so a copy is a few
+    gathers per row.
+    """
 
     def __init__(self, problem: DiscriminationProblem, eps: float):
         _check_eps(problem, eps)
         self.problem, self.eps = problem, eps
-        self.measured: dict[float, tuple[float, float, float, float]] = {}
+        self.index: dict[float, int] = {}  # belief -> index
+        self.belief = np.zeros(0)
+        self.built = np.zeros(0, bool)
+        self.p1 = np.zeros((0, 2))  # P(outcome 1 | psi1), P(outcome 1 | psi2)
+        # at 2 * index + outcome - 1: the verdict after the copy, the next index
+        self.verdict = np.zeros(0, np.int8)
+        self.next = np.zeros(0, np.int64)
+        self._indices([problem.q1])
+
+    def _indices(self, beliefs: list[float]) -> list[int]:
+        """The index of each belief; a new one gets an entry still to build."""
+        indices, fresh = [], []
+        for b in beliefs:
+            i = self.index.get(b)
+            if i is None:
+                i = self.index[b] = len(self.index)
+                fresh.append(b)
+            indices.append(i)
+        if fresh:
+            grow = len(fresh)
+            self.belief = np.concatenate([self.belief, fresh])
+            self.built = np.concatenate([self.built, np.zeros(grow, bool)])
+            self.p1 = np.concatenate([self.p1, np.zeros((grow, 2))])
+            self.verdict = np.concatenate([self.verdict, np.zeros(2 * grow, np.int8)])
+            self.next = np.concatenate([self.next, np.zeros(2 * grow, np.int64)])
+        return indices
+
+    def _build(self, indices: np.ndarray) -> None:
+        """Builds the entries at `indices`, with the float operations of a step per row."""
+        b = self.belief[indices]
+        configs = [MeasurementConfig.for_problem(self.problem, lol_next_angle(self.problem, x))
+                   for x in b.tolist()]
+        p11, p12, p21, p22 = np.array([(c.p1_given_psi1, c.p1_given_psi2, c.p2_given_psi1,
+                                        c.p2_given_psi2) for c in configs]).T
+        self.p1[indices] = np.stack([p11, p12], axis=1)
+        for outcome, num, den in ((1, p11, p12), (2, p21, p22)):
+            # an outcome that the measurement cannot give may divide by 0; no row takes it
+            with np.errstate(divide="ignore", invalid="ignore"):
+                evidence = b * num + (1.0 - b) * den
+                belief = b * num / evidence
+            stop = meets_error_bound(np.minimum(belief, 1.0 - belief), self.eps)
+            entry = 2 * indices + outcome - 1
+            self.verdict[entry] = np.where(stop, np.where(belief >= 0.5, 1, 2), 0)
+            following = self._indices(belief[~stop].tolist())
+            self.next[entry[~stop]] = following
+        self.built[indices] = True
 
     def start(self, psi1: np.ndarray) -> None:
-        self.psi1, self.belief = psi1, np.full(len(psi1), self.problem.q1)
-
-    def _probs(self, beliefs: np.ndarray) -> np.ndarray:
-        """The rows p1|psi1, p1|psi2, p2|psi1, p2|psi2 at each belief's measurement."""
-        distinct, inverse = np.unique(beliefs, return_inverse=True)
-        for b in distinct.tolist():
-            if b not in self.measured:
-                c = MeasurementConfig.for_problem(self.problem, lol_next_angle(self.problem, b))
-                self.measured[b] = (c.p1_given_psi1, c.p1_given_psi2,
-                                    c.p2_given_psi1, c.p2_given_psi2)
-        return np.array([self.measured[b] for b in distinct.tolist()])[inverse].T
+        self.state = np.zeros(len(psi1), np.int64)
+        self.side = np.where(psi1, 0, 1)
 
     def step(self, live: np.ndarray, u: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
         """As _FixedAngle.step; a row does not move past its stop."""
         ones = np.zeros(u.shape, bool)
         verdicts = np.zeros(u.shape, np.int8)
-        belief, psi1 = self.belief[live], self.psi1[live]
-        at = np.arange(len(live))  # the rows not stopped yet
+        at = np.arange(len(live))  # the rows not stopped yet, their beliefs and sides
+        state, side = self.state[live], self.side[live]
         for k in range(u.shape[1]):
             if not len(at):
                 break
-            p11, p12, p21, p22 = self._probs(belief[at])
-            ones[at, k] = one = u[at, k] < np.where(psi1[at], p11, p12)
-            num, den, b = np.where(one, p11, p21), np.where(one, p12, p22), belief[at]
-            evidence = b * num + (1.0 - b) * den
-            belief[at] = b = b * num / evidence
-            stop = meets_error_bound(np.minimum(b, 1.0 - b), self.eps)
-            verdicts[at[stop], k] = np.where(b[stop] >= 0.5, 1, 2)
-            at = at[~stop]
-        self.belief[live] = belief
+            unbuilt = ~self.built[state]
+            if unbuilt.any():
+                fresh = np.zeros(len(self.built), bool)
+                fresh[state[unbuilt]] = True
+                self._build(np.flatnonzero(fresh))
+            ones[at, k] = one = u[at, k] < self.p1[state, side]
+            entry = 2 * state + ~one
+            verdicts[at, k] = verdict = self.verdict[entry]
+            state = self.next[entry]
+            go = verdict == 0
+            if not go.all():
+                at, state, side = at[go], state[go], side[go]
+        self.state[live[at]] = state
         return ones, verdicts
 
 

@@ -9,7 +9,8 @@ probabilities, outcome-1 count, outcomes packed into uint64 words) and
 advanced one depth at a time, above a probability threshold that falls in
 rounds until the emitted strings reach the coverage target.  The frontier of
 a depth is a list of parts, each split, classified and extended on its own,
-so that the working memory stays a small multiple of the prefixes held.
+so that the working memory stays a small multiple of the prefixes held, and
+a search that would hold more than _MAX_PREFIXES fails with PrefixLimitError.
 Whether a prefix stops, and the hypothesis it then guesses, depend only on
 its outcome counts: the StoppingRule's verdicts are computed once per depth,
 for every count state, and a string's true error once per count state
@@ -31,6 +32,7 @@ from .strategies import CostResult, StrategyKind, StrategySpec, strategy_angle
 __all__ = [
     "StringSet",
     "LengthAggregate",
+    "PrefixLimitError",
     "enumerate_strings",
     "aggregate_by_length",
     "cost_from_strings",
@@ -45,6 +47,16 @@ _FIRST_THRESHOLD = 2.0 ** -10
 _THRESHOLD_STEP = 0.5
 # runs of smaller parts of the frontier are joined into one part
 _PART_ROWS = 1 << 16
+# strings decoded into labels at a time
+_LABEL_ROWS = 1 << 14
+# the most prefixes a round of the search may hold (recorded for the residual
+# or waiting), about 30 bytes each; UBM at theta = pi/12, eps = 0.074 holds
+# 0.94M.  A search that needs more fails instead of growing without bound.
+_MAX_PREFIXES = 1 << 22
+
+
+class PrefixLimitError(RuntimeError):
+    """The string search needs more live prefixes than _MAX_PREFIXES."""
 
 
 class StringSet:
@@ -258,7 +270,9 @@ def _best_first(problem, config, rule, coverage_target, max_depth) -> tuple[list
     whole depth is made next to its parts.  Only runs of small parts are
     joined (_packed), which keeps the number of parts bounded.  A prefix left
     below the threshold keeps no prob, and the residual reads the parent prob
-    of this round's prefixes only.
+    of this round's prefixes only.  A round that holds more than
+    _MAX_PREFIXES prefixes, counting those recorded for the residual and
+    those waiting, raises PrefixLimitError.
     """
     q1, q2 = problem.q1, problem.q2
     words = -(-max_depth // _WORD_BITS)
@@ -277,6 +291,7 @@ def _best_first(problem, config, rule, coverage_target, max_depth) -> tuple[list
         # (n, prob, code, parent) of the round's other prefixes; parent None or
         # inf for those carried into it
         seen: list[tuple] = []
+        seen_rows = 0
         stopped: list[_Prefixes] = []
         cut_off: list[_Prefixes] = []
         below: dict[int, list[_Prefixes]] = {}
@@ -303,10 +318,12 @@ def _best_first(problem, config, rule, coverage_target, max_depth) -> tuple[list
                         waiting += float(low.prob.sum())
                     else:
                         seen.append((n, low.prob, low.code, low.parent))
+                        seen_rows += len(low)
                     below.setdefault(n, []).append(low.lean())
                 if part is None:
                     continue
                 seen.append((n, part.prob, part.code, part.parent))
+                seen_rows += len(part)
                 stop, live = _split(part, verdicts[n][part.m1] != 0)
                 if stop is not None:
                     stopped.append(stop)
@@ -316,6 +333,12 @@ def _best_first(problem, config, rule, coverage_target, max_depth) -> tuple[list
                     cut_off.append(live)
                 else:
                     children += live.extend(config, q1, q2)
+            waiting_rows = sum(len(part) for parts in (children, *pending.values(),
+                                                       *below.values()) for part in parts)
+            if seen_rows + waiting_rows > _MAX_PREFIXES:
+                raise PrefixLimitError(
+                    f"the string search needs more than {_MAX_PREFIXES} live prefixes by depth "
+                    f"{n + 1}; lower the coverage (--coverage) or the depth (--max-depth)")
         pending = below
 
         if stopped:
@@ -397,18 +420,46 @@ def _true_errors(problem, config, n: np.ndarray, m1: np.ndarray) -> np.ndarray:
 
 
 def _string_set(problem, config, emitted: list[tuple]) -> StringSet:
-    """The emitted columns as a StringSet, outcomes decoded in bulk."""
+    """The emitted columns as a StringSet; empties list `emitted`.
+
+    The rounds' columns are joined one column at a time, each round's copy
+    released once joined, and the outcomes are decoded a chunk of rows at a
+    time into one preallocated label array, so only the column being joined
+    is held twice.
+    """
     if not emitted:
         none = np.zeros(0)
         return StringSet(none.astype("S1"), none, none, none, none, none.astype(np.int8),
                          none.astype(np.int64))
-    n, code, prob, c1, c2, m1, guess = (np.concatenate(col) for col in zip(*emitted))
-    error = _true_errors(problem, config, n, m1)
+    rounds = [list(columns) for columns in emitted]
+    emitted.clear()
+
+    def join(j: int) -> np.ndarray:
+        column = np.concatenate([columns[j] for columns in rounds])
+        for columns in rounds:
+            columns[j] = None
+        return column
+
+    n = join(0)
+    labels = np.zeros(len(n), f"S{int(n.max())}")
+    start = 0
+    for columns in rounds:
+        code, columns[1] = columns[1], None
+        for first in range(0, len(code), _LABEL_ROWS):
+            part = code[first:first + _LABEL_ROWS]
+            rows = slice(start + first, start + first + len(part))
+            labels[rows] = _decode(part, n[rows])
+        start += len(code)
+    prob, c1, c2, m1, guess = (join(j) for j in range(2, 7))
+    return StringSet(labels, prob, c1, c2, _true_errors(problem, config, n, m1), guess, n)
+
+
+def _decode(code: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The outcome strings packed in `code`, cut at lengths n, as outcome_labels gives them."""
     # one bit per outcome, from the big-endian bytes of each word that the strings use
     width = int(n.max())
     used = code[:, :-(-width // _WORD_BITS)].astype(">u8").view(np.uint8)[:, :-(-width // 8)]
-    twos = np.unpackbits(used, axis=1).view(bool)
-    return StringSet(outcome_labels(twos, n), prob, c1, c2, error, guess, n)
+    return outcome_labels(np.unpackbits(used, axis=1).view(bool), n)
 
 
 def aggregate_by_length(strings: StringSet) -> list[LengthAggregate]:

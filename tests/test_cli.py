@@ -5,6 +5,7 @@ import pytest
 
 import seqdisc.cli
 import seqdisc.montecarlo
+import seqdisc.stringlab
 from seqdisc import (
     DiscriminationProblem,
     StrategyKind,
@@ -120,6 +121,19 @@ def test_simulate_exits_3_when_no_string_can_stop(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_strings_exits_3_past_the_prefix_cap(tmp_path, capsys, monkeypatch):
+    # UBM at eps = 0.074 holds 0.94M prefixes at once; under a cap of 1,000 the
+    # search fails at the depth where it passes the cap, before any output
+    monkeypatch.setattr(seqdisc.stringlab, "_MAX_PREFIXES", 1000)
+    code, out = run(tmp_path, "s.csv", "strings", "--theta", repr(math.pi / 12),
+                    "--epsilon", "0.074", "--strategy", "ubm")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("seqdisc: the string search needs more than 1000 live prefixes")
+    assert "--coverage" in err and "--max-depth" in err
+    assert not out.exists()
+
+
 def test_cost_curve_refines_from_an_anchor_when_no_grid_point_converges(tmp_path):
     # a two-point grid holds only the uninformative endpoints, but the FBM and
     # Helstrom angles converge, so the search refines from the better of them
@@ -212,6 +226,12 @@ def _reference_strings(theta, q1, eps, names, max_depth, fmt, aggregate) -> byte
     (["ubm"], 0.5, 0.01, 1),
     # 7,617 strings: many rows share each prob and true_error text
     (["fixed:0.6"], 0.5, 0.074, 64),
+    # strings of up to 161 copies, in codes of four words
+    (["fbm"], 0.5, 1e-20, 200),
+    # pi/4 is the UBM angle: both strategies write the same row ends
+    (["ubm", "fixed:0.7853981633974483", "ubm"], 0.5, 0.15, 64),
+    # 158,744 strings with 39 distinct row ends
+    (["ubm"], 0.5, 0.074, 64),
 ])
 def test_strings_bytes_match_row_by_row_reference(tmp_path, monkeypatch, names, q1, eps, max_depth,
                                                   fmt, aggregate, chunk_rows):
@@ -391,6 +411,25 @@ def test_unsupported_format_is_rejected_before_any_work(tmp_path, monkeypatch, c
     assert code == 2
     assert capsys.readouterr().err == f"seqdisc: {message}\n"
     assert not out.exists()
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path):
+    # flags of one call (--aggregate, the appended --strategy) must not leak into the next
+    theta = repr(math.pi / 12)
+    calls = [
+        ("strings", "--theta", theta, "--epsilon", "0.179", "--strategy", "ubm", "--aggregate"),
+        ("simulate", "--theta", theta, "--epsilon", "0.179", "--strategy", "lol",
+         "--trials", "500", "--format", "json"),
+        ("strings", "--theta", theta, "--epsilon", "0.179", "--strategy", "fbm"),
+    ]
+    assert seqdisc.cli._build_parser() is seqdisc.cli._build_parser()
+    cached = [run(tmp_path, f"cached{i}", *argv) for i, argv in enumerate(calls)]
+    fresh = []
+    for i, argv in enumerate(calls):
+        seqdisc.cli._build_parser.cache_clear()
+        fresh.append(run(tmp_path, f"fresh{i}", *argv))
+    assert [code for code, _ in cached] == [code for code, _ in fresh] == [0, 0, 0]
+    assert [out.read_bytes() for _, out in cached] == [out.read_bytes() for _, out in fresh]
 
 
 def test_exit_code_io_error(tmp_path):

@@ -250,6 +250,8 @@ def _per_trial_reference(problem, strategy, eps, trials, seed):
     (FBM, 0.1, 12),
     (StrategySpec(StrategyKind.FIXED_ANGLE, phi=0.62), 0.08, 13),
     (LOL, 0.05, 14),
+    # about 30 copies a trial, through a belief table of a few hundred entries
+    (LOL, 1e-4, 15),
 ])
 def test_lockstep_matches_per_trial_reference(problem12, spec, eps, seed, offset):
     trials = _CHUNK_ROWS + offset
@@ -263,7 +265,9 @@ def test_lockstep_matches_per_trial_reference(problem12, spec, eps, seed, offset
     (DiscriminationProblem(theta=math.pi / 12), FBM, 1e-9, _CHUNK_ROWS + 300, 7, False),
     (DiscriminationProblem(theta=math.pi / 12), UBM, 1e-9, _CHUNK_ROWS + 300, 7, True),
     (SLOW_LOL, LOL, 0.01, 300, 3, True),
-], ids=["fbm", "ubm", "lol"])
+    # every LOL trial takes 68 copies at eps = 1e-9
+    (DiscriminationProblem(theta=math.pi / 12), LOL, 1e-9, 300, 5, True),
+], ids=["fbm", "ubm", "lol", "lol-68"])
 def test_lockstep_fallback_matches_per_trial_reference(problem, spec, eps, trials, seed,
                                                        twos_past_row):
     report = run_trials(problem, spec, eps, trials, seed)

@@ -12,6 +12,7 @@ import seqdisc.stringlab
 from seqdisc import (
     DiscriminationProblem,
     MeasurementConfig,
+    StoppingRule,
     StrategyKind,
     StrategySpec,
     aggregate_by_length,
@@ -377,6 +378,58 @@ def test_frontier_in_small_parts_gives_the_same_strings(problem12, monkeypatch):
             assert all(getattr(twin, name).tobytes() == getattr(strings, name).tobytes()
                        for name in COLUMNS)
             assert twin_residual == pytest.approx(residual, abs=1e-14)
+
+
+def test_labels_decoded_in_small_chunks_are_the_same(problem12, monkeypatch):
+    # chunks of 1 and 7 rows cut through every round's strings; FBM at eps =
+    # 1e-20 to depth 200 decodes strings of up to 161 copies from four-word codes
+    cases = [(UBM, 0.1, 0.999, 24), (FBM, 1e-20, 0.998, 200),
+             (StrategySpec(StrategyKind.FIXED_ANGLE, phi=0.5), 0.01, 0.5, 8)]
+    expected = [enumerate_strings(problem12, *case)[0] for case in cases]
+    assert expected[1].n.max() == 161
+    for label_rows in (1, 7):
+        monkeypatch.setattr(seqdisc.stringlab, "_LABEL_ROWS", label_rows)
+        for case, strings in zip(cases, expected):
+            twin, _ = enumerate_strings(problem12, *case)
+            assert all(getattr(twin, name).tobytes() == getattr(strings, name).tobytes()
+                       for name in COLUMNS)
+
+
+def test_string_set_holds_no_column_twice(problem12):
+    # the rounds' columns are released as they are joined and the labels are
+    # decoded a chunk at a time: for 158,744 strings (9.7 MiB) the build takes
+    # the set itself and 6.4 MiB of temporaries for its count states, where
+    # joining every column at once and decoding all labels took 9.8 MiB
+    phi = strategy_angle(problem12, UBM)
+    config = MeasurementConfig.for_problem(problem12, phi)
+    rule = StoppingRule(problem12, phi, 0.074)
+    emitted, _ = seqdisc.stringlab._best_first(problem12, config, rule, 0.998, 64)
+    tracemalloc.start()
+    try:
+        strings = seqdisc.stringlab._string_set(problem12, config, emitted)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert emitted == []
+    size = sum(getattr(strings, name).nbytes for name in COLUMNS)
+    assert peak <= size + 7 * 2**20
+
+
+def test_search_past_its_prefix_cap_fails(problem12, monkeypatch):
+    # UBM at eps = 0.179 to depth 64 holds at most 768 prefixes at once, and at
+    # eps = 0.074 0.94M
+    expected, residual = enumerate_strings(problem12, UBM, 0.179)
+    monkeypatch.setattr(seqdisc.stringlab, "_MAX_PREFIXES", 768)
+    strings, twin_residual = enumerate_strings(problem12, UBM, 0.179)
+    assert all(getattr(strings, name).tobytes() == getattr(expected, name).tobytes()
+               for name in COLUMNS)
+    assert twin_residual == residual
+    monkeypatch.setattr(seqdisc.stringlab, "_MAX_PREFIXES", 767)
+    with pytest.raises(seqdisc.stringlab.PrefixLimitError, match="more than 767 live prefixes"):
+        enumerate_strings(problem12, UBM, 0.179)
+    monkeypatch.setattr(seqdisc.stringlab, "_MAX_PREFIXES", 100_000)
+    with pytest.raises(seqdisc.stringlab.PrefixLimitError, match="--coverage.*--max-depth"):
+        enumerate_strings(problem12, UBM, 0.074)
 
 
 def test_large_enumeration_stays_in_bounded_memory(problem12):
