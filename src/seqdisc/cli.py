@@ -344,15 +344,20 @@ def _cmd_strings(run: _Run) -> None:
         strings, _residual = enumerate_strings(problem, spec, eps, coverage, max_depth)
         results.append((name, strings))
 
-    if aggregate or run.fmt == "json":
-        _write_rows(run, header, ((name, *row) for name, strings in results
-                                  for rows in _string_rows(strings, aggregate) for row in rows))
+    if aggregate:  # one row per length, labelled "len=<n>", with an empty guess
+        _write_rows(run, header, ((name, f"len={a.n}", a.n, a.total_prob, a.mean_error, "")
+                                  for name, strings in results for a in aggregate_by_length(strings)))
         return
     with open(run.output, "wb") as fh:
+        if run.fmt == "json":
+            _write_strings_json(fh, results)
+            return
         fh.write((",".join(header) + "\n").encode())
         for name, strings in results:
             head = f"{name},".encode()
-            ends, index = _row_ends(strings)
+            rows, index = _distinct_rows(strings)
+            ends = np.array([f",{n},{_fmt(p)},{_fmt(e)},{g}\n".encode()
+                             for n, p, e, g in _row_values(strings, rows)], dtype=object)
             for start in range(0, len(strings), _CHUNK_ROWS):
                 part = slice(start, start + _CHUNK_ROWS)
                 # name, + label + end, for each row of the chunk
@@ -360,45 +365,54 @@ def _cmd_strings(run: _Run) -> None:
                                               ends[index[part]].tolist())))
 
 
+def _write_strings_json(fh, results) -> None:
+    """Writes the rows of `results` to the binary file fh as json.dump(rows, fh,
+    indent=2, sort_keys=True) and a newline do: each distinct row's text before
+    and after its label is made once."""
+    fh.write(b"[")
+    sep = b"\n"
+    for name, strings in results:
+        rows, index = _distinct_rows(strings)
+        name = json.dumps(name)
+        before, after = np.empty((2, len(rows)), dtype=object)
+        for i, (n, p, e, g) in enumerate(_row_values(strings, rows)):
+            before[i] = (f'  {{\n    "guess": {g},\n    "n": {n},\n    "prob": {json.dumps(p)},\n'
+                         f'    "strategy": {name},\n    "string": "').encode()
+            after[i] = f'",\n    "true_error": {json.dumps(e)}\n  }}'.encode()
+        for start in range(0, len(strings), _CHUNK_ROWS):
+            part = slice(start, start + _CHUNK_ROWS)
+            fh.write(sep + b",\n".join(map(b"".join, zip(
+                before[index[part]].tolist(), strings.labels[part].tolist(),
+                after[index[part]].tolist()))))
+            sep = b",\n"
+    fh.write(b"\n]\n" if sep == b",\n" else b"]\n")
+
+
 # rows formatted per write, so the text held at once stays a few hundred KiB
 _CHUNK_ROWS = 4096
 
 
-def _string_rows(strings, aggregate: bool):
-    """Lists of (label, n, prob, true_error, guess) rows of `strings`, a chunk at a time.
+def _distinct_rows(strings) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct (n, prob, true_error, guess) of `strings`, and
+    for each row the index of its own among them.
 
-    With `aggregate`, one row per length, labelled "len=<n>", with an empty guess.
-    """
-    if aggregate:
-        yield [(f"len={a.n}", a.n, a.total_prob, a.mean_error, "")
-               for a in aggregate_by_length(strings)]
-        return
-    for start in range(0, len(strings), _CHUNK_ROWS):
-        part = slice(start, start + _CHUNK_ROWS)
-        yield list(zip(strings.labels[part].astype(str).tolist(), strings.n[part].tolist(),
-                       strings.prob[part].tolist(), strings.true_error[part].tolist(),
-                       strings.guess[part].tolist()))
-
-
-def _row_ends(strings) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct CSV row ends `,n,prob,true_error,guess\\n` of `strings` as bytes,
-    in an object array, and the index of each row's end in it.
-
-    A row's end is keyed on its n, the bits of its prob and true_error, and its
-    guess, all at full width, and each distinct key is formatted once.  Rows
-    of one probability are adjacent in emission order, so the keys are first
-    cut into runs of equal rows, and only the runs' keys are sorted.
+    A row is keyed on its n, the bits of its prob and true_error, and its
+    guess, all at full width.  Rows of one probability are adjacent in
+    emission order, so the keys are first cut into runs of equal rows, and
+    only the runs' keys are sorted.
     """
     key = np.stack([strings.n.astype(np.uint64), strings.prob.view(np.uint64),
                     strings.true_error.view(np.uint64), strings.guess.astype(np.uint64)], axis=1)
     starts = np.ones(len(key), bool)
     starts[1:] = (key[1:] != key[:-1]).any(axis=1)
     _, first, of_run = np.unique(key[starts], axis=0, return_index=True, return_inverse=True)
-    rows = np.flatnonzero(starts)[first]
-    ends = [f",{n},{_fmt(p)},{_fmt(e)},{g}\n".encode() for n, p, e, g in zip(
-        strings.n[rows].tolist(), strings.prob[rows].tolist(), strings.true_error[rows].tolist(),
-        strings.guess[rows].tolist())]
-    return np.array(ends, dtype=object), of_run.reshape(-1)[np.cumsum(starts) - 1]
+    return np.flatnonzero(starts)[first], of_run.reshape(-1)[np.cumsum(starts) - 1]
+
+
+def _row_values(strings, rows: np.ndarray):
+    """(n, prob, true_error, guess) of each of the rows `rows` of `strings`."""
+    return zip(strings.n[rows].tolist(), strings.prob[rows].tolist(),
+               strings.true_error[rows].tolist(), strings.guess[rows].tolist())
 
 
 def _cmd_optimize(run: _Run) -> None:

@@ -10,15 +10,20 @@ the states that continue form one m1 interval (the continuation region of
 Wald's sequential probability ratio test), and the frontier is stored as that
 interval alone; the rule gives each interval's ends.
 
-Angles are evaluated in batches that advance through one depth loop together:
-one copy is a shift-and-scale of every angle's frontier, held side by side in
-one flat array, each in a slot as long as its run plus the block's growth.
-The loop runs in blocks of depths.  A block computes the continuation runs of
-all its depths and angles first, then advances the frontiers (the only step
-that must go depth by depth), then reads off the stopped mass, the cost and the
-stop, cap and trim tests for all its depths at once.  An angle leaves the
-batch at the first depth where it drains, exceeds its cap or fails; a window
-trim ends the block at its depth.
+Angles are evaluated in batches that advance through one depth loop together,
+their frontiers held side by side in one flat array.  The loop runs in blocks
+of depths.  A block computes the continuation runs of all its depths and
+angles first, then advances the frontiers (the only step that must go depth by
+depth), then reads off the stopped mass, the cost and the stop, cap and trim
+tests for all its depths at once.  Each angle's slot follows its run: the
+columns shift by one state at a copy where the run's lower end rises, so a
+slot grows only as its run widens, and a run that drifts by almost a state per
+copy (near phi = 0) still fits a block of a thousand copies.  One copy is one
+multiply of each cell's left, own and right neighbour by coefficients made
+once per distinct copy pattern of the block, which hold the one-copy law, the
+shift and the cut to the runs, and one sum of the three products.  An angle
+leaves the batch at the first depth where it drains, exceeds its cap or
+fails; a window trim ends the block at its depth.
 
 A brute-force outcome-tree enumeration serves as the independent correctness
 oracle at validation scale: it walks every outcome string instead of the count
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DiscriminationProblem, MeasurementConfig
-from .posterior import StoppingRule, log_likelihood_steps
+from .posterior import StoppingRule, config_steps
 from .strategies import CostResult
 
 __all__ = [
@@ -51,13 +56,17 @@ _BRUTE_FORCE_DEPTH_LIMIT = 30
 # frontier states carrying less than this fraction of the live mass are dropped
 # (tracked as leaked mass, so conservation accounting stays honest)
 _WINDOW_CUT = 1e-40
-# depths per block: the first block is short so that cheap calls stay cheap,
-# later ones double up to _MAX_BLOCK; a block is halved while the frontier
-# history it would hold (depths x hypotheses x cells) exceeds _BLOCK_CELLS,
-# which bounds the block's arrays to about 20 bytes per cell (640 KiB)
-_FIRST_BLOCK = 32
-_MAX_BLOCK = 64
+# depths per block: the first block has _FIRST_BLOCK, later ones double up to
+# _MAX_BLOCK; the copies stop within 8 of the depth where every row has
+# drained.  A block is cut to the most copies whose float arrays at their
+# peak hold at most 2 * _BLOCK_CELLS cells (512 KiB): the frontier history
+# (copies x hypotheses x cells) and the three products of a copy, with either
+# the coefficient arrays kept (six cells per cell of each) while the copies
+# are made, or the two planes the reductions read after them
+_FIRST_BLOCK = 128
+_MAX_BLOCK = 1024
 _BLOCK_CELLS = 1 << 15
+
 
 class NonConvergenceError(RuntimeError):
     """The frontier did not drain below the mass tolerance within the depth budget."""
@@ -94,16 +103,21 @@ def worst_case_tail(problem: DiscriminationProblem, phi: float, eps: float) -> f
     information (phi = 0 limit).
     """
     config = MeasurementConfig.for_problem(problem, phi)
-    steps = log_likelihood_steps(problem, phi)
+    steps = config_steps(config)
+    return _tail((config.p1_given_psi1, config.p2_given_psi1, config.p1_given_psi2,
+                  config.p2_given_psi2), (steps.step1, steps.step2), eps)
+
+
+def _tail(likelihoods, steps, eps: float) -> float:
+    """worst_case_tail from P(1|psi1), P(2|psi1), P(1|psi2), P(2|psi2) and the two log-ratio steps."""
     l_bound = math.log(1.0 / eps - 1.0)
-    finite = [abs(s) for s in (steps.step1, steps.step2) if math.isfinite(s)]
+    finite = [abs(s) for s in steps if math.isfinite(s)]
     spread = sum(finite)
     tails = []
-    for likelihoods in ((config.p1_given_psi1, config.p2_given_psi1),
-                        (config.p1_given_psi2, config.p2_given_psi2)):
+    for given in (likelihoods[:2], likelihoods[2:]):
         geometric = math.inf
         drift = 0.0
-        for p, s in zip(likelihoods, (steps.step1, steps.step2)):
+        for p, s in zip(given, steps):
             if p == 0.0:
                 continue
             if math.isinf(s):
@@ -122,13 +136,15 @@ class AngleBatch:
     outcomes[i] is the CostResult of the i-th angle, or the NonConvergenceError
     or CostCapExceeded it ended with.  depth_iterations counts the steps of
     the depth loop, each of which advances every running angle by one copy
-    (steps past a window trim are run again); angle_steps sums, over the
-    angles, the depths each one was advanced.
+    (steps past a window trim are run again), and blocks the blocks of steps
+    it ran; angle_steps sums, over the angles, the depths each one was
+    advanced.
     """
 
     outcomes: list
     depth_iterations: int
     angle_steps: int
+    blocks: int
 
 
 def fixed_angle_cost(
@@ -156,57 +172,162 @@ def fixed_angle_cost(
     return outcome
 
 
-def _advance(frontier: np.ndarray, stay: np.ndarray, move: np.ndarray, inside: np.ndarray,
-             tolerance: float) -> np.ndarray:
-    """The mass (copies, 2, cells) after each of len(inside) copies, before it is cut to its runs.
+def _layout(lo_run: np.ndarray, hi_run: np.ndarray):
+    """The longest block whose arrays fit in 2 * _BLOCK_CELLS, with its slots and copy patterns.
 
-    frontier (2, cells) holds the rows' slots side by side; stay and move give
-    the one-copy law of each cell's row, and inside[j] marks the cells that
-    continue after copy j + 1.  No run reaches the last column of its slot, so
-    no mass crosses into the next slot.  The copies stop early, every 8th one,
-    once all rows together hold at most tolerance.
+    lo_run and hi_run (copies + 1, rows) hold each row's run before the block
+    and after each of its copies; a run that empties stays empty, as hi = lo - 1.
+    Row k holds m1 after copy j at column origin[k] + m1 - shift[j, k].  The
+    shift follows the run's lower end up, by at most one state per copy, so
+    a slot grows only as far as its run widens, whatever the run's drift.
+    Each slot spans the columns m1 - shift of every state its row reaches
+    in the block, and one cell on each side that nothing reaches.
+
+    Copy j's coefficients depend only on each row's rise in shift at j and on
+    its run after copy j - 1, which the copy is cut to.  pattern[j - 1]
+    numbers the distinct ones in the order of first use; up[p] and source[p]
+    are the rises and the copy cut to at pattern p's first use.  once tells
+    that every copy has a pattern of its own.
+
+    Returns (block, shift, low, width, (pattern, up, source, once)): shift
+    for copies 0..block, and per row the lowest column offset m1 - shift of
+    a state it reaches and its slot's width.
     """
-    block, cells = inside.shape
-    flat = frontier.ravel()
-    stay = stay.ravel()
-    move = move.ravel()[1:]
-    new = np.empty((block, 2, cells))
-    moved = np.empty(flat.size - 1)
-    for j, (new_j, inside_j) in enumerate(zip(new, inside)):
-        # the convolution with the one-copy law, rounded as np.correlate does
-        new_flat = new_j.ravel()
-        np.multiply(flat, stay, out=new_flat)
-        np.multiply(flat[:-1], move, out=moved)
-        np.add(new_flat[1:], moved, out=new_flat[1:])
-        np.multiply(new_j, inside_j, out=frontier)
-        if j % 8 == 7 and flat.sum() <= tolerance:
-            block = j + 1
+    copies = len(lo_run) - 1
+    steps = np.arange(copies + 1)[:, None]
+    shift = np.minimum.accumulate(lo_run - lo_run[0] - steps, axis=0)
+    shift += steps
+    up = np.diff(shift, axis=0)
+    lo, hi = lo_run[:-1] - shift[:-1], hi_run[:-1] - shift[:-1]
+    empty = lo > hi
+    # the lowest and highest offsets reached within each number of copies;
+    # the first copy starts from a run
+    low = np.minimum.accumulate(np.where(empty, lo[0], lo - up), axis=0)
+    high = np.maximum.accumulate(np.where(empty, hi[0], hi + 1 - up), axis=0)
+    cells = (high - low + 3).sum(axis=1)
+    b = np.arange(1, copies + 1)
+    # with as many rows as copies, copies seldom repeat a pattern: each copy
+    # is its own, whose coefficients are dropped once used
+    once = copies <= len(up[0])
+    if once:
+        pattern = first = b - 1
+        held = 0
+    else:
+        key = np.stack((up, lo, hi), axis=-1)
+        key[empty] = (0, 0, -1)  # nothing passes a copy cut to an empty run
+        pattern, first = _patterns(key.reshape(copies, -1))
+        held = np.searchsorted(first, b)  # patterns of the first b copies, all kept
+    peak = (2 * (b + 1) + 6 + np.maximum(6 * held, 2 * b)) * cells
+    block = max(1, int(np.count_nonzero(peak <= 2 * _BLOCK_CELLS)))
+    first = first[:np.searchsorted(first, block)]
+    return (block, shift[:block + 1], low[block - 1], high[block - 1] - low[block - 1] + 3,
+            (pattern[:block], up[first], first, once))
+
+
+def _patterns(key: np.ndarray):
+    """The distinct rows of key (copies, n), numbered in the order of first use.
+
+    Returns each row's number and, per number, the index of its first row.
+    Each row is sorted as one opaque value, far faster than comparing rows.
+    """
+    rows = key.view(np.dtype((np.void, key.shape[1] * key.itemsize))).ravel()
+    order = np.argsort(rows, kind="stable")
+    ordered = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    first = order[starts]
+    by_use = np.argsort(first)
+    number = np.empty_like(by_use)
+    number[by_use] = np.arange(len(by_use))
+    pattern = np.empty_like(order)
+    pattern[order] = number[np.cumsum(starts) - 1]
+    return pattern, first[by_use]
+
+
+def _coefficients(move: np.ndarray, stay: np.ndarray, up: np.ndarray, inside: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """The coefficients (3, 2 * cells) of one copy pattern's neighbour products.
+
+    move and stay (2, cells) hold each cell's one-copy law under either
+    hypothesis; up marks the cells whose row shifts up at the copy, and
+    inside (cells + 2, a cell more at each end) the cells of the runs the
+    copy is cut to.  A cell takes m1 - 1 and m1 from its left neighbour and
+    itself, or, when its row shifts up, from itself and its right neighbour;
+    the third coefficient, and that of any cut cell, is 0.  out, if given,
+    receives them.
+    """
+    coefs = np.empty((3,) + move.shape) if out is None else out.reshape((3,) + move.shape)
+    np.multiply(move, inside[:-2] & ~up, out=coefs[0])
+    np.multiply(np.where(up, move, stay), inside[1:-1], out=coefs[1])
+    np.multiply(stay, inside[2:] & up, out=coefs[2])
+    return coefs.reshape(3, -1)
+
+
+def _advance(frontier: np.ndarray, coefficients, pattern: np.ndarray, once: bool,
+             tolerance: float) -> np.ndarray:
+    """The mass (copies + 1, 2, cells) before and after each of len(pattern) copies, uncut.
+
+    frontier (2, cells) holds the rows' slots side by side.  Copy j + 1 is
+    one np.multiply of the (left, same, right)-neighbour view of copy j by
+    the coefficients of its pattern, coefficients(pattern[j]), which hold the
+    one-copy law, the shifts and the cut of copy j, then one np.add.reduce
+    of the three products in that order.  A pattern's coefficients are made
+    at its first use and kept for later ones; if `once`, each copy's are made
+    into the products' array, which the multiply then overwrites.  Every slot
+    keeps one cell at each end that no run covers, so no mass crosses into
+    the next slot.  The copies stop early, every 8th one, once all rows
+    together hold at most tolerance.
+    """
+    copies, size = len(pattern), frontier.size
+    # the history, with a zero before it for the first cell's left neighbour
+    buffer = np.zeros((copies + 1) * size + 2)
+    history = buffer[1:-1].reshape(copies + 1, size)
+    history[0] = frontier.ravel()
+    stride = buffer.strides[0]
+    sources = np.lib.stride_tricks.as_strided(buffer, (copies, 3, size),
+                                              (size * stride, stride, stride), writeable=False)
+    made = [None] * copies
+    pattern = pattern.tolist()
+    products = np.empty((3, size))
+    multiply, add = np.multiply, np.add.reduce
+    for j in range(0, copies, 8):
+        for p, source, new in zip(pattern[j:j + 8], sources[j:j + 8], history[j + 1:j + 9]):
+            if once:
+                coefs = coefficients(p, products)
+            elif (coefs := made[p]) is None:
+                coefs = made[p] = coefficients(p)
+            multiply(source, coefs, out=products)
+            add(products, axis=0, out=new)
+        if new.sum() <= tolerance:
+            copies = min(copies, j + 8)
             break
-    return new[:block]
+    return history[:copies + 1].reshape(copies + 1, 2, -1)
 
 
 def _inside(lo: np.ndarray, hi: np.ndarray, origin: np.ndarray, cells: int) -> np.ndarray:
     """Whether each cell holds a state of its row's run [lo, hi], at each depth.
 
-    Row k holds m1 at column origin[k] + m1; the runs of different rows lie in
-    disjoint slots, each after a leading cell that no run covers.
+    Row k holds m1 at depth j at column origin[j, k] + m1; the runs of
+    different rows lie in disjoint slots, each after a leading cell that no
+    run covers.  The result has a cell more, outside every run, at each end.
     """
-    edges = np.zeros((len(lo), cells + 1), dtype=np.int8)
+    edges = np.zeros((len(lo), cells + 2), dtype=np.int8)
     depth, row = np.nonzero(lo <= hi)
-    edges[depth, origin[row] + lo[depth, row]] = 1
-    edges[depth, origin[row] + hi[depth, row] + 1] = -1
-    return np.cumsum(edges, axis=1, dtype=np.int8)[:, :-1].view(bool)
+    at = origin[depth, row] + 1
+    edges[depth, at + lo[depth, row]] = 1
+    edges[depth, at + hi[depth, row] + 1] = -1
+    return np.cumsum(edges, axis=1, dtype=np.int8).view(bool)
 
 
 def _run_sums(values: np.ndarray, cells: int, lo: np.ndarray, hi: np.ndarray,
               origin: np.ndarray) -> np.ndarray:
     """np.sum of each row's run [lo, hi] at each depth (0 for an empty run).
 
-    values holds depth after depth of `cells` cells, m1 of row k at column
-    origin[k] + m1, with a zero in the cell before each run, and one more cell
-    at the end.  np.add.reduceat adds the first cell of a segment to np.sum of
-    the rest, so a segment that starts at that zero sums the run exactly as
-    np.sum of the run alone does.
+    values holds depth after depth of `cells` cells, m1 of row k at depth j
+    at column origin[j, k] + m1, with a zero in the cell before each run, and
+    one more cell at the end.  np.add.reduceat adds the first cell of a
+    segment to np.sum of the rest, so a segment that starts at that zero sums
+    the run exactly as np.sum of the run alone does.
     """
     depths = len(lo)
     first = (np.arange(depths) * cells)[:, None] + origin
@@ -222,18 +343,19 @@ def _stopped_mass(weight: np.ndarray, stopped: np.ndarray, lo_run: np.ndarray, h
     """The mass that stops at each depth of a block, per row.
 
     stopped holds each row's stopped states at each depth summed in any order;
-    weight (depths, cells) holds m1 of row k at column origin[k] + m1.  The
-    mass is np.sum of the stopped states of the row's window (its last run
-    plus one state), in window order.  Any order sums up to two of them
-    exactly, so only rows with more are summed again from their window, up to
-    their first empty run.
+    weight (depths, cells) holds m1 of row k at depth j at column
+    origin[j, k] + m1.  The mass is np.sum of the stopped states of the row's
+    window (its last run plus one state), in window order.  Any order sums up
+    to two of them exactly, so only rows with more are summed again from
+    their window, up to their first empty run.
     """
     run_len = hi_run - lo_run + 1
     empty = run_len[1:] <= 0
     n_stopped = run_len[:-1] + 1 - np.maximum(run_len[1:], 0)
     before_empty = empty.cumsum(axis=0) - empty == 0
     for j, k in zip(*np.nonzero(before_empty & (n_stopped > 2))):
-        window = weight[j, origin[k] + lo_run[j, k]:origin[k] + hi_run[j, k] + 2]
+        at = origin[j, k]
+        window = weight[j, at + lo_run[j, k]:at + hi_run[j, k] + 2]
         i0, i1 = lo_run[j + 1, k] - lo_run[j, k], hi_run[j + 1, k] + 1 - lo_run[j, k]
         stopped[j, k] = (window if empty[j, k] else np.concatenate((window[:i0], window[i1:]))).sum()
     return stopped
@@ -270,21 +392,23 @@ def fixed_angle_costs(
     phis = list(phis)
     rule = StoppingRule(problem, phis, eps)
     if not phis:
-        return AngleBatch([], 0, 0)
+        return AngleBatch([], 0, 0, 0)
 
-    configs = [MeasurementConfig.for_problem(problem, phi) for phi in phis]
+    def tail(i: int) -> float:
+        # the steps are the negated log-odds increments, bit for bit
+        return _tail(rule.likelihoods[i].tolist(), (-float(rule.d1[i]), -float(rule.d2[i])), eps)
+
     outcomes: list = [None] * len(phis)
     # if nothing can stop, the loop would end with the whole unit mass as
     # residual, so whether it would raise is already known
     for i in np.nonzero(~rule.can_stop_within(opts.max_copies))[0]:
-        if opts.max_copies + worst_case_tail(problem, phis[i], eps) > opts.bound_width_limit:
+        if opts.max_copies + tail(i) > opts.bound_width_limit:
             outcomes[i] = NonConvergenceError(
                 f"no outcome string can stop within {opts.max_copies} copies at phi={phis[i]}"
             )
     q1, q2 = problem.q1, problem.q2
     # P(outcome 1 | psi_j): one copy moves mass from m1 to m1 + 1 with it
-    move = np.array([(c.p1_given_psi1, c.p1_given_psi2) for c in configs]).T
-    del configs
+    move = rule.likelihoods[:, ::2].T
     stay = 1.0 - move
     capped = cost_cap is not None
     cap = cost_cap if capped else math.inf
@@ -294,7 +418,7 @@ def fixed_angle_costs(
         if residual == 0.0:
             outcomes[i] = CostResult(expected_copies=cost, exact=True)
             return
-        bound_width = residual * (n + worst_case_tail(problem, phis[i], eps))
+        bound_width = residual * (n + tail(i))
         if residual > opts.mass_tolerance and bound_width > opts.bound_width_limit:
             outcomes[i] = NonConvergenceError(
                 f"residual mass {residual:.3e} after {n} copies at phi={phis[i]}; "
@@ -314,43 +438,53 @@ def fixed_angle_costs(
     cost, leaked = np.zeros((2, len(rows)))
     n = 0
     block = _FIRST_BLOCK
-    depth_iterations = angle_steps = 0
+    depth_iterations = angle_steps = blocks = 0
     while len(rows):
         count = len(rows)
         run_len = hi - lo + 1
-        block = min(block, opts.max_copies - n)
-        while block > 1 and 2 * block * (mass.shape[1] + count * (block + 2)) > _BLOCK_CELLS:
-            block //= 2
+        # a slot holds at least its run and two cells more, so _layout can
+        # keep no more copies than this
+        block = max(1, min(block, opts.max_copies - n,
+                           _BLOCK_CELLS // (2 * (mass.shape[1] + 2 * count))))
         depths = np.arange(n, n + block + 1)[:, None]
-        ns = depths[1:]  # the block's depths
-        run_lo, run_hi = rule.runs(ns[:, 0], rows)
+        run_lo, run_hi = rule.runs(depths[1:, 0], rows)
         # the run at each depth within its window (the last run plus one
-        # state); row 0 holds the runs at depth n
+        # state), empty from its first empty one on; row 0 holds the runs at depth n
         lo_run = np.maximum.accumulate(np.concatenate((lo[None], run_lo)), axis=0)
         hi_run = np.minimum.accumulate(np.concatenate((hi[None], run_hi)) - depths, axis=0) + depths
-        # each row gets a slot from a leading zero column to the state past
-        # the highest its runs reach; m1 of row k lies at column origin[k] + m1
-        width = hi_run.max(axis=0) - lo + 3
+        emptied = ~np.logical_and.accumulate(lo_run <= hi_run, axis=0)
+        hi_run[emptied] = lo_run[emptied] - 1
+        candidate = block
+        block, shift, low, width, (pattern, up, source, once) = _layout(lo_run, hi_run)
         slot = np.cumsum(width) - width
-        origin = slot + 1 - lo
+        # m1 of row k after copy j lies at column origin[j, k] + m1
+        origin = slot + 1 - low - shift
         cells = int(width.sum())
+        lo_run, hi_run = lo_run[:block + 1], hi_run[:block + 1]
+        inside = _inside(lo_run, hi_run, origin, cells)
         frontier = np.zeros((2, cells))
-        frontier[:, np.repeat(origin + lo - (np.cumsum(run_len) - run_len), run_len)
+        frontier[:, np.repeat(origin[0] + lo - (np.cumsum(run_len) - run_len), run_len)
                  + np.arange(mass.shape[1])] = mass
-        inside = _inside(lo_run[1:], hi_run[1:], origin, cells)
-        new = _advance(frontier, stay[:, rows].repeat(width, axis=1),
-                       move[:, rows].repeat(width, axis=1), inside, opts.mass_tolerance)
-        if len(new) < block:  # every row drained: the rest of the block is not needed
-            block = len(new)
-            ns, inside = ns[:block], inside[:block]
-            lo_run, hi_run = lo_run[:block + 1], hi_run[:block + 1]
-        depth_iterations += block
+        law = move[:, rows].repeat(width, axis=1), stay[:, rows].repeat(width, axis=1)
+        rises = up.astype(bool).repeat(width, axis=1)
 
-        weight = new[:, 0] * q1
-        weight += new[:, 1] * q2
+        def coefficients(p: int, out: np.ndarray | None = None) -> np.ndarray:
+            return _coefficients(*law, rises[p], inside[source[p]], out)
+
+        # past a block cut to fit, the next one grows more slowly
+        grown = min(_MAX_BLOCK, 2 * block if block == candidate else block + 1)
+        new = _advance(frontier, coefficients, pattern, once, opts.mass_tolerance)[1:]
+        block = len(new)  # fewer once every row drained: the rest of the block is not needed
+        ns, inside, origin = depths[1:block + 1], inside[1:block + 1, 1:-1], origin[1:block + 1]
+        lo_run, hi_run = lo_run[:block + 1], hi_run[:block + 1]
+        depth_iterations += block
+        blocks += 1
+
         # the states that continue; one more cell keeps the run sums' end in range
         cells_buffer = np.zeros(block * cells + 1)
         live = cells_buffer[:-1].reshape(block, cells)
+        weight = new[:, 0] * q1
+        weight += np.multiply(new[:, 1], q2, out=live)
         np.multiply(weight, inside, out=live)
         front = _run_sums(cells_buffer, cells, lo_run[1:], hi_run[1:], origin)
         stopped_cells = np.subtract(weight, live, out=live)
@@ -382,8 +516,8 @@ def fixed_angle_costs(
         for k in np.nonzero(ends)[0]:
             i, j = rows[k], int(first[k])
             depth = int(ns[j, 0])
-            start = origin[k] + lo_run[j + 1, k]
-            run = slice(start, max(start, origin[k] + hi_run[j + 1, k] + 1))
+            start = origin[j, k] + lo_run[j + 1, k]
+            run = slice(start, max(start, origin[j, k] + hi_run[j + 1, k] + 1))
             if drained[j, k]:
                 finish(i, depth, float(cost_n[j, k]), new[j, :, run], float(leaked[k]))
             elif over[j, k]:
@@ -409,21 +543,23 @@ def fixed_angle_costs(
         going = ~done
         angle_steps += (last + 1) * int(going.sum())
         n += last + 1
-        block = min(_MAX_BLOCK, 2 * (last + 1))
-        lo, hi = lo_run[last + 1], hi_run[last + 1]
+        block = min(grown, 2 * (last + 1))
+        lo, hi, at = lo_run[last + 1], hi_run[last + 1], origin[last]
         for k in np.nonzero(going & (n == opts.max_copies))[0]:
-            run = slice(origin[k] + lo[k], origin[k] + hi[k] + 1)
+            run = slice(at[k] + lo[k], at[k] + hi[k] + 1)
             finish(rows[k], n, float(cost_n[last, k]), new[last, :, run], float(leaked[k]))
             going[k] = False
         if capped:  # the bound is sound, so any angle's cost caps every other angle
             cap = min([cap] + [outcomes[i].expected_copies for i in rows[~going]
                                if isinstance(outcomes[i], CostResult)])
-        rows, lo, hi, origin = rows[going], lo[going], hi[going], origin[going]
+        rows, lo, hi, at = rows[going], lo[going], hi[going], at[going]
         run_len = hi - lo + 1
-        mass = new[last][:, np.repeat(origin + lo - (np.cumsum(run_len) - run_len), run_len)
+        mass = new[last][:, np.repeat(at + lo - (np.cumsum(run_len) - run_len), run_len)
                          + np.arange(run_len.sum())]
         cost, leaked = cost_n[last, going], leaked[going]
-    return AngleBatch(outcomes, depth_iterations, angle_steps)
+        # the block's arrays go before the next block's are made
+        del new, weight, inside, cells_buffer, live, stopped_cells
+    return AngleBatch(outcomes, depth_iterations, angle_steps, blocks)
 
 
 def brute_force_cost(

@@ -29,6 +29,7 @@ __all__ = [
     "posterior_from_counts",
     "posterior_error",
     "log_likelihood_steps",
+    "config_steps",
     "meets_error_bound",
 ]
 
@@ -146,16 +147,22 @@ class StoppingRule:
     The closed form only seeds the run's ends; the predicate fixes them.
 
     phi is one angle or a sequence of them; d1, d2 and rate have its shape, and
-    the `row` of _logit picks angles of a batch.  The error is evaluated with numpy's exp,
-    whose last bit can differ from math.exp, always in the same operation
-    order, so a state on the boundary decides the same way in every caller.
+    the `row` of _logit picks angles of a batch.  likelihoods holds each
+    angle's P(1|psi1), P(2|psi1), P(1|psi2) and P(2|psi2) on its last axis.
+    The error is evaluated with numpy's exp, whose last bit can differ from
+    math.exp, always in the same operation order, so a state on the boundary
+    decides the same way in every caller.
     Raises ValueError unless 0 < eps < min(q1, q2) and every angle lies in
     [0, pi/2).
     """
 
     def __init__(self, problem: DiscriminationProblem, phi, eps: float):
         _check_eps(problem, eps)
-        steps = [log_likelihood_steps(problem, p) for p in ([phi] if np.ndim(phi) == 0 else phi)]
+        configs = [MeasurementConfig.for_problem(problem, p) for p in ([phi] if np.ndim(phi) == 0 else phi)]
+        steps = [config_steps(config) for config in configs]
+        # each angle's likelihoods, computed once for every user of the rule
+        self.likelihoods = np.array([(c.p1_given_psi1, c.p2_given_psi1, c.p1_given_psi2, c.p2_given_psi2)
+                                     for c in configs]).reshape(np.shape(phi) + (4,))
         self.logit0 = math.log(problem.q2 / problem.q1)
         # log-odds increments of psi2 vs psi1: d1 <= 0 <= d2
         self.d1 = -np.array([s.step1 for s in steps]).reshape(np.shape(phi))
@@ -273,7 +280,11 @@ class StoppingRule:
 
 def log_likelihood_steps(problem: DiscriminationProblem, phi: float) -> LikelihoodSteps:
     """Per-outcome log-likelihood-ratio increments for a fixed measurement angle."""
-    config = MeasurementConfig.for_problem(problem, phi)
+    return config_steps(MeasurementConfig.for_problem(problem, phi))
+
+
+def config_steps(config: MeasurementConfig) -> LikelihoodSteps:
+    """log_likelihood_steps of the angle whose likelihoods `config` holds."""
     return LikelihoodSteps(
         step1=_log_ratio(config.p1_given_psi1, config.p1_given_psi2),
         step2=_log_ratio(config.p2_given_psi1, config.p2_given_psi2),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -436,3 +437,17 @@ def test_exit_code_io_error(tmp_path):
     code, _ = run(tmp_path, "no/such/dir/out.csv", "optimize", "--theta", "0.3",
                   "--epsilon", "0.2", "--resolution", "50")
     assert code == 4
+
+
+# sha256 of these outputs as written before the engine's slots followed their
+# runs: the engine's block layout moves no byte of them
+@pytest.mark.parametrize("argv,digest", [
+    (("angle-scan", "--epsilon", "0.125", "--theta", repr(math.pi / 12), "--resolution", "100"),
+     "e3cb039aca55e57618e0f1aabb6f29dfdccb8c2af392b1009ad03ed6eb4f81cd"),
+    (("cost-curve", "--preset", "fig3", "--resolution", "100"),
+     "164568acdcafbda4c4c167efacee7d21e3bd00510ade18e44db440e4b8d7ed3d"),
+])
+def test_engine_outputs_are_pinned(tmp_path, argv, digest):
+    code, out = run(tmp_path, "out.csv", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -469,6 +469,43 @@ def test_batch_matches_single_angle_loop(theta, phi, eps, opts):
         assert trims > 0
 
 
+# Fig. 1 at theta = 0.2095, eps = 0.125: one grid step of a 100-point scan in
+# from phi = 0, its mirror, pi/4, theta, and an angle whose window is trimmed
+MIXED_THETA = 0.2095
+STEP = (math.pi / 2 - 1e-9) / 99
+MIXED_PHIS = [STEP, math.pi / 2 - STEP, math.pi / 4, MIXED_THETA, 0.002]
+
+
+@pytest.mark.parametrize("first,most,cells", [(1, 1, 1), (4096, 4096, 1 << 20)])
+def test_block_sizes_do_not_change_results(monkeypatch, first, most, cells):
+    # one copy per block, or each run in one block: every angle ends as with
+    # the default blocks, uncapped, under a cost cap and at the copy budget,
+    # errors and their messages too
+    problem = DiscriminationProblem(theta=MIXED_THETA)
+    opts = EngineOptions(max_copies=1000)
+    caps = (None, 7.0)
+    default = [fixed_angle_costs(problem, MIXED_PHIS, 0.125, opts, cost_cap=cap) for cap in caps]
+    for batch, kinds in zip(default, ({CostResult, NonConvergenceError}, {CostResult, CostCapExceeded})):
+        assert {type(o) for o in batch.outcomes} == kinds
+    monkeypatch.setattr(engine, "_FIRST_BLOCK", first)
+    monkeypatch.setattr(engine, "_MAX_BLOCK", most)
+    monkeypatch.setattr(engine, "_BLOCK_CELLS", cells)
+    for cap, expected in zip(caps, default):
+        batch = fixed_angle_costs(problem, MIXED_PHIS, 0.125, opts, cost_cap=cap)
+        assert [_fingerprint(o) for o in batch.outcomes] == [_fingerprint(o) for o in expected.outcomes]
+        assert batch.angle_steps == expected.angle_steps
+
+
+def test_near_endpoint_angle_runs_in_long_blocks():
+    # Fig. 1's slowest converging angle drains only after about 16,000
+    # copies; its slot follows its run, so its blocks stay long
+    batch = fixed_angle_costs(DiscriminationProblem(theta=MIXED_THETA), [STEP], 0.125,
+                              EngineOptions(max_copies=20_000))
+    assert isinstance(batch.outcomes[0], CostResult)
+    assert batch.angle_steps > 15_000
+    assert batch.blocks <= 32
+
+
 def test_stopped_mass_sums_many_stopped_states_in_window_order():
     # a window of 7 states whose run keeps only the middle one, and a row
     # whose run is empty: both are summed in order, as np.sum of the window
@@ -476,7 +513,7 @@ def test_stopped_mass_sums_many_stopped_states_in_window_order():
     weight = rng.random((1, 24)) * 10.0 ** rng.integers(-8, 8, (1, 24))
     lo_run = np.array([[0, 2], [3, 5]])  # runs before and at the depth, in m1
     hi_run = np.array([[5, 6], [3, 4]])
-    origin = np.array([1, 12])  # row 1's m1 = 2 lies at column 14
+    origin = np.array([[1, 12]])  # at the depth, row 1's m1 = 2 lies at column 14
     stopped = engine._stopped_mass(weight, np.zeros((1, 2)), lo_run, hi_run, origin)
     window = weight[0, 1:8]
     assert stopped[0, 0] == np.concatenate((window[:3], window[4:])).sum()
@@ -493,12 +530,14 @@ def test_run_sums_are_np_sum_of_each_run():
         hi = lo + lengths - 1
         hi[1, 2] = lo[1, 2] - 2  # an empty run sums to 0
         origin = np.concatenate(([1], 2 + np.cumsum(lengths + 60)[:-1])) - lo.min(axis=0)
-        values = np.zeros((2, int(origin[-1] + hi.max() + 2)))
+        # each depth has its own origins, as rows whose columns follow their run do
+        origin = origin + np.array([[0], [rng.integers(0, 10)]])
+        values = np.zeros((2, int(origin.max() + hi.max() + 2)))
         for j, k in np.ndindex(2, 3):
             if lo[j, k] <= hi[j, k]:
-                run = slice(origin[k] + lo[j, k], origin[k] + hi[j, k] + 1)
+                run = slice(origin[j, k] + lo[j, k], origin[j, k] + hi[j, k] + 1)
                 values[j, run] = rng.random(lengths[k]) * 10.0 ** rng.integers(-20, 5, lengths[k])
         sums = engine._run_sums(np.append(values.ravel(), 0.0), values.shape[1], lo, hi, origin)
         for j, k in np.ndindex(2, 3):
-            run = values[j, origin[k] + lo[j, k]:origin[k] + hi[j, k] + 1]
+            run = values[j, origin[j, k] + lo[j, k]:origin[j, k] + hi[j, k] + 1]
             assert sums[j, k] == (run.sum() if lo[j, k] <= hi[j, k] else 0.0)
