@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DiscriminationProblem, MeasurementConfig
-from .posterior import StoppingRule, config_steps
+from .posterior import StoppingRule, log_likelihood_steps
 from .strategies import CostResult
 
 __all__ = [
@@ -57,12 +57,14 @@ _BRUTE_FORCE_DEPTH_LIMIT = 30
 # (tracked as leaked mass, so conservation accounting stays honest)
 _WINDOW_CUT = 1e-40
 # depths per block: the first block has _FIRST_BLOCK, later ones double up to
-# _MAX_BLOCK; the copies stop within 8 of the depth where every row has
-# drained.  A block is cut to the most copies whose float arrays at their
-# peak hold at most 2 * _BLOCK_CELLS cells (512 KiB): the frontier history
-# (copies x hypotheses x cells) and the three products of a copy, with either
-# the coefficient arrays kept (six cells per cell of each) while the copies
-# are made, or the two planes the reductions read after them
+# _MAX_BLOCK, or grow by one past a block cut to fit (a doubled one would be
+# cut again, the runs of its extra depths found in vain).  The copies stop
+# within 8 of the depth where every row has drained, so a long first block
+# costs a cheap call little.  A block is cut to the most copies whose float
+# arrays at their peak hold at most 2 * _BLOCK_CELLS cells (512 KiB): the
+# frontier history (copies x hypotheses x cells) and the three products of a
+# copy, with either the coefficient arrays kept (six cells per cell of each)
+# while the copies are made, or the two planes the reductions read after them
 _FIRST_BLOCK = 128
 _MAX_BLOCK = 1024
 _BLOCK_CELLS = 1 << 15
@@ -103,7 +105,7 @@ def worst_case_tail(problem: DiscriminationProblem, phi: float, eps: float) -> f
     information (phi = 0 limit).
     """
     config = MeasurementConfig.for_problem(problem, phi)
-    steps = config_steps(config)
+    steps = log_likelihood_steps(problem, phi)
     return _tail((config.p1_given_psi1, config.p2_given_psi1, config.p1_given_psi2,
                   config.p2_given_psi2), (steps.step1, steps.step2), eps)
 
@@ -206,17 +208,12 @@ def _layout(lo_run: np.ndarray, hi_run: np.ndarray):
     high = np.maximum.accumulate(np.where(empty, hi[0], hi + 1 - up), axis=0)
     cells = (high - low + 3).sum(axis=1)
     b = np.arange(1, copies + 1)
-    # with as many rows as copies, copies seldom repeat a pattern: each copy
-    # is its own, whose coefficients are dropped once used
-    once = copies <= len(up[0])
-    if once:
-        pattern = first = b - 1
-        held = 0
-    else:
-        key = np.stack((up, lo, hi), axis=-1)
-        key[empty] = (0, 0, -1)  # nothing passes a copy cut to an empty run
-        pattern, first = _patterns(key.reshape(copies, -1))
-        held = np.searchsorted(first, b)  # patterns of the first b copies, all kept
+    key = np.stack((up, lo, hi), axis=-1)
+    key[empty] = (0, 0, -1)  # nothing passes a copy cut to an empty run
+    pattern, first = _patterns(key.reshape(copies, -1))
+    # if no copy repeats a pattern, none is kept: each is dropped once used
+    once = len(first) == copies
+    held = 0 if once else np.searchsorted(first, b)  # patterns of the first b copies
     peak = (2 * (b + 1) + 6 + np.maximum(6 * held, 2 * b)) * cells
     block = max(1, int(np.count_nonzero(peak <= 2 * _BLOCK_CELLS)))
     first = first[:np.searchsorted(first, block)]

@@ -52,6 +52,13 @@ def _check_phi(phi: float) -> None:
         raise ValueError(f"measurement angle must lie in [0, pi/2), got {phi}")
 
 
+def _likelihoods(theta: float, phi: float) -> tuple[float, float, float, float]:
+    """P(1|psi1), P(2|psi1), P(1|psi2) and P(2|psi2) at the angle phi."""
+    _check_phi(phi)
+    return (math.cos(phi - theta) ** 2, math.sin(phi - theta) ** 2,
+            math.cos(phi + theta) ** 2, math.sin(phi + theta) ** 2)
+
+
 @dataclass(frozen=True)
 class MeasurementConfig:
     """A fixed measurement angle with its four outcome likelihoods precomputed.
@@ -68,15 +75,7 @@ class MeasurementConfig:
 
     @classmethod
     def for_problem(cls, problem: DiscriminationProblem, phi: float) -> "MeasurementConfig":
-        _check_phi(phi)
-        t = problem.theta
-        return cls(
-            phi=phi,
-            p1_given_psi1=math.cos(phi - t) ** 2,
-            p2_given_psi1=math.sin(phi - t) ** 2,
-            p1_given_psi2=math.cos(phi + t) ** 2,
-            p2_given_psi2=math.sin(phi + t) ** 2,
-        )
+        return cls(phi, *_likelihoods(problem.theta, phi))
 
     def likelihood(self, d: int, j: int) -> float:
         """P(outcome d | state j) for d, j in {1, 2}."""

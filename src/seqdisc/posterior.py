@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DiscriminationProblem, MeasurementConfig
+from .model import DiscriminationProblem, MeasurementConfig, _likelihoods
 
 __all__ = [
     "PosteriorState",
@@ -29,7 +29,6 @@ __all__ = [
     "posterior_from_counts",
     "posterior_error",
     "log_likelihood_steps",
-    "config_steps",
     "meets_error_bound",
 ]
 
@@ -158,15 +157,14 @@ class StoppingRule:
 
     def __init__(self, problem: DiscriminationProblem, phi, eps: float):
         _check_eps(problem, eps)
-        configs = [MeasurementConfig.for_problem(problem, p) for p in ([phi] if np.ndim(phi) == 0 else phi)]
-        steps = [config_steps(config) for config in configs]
         # each angle's likelihoods, computed once for every user of the rule
-        self.likelihoods = np.array([(c.p1_given_psi1, c.p2_given_psi1, c.p1_given_psi2, c.p2_given_psi2)
-                                     for c in configs]).reshape(np.shape(phi) + (4,))
+        likelihoods = [_likelihoods(problem.theta, p) for p in ([phi] if np.ndim(phi) == 0 else phi)]
+        self.likelihoods = np.array(likelihoods).reshape(np.shape(phi) + (4,))
         self.logit0 = math.log(problem.q2 / problem.q1)
-        # log-odds increments of psi2 vs psi1: d1 <= 0 <= d2
-        self.d1 = -np.array([s.step1 for s in steps]).reshape(np.shape(phi))
-        self.d2 = -np.array([s.step2 for s in steps]).reshape(np.shape(phi))
+        # log-odds increments of psi2 vs psi1, the negated steps of
+        # log_likelihood_steps: d1 <= 0 <= d2
+        self.d1 = -np.array([_log_ratio(p[0], p[2]) for p in likelihoods]).reshape(np.shape(phi))
+        self.d2 = -np.array([_log_ratio(p[1], p[3]) for p in likelihoods]).reshape(np.shape(phi))
         self.bound = eps * _BOUND_FACTOR
         # continuing states satisfy |logit| < threshold (up to rounding)
         self.threshold = math.log(1.0 / self.bound - 1.0)
@@ -280,11 +278,7 @@ class StoppingRule:
 
 def log_likelihood_steps(problem: DiscriminationProblem, phi: float) -> LikelihoodSteps:
     """Per-outcome log-likelihood-ratio increments for a fixed measurement angle."""
-    return config_steps(MeasurementConfig.for_problem(problem, phi))
-
-
-def config_steps(config: MeasurementConfig) -> LikelihoodSteps:
-    """log_likelihood_steps of the angle whose likelihoods `config` holds."""
+    config = MeasurementConfig.for_problem(problem, phi)
     return LikelihoodSteps(
         step1=_log_ratio(config.p1_given_psi1, config.p1_given_psi2),
         step2=_log_ratio(config.p2_given_psi1, config.p2_given_psi2),

@@ -541,3 +541,19 @@ def test_run_sums_are_np_sum_of_each_run():
         for j, k in np.ndindex(2, 3):
             run = values[j, origin[j, k] + lo[j, k]:origin[j, k] + hi[j, k] + 1]
             assert sums[j, k] == (run.sum() if lo[j, k] <= hi[j, k] else 0.0)
+
+
+def test_copy_patterns_are_numbered_in_order_of_first_use():
+    pattern, first = engine._patterns(np.array([[1, 2], [3, 4], [1, 2], [5, 6], [3, 4]]))
+    assert pattern.tolist() == [0, 1, 0, 2, 1]
+    assert first.tolist() == [0, 1, 3]
+
+
+def test_layout_keeps_coefficients_only_for_repeated_patterns():
+    # a run that stays at [0, 0] repeats one pattern, whose coefficients are
+    # kept; a run that widens by a state per copy gives every copy its own
+    steady = np.zeros((5, 1), dtype=np.int64)
+    *_, (pattern, _, _, once) = engine._layout(steady, steady)
+    assert pattern.tolist() == [0, 0, 0, 0] and not once
+    *_, (pattern, _, _, once) = engine._layout(steady, np.arange(5)[:, None])
+    assert pattern.tolist() == [0, 1, 2, 3] and once
