@@ -9,19 +9,16 @@ fixed) and the adaptive locally optimal scheme.
 from .engine import EngineOptions, NonConvergenceError, brute_force_cost, fixed_angle_cost
 from .model import (
     DiscriminationProblem,
-    MeasurementConfig,
     collective_error,
     helstrom_angle,
     helstrom_error,
-    outcome_probability,
+    likelihoods,
 )
 from .montecarlo import MonteCarloReport, empirical_string_errors, run_trials
 from .optimizer import AngleScan, optimize_angle, scan_angles
 from .posterior import (
-    LikelihoodSteps,
     PosteriorState,
     StoppingRule,
-    log_likelihood_steps,
     meets_error_bound,
     posterior_error,
     posterior_from_counts,
@@ -49,10 +46,9 @@ from .strategies import (
 
 __all__ = [
     "EngineOptions", "NonConvergenceError", "brute_force_cost", "fixed_angle_cost",
-    "DiscriminationProblem", "MeasurementConfig", "collective_error", "helstrom_angle",
-    "helstrom_error", "outcome_probability", "MonteCarloReport", "empirical_string_errors",
-    "run_trials", "AngleScan", "optimize_angle", "scan_angles", "LikelihoodSteps",
-    "PosteriorState", "StoppingRule", "log_likelihood_steps", "meets_error_bound",
+    "DiscriminationProblem", "collective_error", "helstrom_angle", "helstrom_error",
+    "likelihoods", "MonteCarloReport", "empirical_string_errors", "run_trials", "AngleScan",
+    "optimize_angle", "scan_angles", "PosteriorState", "StoppingRule", "meets_error_bound",
     "posterior_error", "posterior_from_counts", "LengthAggregate", "StringSet",
     "aggregate_by_length", "cost_from_strings", "enumerate_strings", "CostResult",
     "StrategyKind", "StrategySpec", "WalkSpec", "fbm_cost", "fbm_threshold", "lol_cost",

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DiscriminationProblem, MeasurementConfig
-from .posterior import StoppingRule, log_likelihood_steps
+from .model import DiscriminationProblem
+from .posterior import StoppingRule
 from .strategies import CostResult
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "fixed_angle_cost",
     "fixed_angle_costs",
     "brute_force_cost",
-    "worst_case_tail",
 ]
 
 _BRUTE_FORCE_DEPTH_LIMIT = 30
@@ -94,8 +93,9 @@ class EngineOptions:
             raise ValueError(f"bound_width_limit must be >= 0, got {self.bound_width_limit}")
 
 
-def worst_case_tail(problem: DiscriminationProblem, phi: float, eps: float) -> float:
-    """Conservative bound on the expected copies still needed from any unterminated state.
+def _tail(rule: StoppingRule, eps: float, i=()) -> float:
+    """Conservative bound on the expected copies still needed from any unterminated state,
+    at the angle i of `rule` (its one angle by default).
 
     Uses Wald's identity on the log-odds walk: the continuation region has
     half-width ln(1/eps - 1), and the walk drifts toward the confirming
@@ -104,14 +104,9 @@ def worst_case_tail(problem: DiscriminationProblem, phi: float, eps: float) -> f
     terms are at least one copy.  Returns inf when the measurement carries no
     information (phi = 0 limit).
     """
-    config = MeasurementConfig.for_problem(problem, phi)
-    steps = log_likelihood_steps(problem, phi)
-    return _tail((config.p1_given_psi1, config.p2_given_psi1, config.p1_given_psi2,
-                  config.p2_given_psi2), (steps.step1, steps.step2), eps)
-
-
-def _tail(likelihoods, steps, eps: float) -> float:
-    """worst_case_tail from P(1|psi1), P(2|psi1), P(1|psi2), P(2|psi2) and the two log-ratio steps."""
+    likelihoods = rule.likelihoods[i].tolist()
+    # the steps ln P(d|psi1)/P(d|psi2) of the log-odds of psi1 vs psi2
+    steps = (-float(rule.d1[i]), -float(rule.d2[i]))
     l_bound = math.log(1.0 / eps - 1.0)
     finite = [abs(s) for s in steps if math.isfinite(s)]
     spread = sum(finite)
@@ -380,7 +375,7 @@ def fixed_angle_costs(
     mass at its last depth n_end >= n) adds nothing to its cost, and the rest
     of the frontier stops at depths >= n + 1, so the cost is at least
     cost_n + (n + 1) * (front - R).  An accepted R is at most mass_tolerance,
-    or R * (n_end + worst_case_tail) <= bound_width_limit with a tail of at
+    or R * (n_end + tail) <= bound_width_limit with the _tail bound of at
     least one copy, so (n + 1) * R is at most the subtracted term.  An angle
     at the lowest cost, or at a cost equal to the cap, is therefore never
     dropped.  Invalid inputs raise ValueError before any angle is run.
@@ -391,15 +386,11 @@ def fixed_angle_costs(
     if not phis:
         return AngleBatch([], 0, 0, 0)
 
-    def tail(i: int) -> float:
-        # the steps are the negated log-odds increments, bit for bit
-        return _tail(rule.likelihoods[i].tolist(), (-float(rule.d1[i]), -float(rule.d2[i])), eps)
-
     outcomes: list = [None] * len(phis)
     # if nothing can stop, the loop would end with the whole unit mass as
     # residual, so whether it would raise is already known
     for i in np.nonzero(~rule.can_stop_within(opts.max_copies))[0]:
-        if opts.max_copies + tail(i) > opts.bound_width_limit:
+        if opts.max_copies + _tail(rule, eps, i) > opts.bound_width_limit:
             outcomes[i] = NonConvergenceError(
                 f"no outcome string can stop within {opts.max_copies} copies at phi={phis[i]}"
             )
@@ -415,7 +406,7 @@ def fixed_angle_costs(
         if residual == 0.0:
             outcomes[i] = CostResult(expected_copies=cost, exact=True)
             return
-        bound_width = residual * (n + tail(i))
+        bound_width = residual * (n + _tail(rule, eps, i))
         if residual > opts.mass_tolerance and bound_width > opts.bound_width_limit:
             outcomes[i] = NonConvergenceError(
                 f"residual mass {residual:.3e} after {n} copies at phi={phis[i]}; "
@@ -574,7 +565,7 @@ def brute_force_cost(
     rule = StoppingRule(problem, phi, eps)
     if max_depth < 1 or max_depth > _BRUTE_FORCE_DEPTH_LIMIT:
         raise ValueError(f"max_depth must lie in [1, {_BRUTE_FORCE_DEPTH_LIMIT}], got {max_depth}")
-    config = MeasurementConfig.for_problem(problem, phi)
+    p11, p21, p12, p22 = rule.likelihoods.tolist()
     q1, q2 = problem.q1, problem.q2
 
     cost_accum = 0.0
@@ -584,12 +575,11 @@ def brute_force_cost(
     while stack:
         m1, m2, pg1, pg2 = stack.pop()
         n = m1 + m2
-        for d in (1, 2):
-            c1 = pg1 * config.likelihood(d, 1)
-            c2 = pg2 * config.likelihood(d, 2)
+        for k1, k2, p1, p2 in ((m1 + 1, m2, p11, p12), (m1, m2 + 1, p21, p22)):
+            c1 = pg1 * p1
+            c2 = pg2 * p2
             if c1 == 0.0 and c2 == 0.0:
                 continue
-            k1, k2 = (m1 + 1, m2) if d == 1 else (m1, m2 + 1)
             weight = q1 * c1 + q2 * c2
             if rule.stops(k1, k2):
                 cost_accum += (n + 1) * weight
@@ -603,5 +593,5 @@ def brute_force_cost(
         expected_copies=cost_accum,
         exact=False,
         residual_mass=residual,
-        bound_width=residual * (max_depth + worst_case_tail(problem, phi, eps)),
+        bound_width=residual * (max_depth + _tail(rule, eps)),
     )

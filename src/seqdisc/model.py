@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "DiscriminationProblem",
-    "MeasurementConfig",
-    "outcome_probability",
+    "likelihoods",
     "helstrom_angle",
     "helstrom_error",
     "collective_error",
@@ -47,46 +46,13 @@ class DiscriminationProblem:
         return math.cos(2.0 * self.theta)
 
 
-def _check_phi(phi: float) -> None:
+def likelihoods(problem: DiscriminationProblem, phi: float) -> tuple[float, float, float, float]:
+    """P(1|psi1), P(2|psi1), P(1|psi2) and P(2|psi2) at the measurement angle phi."""
     if not 0.0 <= phi < math.pi / 2:
         raise ValueError(f"measurement angle must lie in [0, pi/2), got {phi}")
-
-
-def _likelihoods(theta: float, phi: float) -> tuple[float, float, float, float]:
-    """P(1|psi1), P(2|psi1), P(1|psi2) and P(2|psi2) at the angle phi."""
-    _check_phi(phi)
+    theta = problem.theta
     return (math.cos(phi - theta) ** 2, math.sin(phi - theta) ** 2,
             math.cos(phi + theta) ** 2, math.sin(phi + theta) ** 2)
-
-
-@dataclass(frozen=True)
-class MeasurementConfig:
-    """A fixed measurement angle with its four outcome likelihoods precomputed.
-
-    The likelihoods are evaluated once at construction because every engine
-    consumes them millions of times.
-    """
-
-    phi: float
-    p1_given_psi1: float
-    p2_given_psi1: float
-    p1_given_psi2: float
-    p2_given_psi2: float
-
-    @classmethod
-    def for_problem(cls, problem: DiscriminationProblem, phi: float) -> "MeasurementConfig":
-        return cls(phi, *_likelihoods(problem.theta, phi))
-
-    def likelihood(self, d: int, j: int) -> float:
-        """P(outcome d | state j) for d, j in {1, 2}."""
-        if d not in (1, 2) or j not in (1, 2):
-            raise ValueError(f"outcome and hypothesis indices must be 1 or 2, got d={d}, j={j}")
-        return getattr(self, f"p{d}_given_psi{j}")
-
-
-def outcome_probability(problem: DiscriminationProblem, phi: float, d: int, j: int) -> float:
-    """Probability of outcome d in {1,2} when measuring state j in {1,2} at angle phi."""
-    return MeasurementConfig.for_problem(problem, phi).likelihood(d, j)
 
 
 def helstrom_angle(problem: DiscriminationProblem) -> float:

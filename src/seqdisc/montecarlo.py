@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DiscriminationProblem, MeasurementConfig
+from .model import DiscriminationProblem, likelihoods
 from .posterior import StoppingRule, _check_eps, meets_error_bound
 from .strategies import StrategyKind, StrategySpec, lol_next_angle, strategy_angle
 from .stringlab import outcome_labels
@@ -75,7 +75,6 @@ class _FixedAngle:
 
     def __init__(self, problem: DiscriminationProblem, strategy: StrategySpec, eps: float):
         phi = strategy_angle(problem, strategy)
-        self.config = MeasurementConfig.for_problem(problem, phi)
         self.rule = StoppingRule(problem, phi, eps)
         if not self.rule.can_stop_within(TRIAL_COPY_CAP):
             raise TrialLengthError(
@@ -86,7 +85,8 @@ class _FixedAngle:
         self.row_verdicts = self.rule.verdicts(m1, n - m1)
 
     def start(self, psi1: np.ndarray) -> None:
-        self.p1 = np.where(psi1, self.config.p1_given_psi1, self.config.p1_given_psi2)
+        # P(outcome 1 | psi1) or P(outcome 1 | psi2), by the row's state
+        self.p1 = np.where(psi1, *self.rule.likelihoods[::2].tolist())
         self.m1 = np.zeros(len(psi1), np.int64)
 
     def step(self, live: np.ndarray, u: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
@@ -145,10 +145,9 @@ class _Lol:
     def _build(self, indices: np.ndarray) -> None:
         """Builds the entries at `indices`, with the float operations of a step per row."""
         b = self.belief[indices]
-        configs = [MeasurementConfig.for_problem(self.problem, lol_next_angle(self.problem, x))
-                   for x in b.tolist()]
-        p11, p12, p21, p22 = np.array([(c.p1_given_psi1, c.p1_given_psi2, c.p2_given_psi1,
-                                        c.p2_given_psi2) for c in configs]).T
+        # pdj = P(outcome d | psi_j)
+        p11, p21, p12, p22 = np.array([likelihoods(self.problem, lol_next_angle(self.problem, x))
+                                       for x in b.tolist()]).T
         self.p1[indices] = np.stack([p11, p12], axis=1)
         for outcome, num, den in ((1, p11, p12), (2, p21, p22)):
             # an outcome that the measurement cannot give may divide by 0; no row takes it

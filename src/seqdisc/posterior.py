@@ -2,7 +2,9 @@
 
 Posteriors are always recomputed from the integer outcome counts via the
 closed form, never accumulated multiplicatively, so long runs carry no
-floating-point drift and absorption decisions are order-independent.
+floating-point drift and absorption decisions are order-independent.  Both
+read the four likelihoods of model.likelihoods; StoppingRule holds them per
+angle, with the log-odds increments d1 and d2 they give.
 
 StoppingRule is the one stopping predicate of the package: the DP engine, the
 brute-force oracle, the string lab and the fixed-angle simulator all decide
@@ -20,15 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DiscriminationProblem, MeasurementConfig, _likelihoods
+from .model import DiscriminationProblem, likelihoods
 
 __all__ = [
     "PosteriorState",
-    "LikelihoodSteps",
     "StoppingRule",
     "posterior_from_counts",
     "posterior_error",
-    "log_likelihood_steps",
     "meets_error_bound",
 ]
 
@@ -61,19 +61,6 @@ class PosteriorState:
     m2: int
 
 
-@dataclass(frozen=True)
-class LikelihoodSteps:
-    """Log-likelihood-ratio increments ln[P(d|psi1)/P(d|psi2)] per outcome.
-
-    step1 >= 0 and step2 <= 0 for angles in range; degenerate angles give
-    signed infinities (phi = theta makes outcome 2 impossible under psi1,
-    phi + theta = pi/2 makes outcome 1 impossible under psi2).
-    """
-
-    step1: float
-    step2: float
-
-
 def _log_ratio(num: float, den: float) -> float:
     """ln(num/den) with exact-zero handling; nan if both are zero."""
     if num == 0.0 and den == 0.0:
@@ -87,28 +74,28 @@ def _log_ratio(num: float, den: float) -> float:
 
 def posterior_from_counts(
     problem: DiscriminationProblem,
-    config: MeasurementConfig,
+    likelihoods,
     m1: int,
     m2: int,
 ) -> PosteriorState:
     """Exact Bayesian posterior of psi1 after m1 outcome-1 and m2 outcome-2 results.
 
-    Computed in log-odds space; a zero-likelihood outcome drives the posterior
-    to exactly 0 or 1.  Raises if an observed outcome is impossible under both
-    hypotheses (undefined evidence).
+    likelihoods holds P(1|psi1), P(2|psi1), P(1|psi2) and P(2|psi2), as
+    model.likelihoods gives them.  Computed in log-odds space; a
+    zero-likelihood outcome drives the posterior to exactly 0 or 1.  Raises if
+    an observed outcome is impossible under both hypotheses (undefined
+    evidence).
     """
     if m1 < 0 or m2 < 0:
         raise ValueError(f"counts must be >= 0, got m1={m1}, m2={m2}")
     # log-odds of psi2 vs psi1; d1 <= 0, d2 >= 0
-    d1 = _log_ratio(config.p1_given_psi2, config.p1_given_psi1)
-    d2 = _log_ratio(config.p2_given_psi2, config.p2_given_psi1)
+    d1 = _log_ratio(likelihoods[2], likelihoods[0])
+    d2 = _log_ratio(likelihoods[3], likelihoods[1])
     logit = math.log(problem.q2 / problem.q1)
     for count, step, d in ((m1, d1, 1), (m2, d2, 2)):
         if count > 0:
             if math.isnan(step):
-                raise ValueError(
-                    f"outcome {d} has zero probability under both hypotheses at phi={config.phi}"
-                )
+                raise ValueError(f"outcome {d} has zero probability under both hypotheses")
             if math.isinf(step):
                 if math.isinf(logit) and (step > 0) != (logit > 0):
                     raise ValueError("contradictory zero-likelihood evidence")
@@ -158,13 +145,13 @@ class StoppingRule:
     def __init__(self, problem: DiscriminationProblem, phi, eps: float):
         _check_eps(problem, eps)
         # each angle's likelihoods, computed once for every user of the rule
-        likelihoods = [_likelihoods(problem.theta, p) for p in ([phi] if np.ndim(phi) == 0 else phi)]
-        self.likelihoods = np.array(likelihoods).reshape(np.shape(phi) + (4,))
+        rows = [likelihoods(problem, p) for p in ([phi] if np.ndim(phi) == 0 else phi)]
+        self.likelihoods = np.array(rows).reshape(np.shape(phi) + (4,))
         self.logit0 = math.log(problem.q2 / problem.q1)
-        # log-odds increments of psi2 vs psi1, the negated steps of
-        # log_likelihood_steps: d1 <= 0 <= d2
-        self.d1 = -np.array([_log_ratio(p[0], p[2]) for p in likelihoods]).reshape(np.shape(phi))
-        self.d2 = -np.array([_log_ratio(p[1], p[3]) for p in likelihoods]).reshape(np.shape(phi))
+        # log-odds increments of psi2 vs psi1, -ln P(d|psi1)/P(d|psi2) with
+        # exact zeros giving infinities: d1 <= 0 <= d2
+        self.d1 = -np.array([_log_ratio(p[0], p[2]) for p in rows]).reshape(np.shape(phi))
+        self.d2 = -np.array([_log_ratio(p[1], p[3]) for p in rows]).reshape(np.shape(phi))
         self.bound = eps * _BOUND_FACTOR
         # continuing states satisfy |logit| < threshold (up to rounding)
         self.threshold = math.log(1.0 / self.bound - 1.0)
@@ -274,12 +261,3 @@ class StoppingRule:
                     break
             lo[j, k], hi[j, k] = lo_fix, hi_fix
         return lo, hi
-
-
-def log_likelihood_steps(problem: DiscriminationProblem, phi: float) -> LikelihoodSteps:
-    """Per-outcome log-likelihood-ratio increments for a fixed measurement angle."""
-    config = MeasurementConfig.for_problem(problem, phi)
-    return LikelihoodSteps(
-        step1=_log_ratio(config.p1_given_psi1, config.p1_given_psi2),
-        step2=_log_ratio(config.p2_given_psi1, config.p2_given_psi2),
-    )

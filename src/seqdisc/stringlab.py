@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DiscriminationProblem, MeasurementConfig
+from .model import DiscriminationProblem
 from .posterior import StoppingRule, posterior_error, posterior_from_counts
 from .strategies import CostResult, StrategyKind, StrategySpec, strategy_angle
 
@@ -146,14 +146,15 @@ class _Prefixes:
                                             else part.parent for part in parts])
         return joined
 
-    def extend(self, config: MeasurementConfig, q1: float, q2: float) -> list["_Prefixes"]:
+    def extend(self, rule: StoppingRule, q1: float, q2: float) -> list["_Prefixes"]:
         """Both one-outcome extensions of every prefix, as up to two parts whose
         parent is this prob, less those of probability 0."""
         n = self.n
         parts = []
+        likelihoods = rule.likelihoods.tolist()
         for d in (1, 2):
-            c1 = self.c1 * config.likelihood(d, 1)
-            c2 = self.c2 * config.likelihood(d, 2)
+            c1 = self.c1 * likelihoods[d - 1]  # P(d|psi1)
+            c2 = self.c2 * likelihoods[d + 1]  # P(d|psi2)
             prob = q1 * c1 + q2 * c2
             if d == 1:
                 m1, code = self.m1 + 1, self.code
@@ -246,13 +247,12 @@ def enumerate_strings(
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     phi = strategy_angle(problem, strategy)
-    config = MeasurementConfig.for_problem(problem, phi)
     rule = StoppingRule(problem, phi, eps)
-    emitted, residual = _best_first(problem, config, rule, coverage_target, max_depth)
-    return _string_set(problem, config, emitted), residual
+    emitted, residual = _best_first(problem, rule, coverage_target, max_depth)
+    return _string_set(problem, rule, emitted), residual
 
 
-def _best_first(problem, config, rule, coverage_target, max_depth) -> tuple[list[tuple], float]:
+def _best_first(problem, rule, coverage_target, max_depth) -> tuple[list[tuple], float]:
     """The strings a best-first expansion emits, as columns, and the mass it leaves.
 
     A best-first queue pops prefixes in descending probability, ties in
@@ -280,7 +280,7 @@ def _best_first(problem, config, rule, coverage_target, max_depth) -> tuple[list
     root = _Prefixes(0, one, one, np.zeros(1, np.min_scalar_type(max_depth)),
                      np.zeros((1, words), np.uint64), one)
     # unclassified prefixes below the threshold, by length
-    pending: dict[int, list[_Prefixes]] = {1: [part.lean() for part in root.extend(config, q1, q2)]}
+    pending: dict[int, list[_Prefixes]] = {1: [part.lean() for part in root.extend(rule, q1, q2)]}
     emitted: list[tuple] = []  # per round: (n, code, prob, c1, c2, m1, guess) in pop order
     verdicts: dict[int, np.ndarray] = {}  # the rule's verdicts at depth n, by m1
     covered = 0.0
@@ -332,7 +332,7 @@ def _best_first(problem, config, rule, coverage_target, max_depth) -> tuple[list
                 if n == max_depth:
                     cut_off.append(live)
                 else:
-                    children += live.extend(config, q1, q2)
+                    children += live.extend(rule, q1, q2)
             waiting_rows = sum(len(part) for parts in (children, *pending.values(),
                                                        *below.values()) for part in parts)
             if seen_rows + waiting_rows > _MAX_PREFIXES:
@@ -411,15 +411,17 @@ def outcome_labels(twos: np.ndarray, n) -> np.ndarray:
     return chars.view(f"S{width}").ravel()
 
 
-def _true_errors(problem, config, n: np.ndarray, m1: np.ndarray) -> np.ndarray:
+def _true_errors(problem, rule, n: np.ndarray, m1: np.ndarray) -> np.ndarray:
     """The posterior error at each count state (m1, n - m1), that of the hypothesis
-    guessed on stopping there, evaluated once per distinct state."""
-    _, first, state = np.unique(n * (n + 1) // 2 + m1, return_index=True, return_inverse=True)
-    return np.array([posterior_error(posterior_from_counts(problem, config, k, j - k))
-                     for j, k in zip(n[first].tolist(), m1[first].tolist())])[state]
+    guessed on stopping there, evaluated once per distinct state in a table of (m1, m2)."""
+    errors = np.zeros((int(m1.max()) + 1, int((n - m1).max()) + 1))
+    errors[m1, n - m1] = 1.0  # marks the states of the strings
+    for k, j in np.argwhere(errors).tolist():
+        errors[k, j] = posterior_error(posterior_from_counts(problem, rule.likelihoods.tolist(), k, j))
+    return errors[m1, n - m1]
 
 
-def _string_set(problem, config, emitted: list[tuple]) -> StringSet:
+def _string_set(problem, rule, emitted: list[tuple]) -> StringSet:
     """The emitted columns as a StringSet; empties list `emitted`.
 
     The rounds' columns are joined one column at a time, each round's copy
@@ -451,7 +453,7 @@ def _string_set(problem, config, emitted: list[tuple]) -> StringSet:
             labels[rows] = _decode(part, n[rows])
         start += len(code)
     prob, c1, c2, m1, guess = (join(j) for j in range(2, 7))
-    return StringSet(labels, prob, c1, c2, _true_errors(problem, config, n, m1), guess, n)
+    return StringSet(labels, prob, c1, c2, _true_errors(problem, rule, n, m1), guess, n)
 
 
 def _decode(code: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -484,9 +486,12 @@ def cost_from_strings(
 ) -> CostResult:
     """Expected copies from an enumerated string set: sum of n * P(X_n).
 
-    The residual (unemitted) mass contributes an enclosure term; pass the
-    engine's worst-case tail bound to tighten the upper end beyond
-    residual * max_depth.
+    The residual (unemitted) mass widens the enclosure by residual *
+    (max_depth + tail_bound).  With the default tail_bound of 0 the upper
+    end is not rigorous, since unemitted strings can run past max_depth; it
+    is with a bound on the expected copies still needed from any state that
+    has not stopped, such as the engine's Wald bound
+    engine._tail(StoppingRule(problem, phi, eps), eps).
     """
     cost = sum((strings.n * strings.prob).tolist(), 0.0)
     if residual <= 0.0:

@@ -12,7 +12,6 @@ import pytest
 from seqdisc import (
     DiscriminationProblem,
     EngineOptions,
-    MeasurementConfig,
     StrategyKind,
     StrategySpec,
     brute_force_cost,
@@ -22,6 +21,7 @@ from seqdisc import (
     fbm_threshold,
     fixed_angle_cost,
     helstrom_angle,
+    likelihoods,
     lol_cost,
     optimize_angle,
     run_trials,
@@ -218,11 +218,10 @@ def test_acceptance_10_figure_structure(problem12, capsys):
 
 def test_acceptance_11_adaptive_step_identity(problem12, capsys):
     phi = helstrom_angle(problem12)
-    cfg = MeasurementConfig.for_problem(problem12, phi)
+    p11, p21, p12, p22 = likelihoods(problem12, phi)  # pdj = P(outcome d | psi_j)
     target = collective_error(problem12, 1)
     worst = 0.0
-    for num, den in ((cfg.p1_given_psi1, cfg.p1_given_psi2),
-                     (cfg.p2_given_psi1, cfg.p2_given_psi2)):
+    for num, den in ((p11, p12), (p21, p22)):
         evidence = 0.5 * num + 0.5 * den
         p1 = 0.5 * num / evidence
         worst = max(worst, abs(min(p1, 1.0 - p1) - target))

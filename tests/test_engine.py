@@ -3,22 +3,24 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from seqdisc import (
     CostResult,
     DiscriminationProblem,
     EngineOptions,
-    MeasurementConfig,
     NonConvergenceError,
     brute_force_cost,
     fbm_cost,
     fixed_angle_cost,
+    likelihoods,
+    lol_cost,
     posterior_from_counts,
     ubm_cost,
 )
 from seqdisc import engine
 from seqdisc.engine import CostCapExceeded, fixed_angle_costs
-from seqdisc.posterior import StoppingRule, log_likelihood_steps
+from seqdisc.posterior import StoppingRule
 
 TIGHT = EngineOptions(max_copies=50_000, mass_tolerance=1e-14)
 
@@ -177,6 +179,49 @@ def test_dp_agrees_with_ubm_linear_solve_random(theta, eps):
     assert abs(dp.expected_copies - oracle) <= dp.bound_width + 1e-9
 
 
+def _ends(result):
+    """The enclosure [lower, upper] of a CostResult, or of an exact integer copy count."""
+    if isinstance(result, int):
+        return result, result
+    return result.expected_copies, result.expected_copies + result.bound_width
+
+
+# pairs of eps below min(q1, q2) for every q1 drawn
+EPS_PAIRS = st.tuples(*[st.floats(min_value=0.02, max_value=0.19)] * 2).map(sorted)
+MONOTONE_OPTS = EngineOptions(max_copies=2_000)
+
+
+@given(theta=st.floats(min_value=0.1, max_value=0.7), q1=st.floats(min_value=0.2, max_value=0.8),
+       phi=st.floats(min_value=0.2, max_value=1.35), eps=EPS_PAIRS)
+@settings(max_examples=40, deadline=None)
+def test_costs_are_monotone_in_eps(theta, q1, phi, eps):
+    # a larger eps stops every outcome string no later, so at a fixed angle the
+    # cost at eps' > eps cannot lie above the cost at eps: the lower end at eps'
+    # must not exceed the upper end at eps
+    eps_low, eps_high = eps
+    problem = DiscriminationProblem(theta=theta, q1=q1)
+    symmetric = DiscriminationProblem(theta=theta)
+    try:
+        fixed = [fixed_angle_cost(problem, phi, e, MONOTONE_OPTS) for e in eps]
+    except NonConvergenceError:
+        assume(False)
+    for name, (at_low, at_high) in {
+        "fixed_angle_cost": fixed,
+        "fbm_cost": [fbm_cost(problem, e) for e in eps],
+        "ubm_cost": [ubm_cost(symmetric, e) for e in eps],
+        "lol_cost": [lol_cost(problem, e) for e in eps],
+    }.items():
+        assert _ends(at_high)[0] <= _ends(at_low)[1], (name, eps_low, eps_high)
+
+
+def test_brute_force_truncated_enclosure_is_pinned():
+    # a residual > 0: the enclosure width is the residual times (max_depth + Wald tail)
+    res = brute_force_cost(DiscriminationProblem(theta=math.pi / 12), math.pi / 4, 0.01, 20)
+    assert not res.exact
+    assert (res.expected_copies.hex(), res.residual_mass.hex(), res.bound_width.hex()) == (
+        "0x1.11fd32c321fffp+3", "0x1.b8702baa00000p-5", "0x1.184d4d46c8649p+1")
+
+
 def test_brute_force_reproduces_fbm_string_termination(problem12):
     # depth large enough to hold the whole FBM set: cost is exact
     res = brute_force_cost(problem12, problem12.theta, 0.179, 25)
@@ -192,8 +237,10 @@ BOUNDARY_TOL = 1e-12
 
 def _reference_stop_mask(problem, phi, eps, m1, m2):
     """Vectorized stopping predicate over count states (the reference for StoppingRule)."""
-    steps = log_likelihood_steps(problem, phi)
-    d1, d2 = -steps.step1, -steps.step2  # log-odds increments of psi2 vs psi1
+    p11, p21, p12, p22 = likelihoods(problem, phi)
+    # log-odds increments of psi2 vs psi1; only P(2|psi1) is ever 0 (at phi = theta)
+    d1 = -math.log(p11 / p12)
+    d2 = -math.log(p21 / p22) if p21 else math.inf
     logit = np.full(m1.shape, math.log(problem.q2 / problem.q1))
     for m, d in ((m1, d1), (m2, d2)):
         if math.isinf(d):
@@ -303,14 +350,14 @@ def test_verdicts_decide_as_stop_rule_and_guess_as_posterior(theta, q1, phi, eps
     # through stops: both must agree on every state, and a stopping state's
     # guess must be the posterior's more probable hypothesis
     problem = DiscriminationProblem(theta=theta, q1=q1)
-    config = MeasurementConfig.for_problem(problem, phi)
+    lik = likelihoods(problem, phi)
     rule = StoppingRule(problem, phi, eps)
     for n in range(1, 65):
         verdicts = rule.verdicts(np.arange(n + 1), n - np.arange(n + 1))
         assert verdicts.dtype == np.int8
         assert [rule.stops(m1, n - m1) for m1 in range(n + 1)] == (verdicts != 0).tolist(), n
         stopping = np.flatnonzero(verdicts).tolist()
-        guesses = [1 if posterior_from_counts(problem, config, m1, n - m1).p1 >= 0.5 else 2
+        guesses = [1 if posterior_from_counts(problem, lik, m1, n - m1).p1 >= 0.5 else 2
                    for m1 in stopping]
         assert verdicts[stopping].tolist() == guesses, n
 
@@ -400,10 +447,9 @@ def _single_angle_reference(problem, phi, eps, opts):
     Returns the cost, the residual mass, the number of window trims and, per
     depth n, the record (n, terminated mass, frontier and leaked mass).
     """
-    config = MeasurementConfig.for_problem(problem, phi)
+    a1, _, a2, _ = likelihoods(problem, phi)
     rule = StoppingRule(problem, phi, eps)
     q1, q2 = problem.q1, problem.q2
-    a1, a2 = config.p1_given_psi1, config.p1_given_psi2
     kernel1, kernel2 = np.array([a1, 1.0 - a1]), np.array([a2, 1.0 - a2])
     mass1, mass2 = np.array([1.0]), np.array([1.0])
     base, n = 0, 0

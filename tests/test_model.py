@@ -8,7 +8,7 @@ from seqdisc import (
     collective_error,
     helstrom_angle,
     helstrom_error,
-    outcome_probability,
+    likelihoods,
 )
 
 angles = st.floats(min_value=0.01, max_value=math.pi / 4 - 0.01)
@@ -28,44 +28,38 @@ def test_problem_validation():
     assert 0.0 < p.overlap < 1.0
 
 
-def test_outcome_probability_examples():
+# likelihoods(p, phi) is (P(1|psi1), P(2|psi1), P(1|psi2), P(2|psi2))
+def test_likelihoods_examples():
     p = DiscriminationProblem(theta=math.pi / 12)
     # cos^2(pi/4 - pi/12) = cos^2(pi/6) = 3/4
-    assert outcome_probability(p, math.pi / 4, 1, 1) == pytest.approx(0.75, abs=1e-12)
+    assert likelihoods(p, math.pi / 4)[0] == pytest.approx(0.75, abs=1e-12)
     # measurement aligned with psi1: outcome 2 impossible under psi1
-    assert outcome_probability(p, p.theta, 2, 1) == pytest.approx(0.0, abs=1e-15)
+    assert likelihoods(p, p.theta)[1] == pytest.approx(0.0, abs=1e-15)
     # cos^2(pi/12 + pi/12) = cos^2(pi/6) = 3/4
-    assert outcome_probability(p, math.pi / 12, 1, 2) == pytest.approx(0.75, abs=1e-12)
+    assert likelihoods(p, math.pi / 12)[2] == pytest.approx(0.75, abs=1e-12)
 
 
-def test_outcome_probability_domain():
+def test_likelihoods_domain():
     p = DiscriminationProblem(theta=0.3)
     with pytest.raises(ValueError):
-        outcome_probability(p, math.pi / 2, 1, 1)
+        likelihoods(p, math.pi / 2)
     with pytest.raises(ValueError):
-        outcome_probability(p, -0.1, 1, 1)
-    with pytest.raises(ValueError):
-        outcome_probability(p, 0.3, 3, 1)
+        likelihoods(p, -0.1)
 
 
 @given(theta=angles, phi=meas_angles)
 def test_outcomes_sum_to_one(theta, phi):
-    p = DiscriminationProblem(theta=theta)
-    for j in (1, 2):
-        total = outcome_probability(p, phi, 1, j) + outcome_probability(p, phi, 2, j)
-        assert total == pytest.approx(1.0, abs=1e-12)
+    lik = likelihoods(DiscriminationProblem(theta=theta), phi)
+    for given_j in (lik[:2], lik[2:]):
+        assert given_j[0] + given_j[1] == pytest.approx(1.0, abs=1e-12)
 
 
 @given(theta=angles, phi=meas_angles)
 def test_outcome_depends_on_angle_sums(theta, phi):
     # likelihoods are functions of phi -+ theta only
-    p = DiscriminationProblem(theta=theta)
-    assert outcome_probability(p, phi, 1, 1) == pytest.approx(
-        math.cos(phi - theta) ** 2, abs=1e-12
-    )
-    assert outcome_probability(p, phi, 1, 2) == pytest.approx(
-        math.cos(phi + theta) ** 2, abs=1e-12
-    )
+    lik = likelihoods(DiscriminationProblem(theta=theta), phi)
+    assert lik[0] == pytest.approx(math.cos(phi - theta) ** 2, abs=1e-12)
+    assert lik[2] == pytest.approx(math.cos(phi + theta) ** 2, abs=1e-12)
 
 
 def test_helstrom_angle_examples():

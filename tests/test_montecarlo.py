@@ -9,12 +9,12 @@ import pytest
 import seqdisc.montecarlo
 from seqdisc import (
     DiscriminationProblem,
-    MeasurementConfig,
     MonteCarloReport,
     StrategyKind,
     StrategySpec,
     empirical_string_errors,
     enumerate_strings,
+    likelihoods,
     lol_cost,
     lol_next_angle,
     run_trials,
@@ -148,24 +148,24 @@ def _lol_trial(
     problem: DiscriminationProblem,
     eps: float,
     u: _Uniforms,
-    angle_cache: dict[float, MeasurementConfig],
+    angle_cache: dict[float, tuple[float, float, float, float]],
 ) -> tuple[int, str, int]:
     """One adaptive run: Helstrom angle recomputed from the posterior each copy."""
     true_state = 1 if u.next() < problem.q1 else 2
     belief = problem.q1  # posterior of psi1, updated exactly each copy
     outcomes = []
     while True:
-        config = angle_cache.get(belief)
-        if config is None:
-            config = MeasurementConfig.for_problem(problem, lol_next_angle(problem, belief))
-            angle_cache[belief] = config
-        p1 = config.p1_given_psi1 if true_state == 1 else config.p1_given_psi2
+        lik = angle_cache.get(belief)  # P(1|psi1), P(2|psi1), P(1|psi2), P(2|psi2)
+        if lik is None:
+            lik = likelihoods(problem, lol_next_angle(problem, belief))
+            angle_cache[belief] = lik
+        p1 = lik[0] if true_state == 1 else lik[2]
         if u.next() < p1:
             outcomes.append("1")
-            num, den = config.p1_given_psi1, config.p1_given_psi2
+            num, den = lik[0], lik[2]
         else:
             outcomes.append("2")
-            num, den = config.p2_given_psi1, config.p2_given_psi2
+            num, den = lik[1], lik[3]
         evidence = belief * num + (1.0 - belief) * den
         belief = belief * num / evidence
         if meets_error_bound(min(belief, 1.0 - belief), eps):
@@ -176,12 +176,12 @@ def _lol_trial(
             )
 
 
-def _fixed_angle_reference_trial(problem, config, eps, u):
+def _fixed_angle_reference_trial(problem, lik, eps, u):
     """One fixed-angle trial, every copy stepped in Python with the stopping test inline."""
     true_state = 1 if u.next() < problem.q1 else 2
-    p1 = config.p1_given_psi1 if true_state == 1 else config.p1_given_psi2
-    d1 = _log_ratio(config.p1_given_psi2, config.p1_given_psi1)
-    d2 = _log_ratio(config.p2_given_psi2, config.p2_given_psi1)
+    p1 = lik[0] if true_state == 1 else lik[2]
+    d1 = _log_ratio(lik[2], lik[0])
+    d2 = _log_ratio(lik[3], lik[1])
     logit0 = math.log(problem.q2 / problem.q1)
     bound = eps + BOUNDARY_TOL
     m1 = m2 = 0
@@ -213,19 +213,19 @@ def _per_trial_reference(problem, strategy, eps, trials, seed):
 
     It draws the whole trials x 64 table at once and runs one trial at a time.
     """
-    config = None
+    lik = None
     if strategy.kind is not StrategyKind.LOL:
-        config = MeasurementConfig.for_problem(problem, strategy_angle(problem, strategy))
+        lik = likelihoods(problem, strategy_angle(problem, strategy))
     block = np.random.default_rng(seed).random((trials, 64))
     angle_cache = {}
     per_string = {}
     lengths = []
     for i in range(trials):
         u = _Uniforms(block[i], seed, i)
-        if config is None:
+        if lik is None:
             true_state, label, guess = _lol_trial(problem, eps, u, angle_cache)
         else:
-            true_state, label, guess = _fixed_angle_reference_trial(problem, config, eps, u)
+            true_state, label, guess = _fixed_angle_reference_trial(problem, lik, eps, u)
         tally = per_string.setdefault(label, [0, 0])
         tally[0] += 1
         tally[1] += guess != true_state

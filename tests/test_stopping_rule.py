@@ -8,12 +8,11 @@ import pytest
 import seqdisc
 from seqdisc import (
     DiscriminationProblem,
-    MeasurementConfig,
     StoppingRule,
     collective_error,
     fbm_threshold,
     helstrom_angle,
-    log_likelihood_steps,
+    likelihoods,
     lol_cost,
     meets_error_bound,
     posterior_error,
@@ -32,9 +31,11 @@ def _log_odds_error(problem, phi, m1, m2):
 
     Unlike a true error 1 - p1, it does not round to 0 for tiny errors.
     """
-    steps = log_likelihood_steps(problem, phi)
+    p11, p21, p12, p22 = likelihoods(problem, phi)
+    # log-odds increments of psi1 vs psi2; only P(2|psi1) is ever 0 (at phi = theta)
+    steps = (math.log(p11 / p12), math.log(p21 / p22) if p21 else -math.inf)
     logit = np.full(m1.shape, math.log(problem.q1 / problem.q2))
-    for m, step in ((m1, steps.step1), (m2, steps.step2)):
+    for m, step in zip((m1, m2), steps):
         logit = np.where(m > 0, step, logit) if math.isinf(step) else logit + m * step
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(np.abs(logit)))
@@ -54,8 +55,8 @@ def test_stopping_states_keep_the_error_bound_for_tiny_eps(problem12, eps, angle
     assert verdicts[-depth - 1] != 0 and verdicts[-1] != 0  # it reaches the stops on both sides
     stopping = np.flatnonzero(verdicts)
     n, m1 = n[stopping], m1[stopping]
-    config = MeasurementConfig.for_problem(problem12, phi)
-    assert max(posterior_error(posterior_from_counts(problem12, config, k, j - k))
+    lik = likelihoods(problem12, phi)
+    assert max(posterior_error(posterior_from_counts(problem12, lik, k, j - k))
                for j, k in zip(n.tolist(), m1.tolist())) <= eps * GUARANTEE
     assert _log_odds_error(problem12, phi, m1, n - m1).max() <= eps * GUARANTEE
 
@@ -93,11 +94,11 @@ def test_rule_decides_as_the_posterior_error(theta, q1, phi, eps):
     # the rule evaluates the error with numpy's exp from |log-odds|; the
     # posterior's closed form uses math.exp and min(p1, 1 - p1)
     problem = DiscriminationProblem(theta=theta, q1=q1)
-    config = MeasurementConfig.for_problem(problem, phi)
+    lik = likelihoods(problem, phi)
     rule = StoppingRule(problem, phi, eps)
     for n in range(1, 65):
         m1 = np.arange(n + 1)
-        expected = [meets_error_bound(posterior_error(posterior_from_counts(problem, config, k, n - k)),
+        expected = [meets_error_bound(posterior_error(posterior_from_counts(problem, lik, k, n - k)),
                                       eps) for k in range(n + 1)]
         assert rule.stops(m1, n - m1).tolist() == expected, n
 

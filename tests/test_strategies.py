@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from seqdisc import (
     DiscriminationProblem,
-    MeasurementConfig,
     StrategyKind,
     StrategySpec,
     collective_error,
     fbm_cost,
     fbm_threshold,
     helstrom_angle,
+    likelihoods,
     lol_cost,
     lol_next_angle,
     run_trials,
@@ -173,9 +173,8 @@ def test_lol_next_angle(problem12):
 def test_lol_step_error_is_outcome_independent(problem12):
     # one Bayes update from symmetric priors: both outcomes leave error 0.25
     phi = helstrom_angle(problem12)
-    cfg = MeasurementConfig.for_problem(problem12, phi)
-    for num, den in ((cfg.p1_given_psi1, cfg.p1_given_psi2),
-                     (cfg.p2_given_psi1, cfg.p2_given_psi2)):
+    p11, p21, p12, p22 = likelihoods(problem12, phi)  # pdj = P(outcome d | psi_j)
+    for num, den in ((p11, p12), (p21, p22)):
         evidence = 0.5 * num + 0.5 * den
         p1 = 0.5 * num / evidence
         assert min(p1, 1.0 - p1) == pytest.approx(collective_error(problem12, 1), abs=1e-12)

@@ -11,7 +11,6 @@ import pytest
 import seqdisc.stringlab
 from seqdisc import (
     DiscriminationProblem,
-    MeasurementConfig,
     StoppingRule,
     StrategyKind,
     StrategySpec,
@@ -19,13 +18,14 @@ from seqdisc import (
     cost_from_strings,
     enumerate_strings,
     fbm_cost,
+    likelihoods,
     meets_error_bound,
     posterior_error,
     posterior_from_counts,
     strategy_angle,
     ubm_cost,
 )
-from seqdisc.engine import worst_case_tail
+from seqdisc.engine import _tail
 from seqdisc.stringlab import LengthAggregate, StringSet, outcome_labels
 
 FBM = StrategySpec(StrategyKind.FBM)
@@ -244,7 +244,7 @@ def test_cost_from_strings_fbm(problem12):
 def test_cost_from_strings_ubm_enclosure(problem12):
     strings, residual = enumerate_strings(problem12, UBM, 0.179,
                                           coverage_target=1.0, max_depth=10)
-    tail = worst_case_tail(problem12, math.pi / 4, 0.179)
+    tail = _tail(StoppingRule(problem12, math.pi / 4, 0.179), 0.179)
     result = cost_from_strings(strings, residual, 10, tail_bound=tail)
     oracle = ubm_cost(problem12, 0.179).expected_copies
     assert result.expected_copies < oracle
@@ -259,11 +259,10 @@ def test_single_certain_string(problem12):
 
 def _heap_reference(problem, strategy, eps, coverage_target, max_depth):
     """The best-first heap enumerator that the depth-wise frontier replaced."""
-    config = MeasurementConfig.for_problem(problem, strategy_angle(problem, strategy))
+    lik = likelihoods(problem, strategy_angle(problem, strategy))
     q1, q2 = problem.q1, problem.q2
     # (outcome, likelihood under psi1, likelihood under psi2, count increments)
-    steps = [(b"1", config.likelihood(1, 1), config.likelihood(1, 2), 1, 0),
-             (b"2", config.likelihood(2, 1), config.likelihood(2, 2), 0, 1)]
+    steps = [(b"1", lik[0], lik[2], 1, 0), (b"2", lik[1], lik[3], 0, 1)]
     verdicts = {}  # (m1, m2) -> (guess, true error), guess 0 while the posterior goes on
     # outcomes as ASCII bytes (b"121"), which order as the outcome tuples do
     heap = [(-1.0, b"", 0, 0, 1.0, 1.0)]
@@ -276,7 +275,7 @@ def _heap_reference(problem, strategy, eps, coverage_target, max_depth):
         if n > 0:
             verdict = verdicts.get((m1, m2))
             if verdict is None:
-                state = posterior_from_counts(problem, config, m1, m2)
+                state = posterior_from_counts(problem, lik, m1, m2)
                 guess = 0
                 if meets_error_bound(posterior_error(state), eps):
                     guess = 1 if state.p1 >= 0.5 else 2
@@ -396,23 +395,23 @@ def test_labels_decoded_in_small_chunks_are_the_same(problem12, monkeypatch):
 
 
 def test_string_set_holds_no_column_twice(problem12):
-    # the rounds' columns are released as they are joined and the labels are
-    # decoded a chunk at a time: for 158,744 strings (9.7 MiB) the build takes
-    # the set itself and 6.4 MiB of temporaries for its count states, where
-    # joining every column at once and decoding all labels took 9.8 MiB
+    # the rounds' columns are released as they are joined, the labels are
+    # decoded a chunk at a time and the true errors looked up in a table of
+    # the count states: for 158,744 strings (9.7 MiB) the build takes the set
+    # itself and 1.4 MiB more, where joining every column at once and decoding
+    # all labels took 9.8 MiB, and sorting the count states 6.4 MiB
     phi = strategy_angle(problem12, UBM)
-    config = MeasurementConfig.for_problem(problem12, phi)
     rule = StoppingRule(problem12, phi, 0.074)
-    emitted, _ = seqdisc.stringlab._best_first(problem12, config, rule, 0.998, 64)
+    emitted, _ = seqdisc.stringlab._best_first(problem12, rule, 0.998, 64)
     tracemalloc.start()
     try:
-        strings = seqdisc.stringlab._string_set(problem12, config, emitted)
+        strings = seqdisc.stringlab._string_set(problem12, rule, emitted)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert emitted == []
     size = sum(getattr(strings, name).nbytes for name in COLUMNS)
-    assert peak <= size + 7 * 2**20
+    assert peak <= size + 2 * 2**20
 
 
 def test_search_past_its_prefix_cap_fails(problem12, monkeypatch):
