@@ -93,37 +93,35 @@ class EngineOptions:
             raise ValueError(f"bound_width_limit must be >= 0, got {self.bound_width_limit}")
 
 
-def _tail(rule: StoppingRule, eps: float, i=()) -> float:
+def _tail(rule: StoppingRule, eps: float) -> np.ndarray:
     """Conservative bound on the expected copies still needed from any unterminated state,
-    at the angle i of `rule` (its one angle by default).
+    at each angle of `rule` (shaped as its d1).
 
     Uses Wald's identity on the log-odds walk: the continuation region has
     half-width ln(1/eps - 1), and the walk drifts toward the confirming
     boundary under either hypothesis.  An infinite step (zero likelihood for
     one outcome) absorbs geometrically at the rate of that outcome.  Both
-    terms are at least one copy.  Returns inf when the measurement carries no
+    terms are at least one copy.  Gives inf where the measurement carries no
     information (phi = 0 limit).
     """
-    likelihoods = rule.likelihoods[i].tolist()
     # the steps ln P(d|psi1)/P(d|psi2) of the log-odds of psi1 vs psi2
-    steps = (-float(rule.d1[i]), -float(rule.d2[i]))
+    steps = (-rule.d1, -rule.d2)
+    finite = [np.isfinite(s) for s in steps]
+    spread = np.where(finite[0], np.abs(steps[0]), 0.0) + np.where(finite[1], np.abs(steps[1]), 0.0)
     l_bound = math.log(1.0 / eps - 1.0)
-    finite = [abs(s) for s in steps if math.isfinite(s)]
-    spread = sum(finite)
     tails = []
-    for given in (likelihoods[:2], likelihoods[2:]):
-        geometric = math.inf
-        drift = 0.0
-        for p, s in zip(given, steps):
-            if p == 0.0:
-                continue
-            if math.isinf(s):
-                geometric = min(geometric, 1.0 / p)
-            else:
-                drift += p * s
-        wald = (2.0 * l_bound + spread) / abs(drift) if drift != 0.0 else math.inf
-        tails.append(min(wald, geometric))
-    return max(tails)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for given in (rule.likelihoods[..., :2], rule.likelihoods[..., 2:]):
+            geometric = np.full(spread.shape, math.inf)
+            drift = 0.0
+            for d, s in enumerate(steps):
+                p = given[..., d]
+                seen = p != 0.0
+                geometric = np.where(seen & np.isinf(s), np.minimum(geometric, 1.0 / p), geometric)
+                drift = drift + np.where(seen & finite[d], p * s, 0.0)
+            wald = np.where(drift != 0.0, (2.0 * l_bound + spread) / np.abs(drift), math.inf)
+            tails.append(np.minimum(wald, geometric))
+    return np.maximum(*tails)
 
 
 @dataclass(frozen=True)
@@ -268,7 +266,8 @@ def _advance(frontier: np.ndarray, coefficients, pattern: np.ndarray, once: bool
     into the products' array, which the multiply then overwrites.  Every slot
     keeps one cell at each end that no run covers, so no mass crosses into
     the next slot.  The copies stop early, every 8th one, once all rows
-    together hold at most tolerance.
+    together hold at most tolerance; a copy only moves the mass of the
+    states that continued after the copy before it.
     """
     copies, size = len(pattern), frontier.size
     # the history, with a zero before it for the first cell's left neighbour
@@ -353,6 +352,40 @@ def _stopped_mass(weight: np.ndarray, stopped: np.ndarray, lo_run: np.ndarray, h
     return stopped
 
 
+def _ceilings(cost_n: np.ndarray, front: np.ndarray, ns: np.ndarray, leaked: np.ndarray,
+              tail: np.ndarray, drained: np.ndarray, opts: EngineOptions) -> np.ndarray:
+    """The lowest proven upper bound on a cost that some row ends with, at each depth of a block.
+
+    cost_n, front and drained (depths, rows) are each row's cost so far, its
+    frontier mass and whether it drained, at the depths ns (depths, 1); leaked
+    and tail (rows) are its leaked mass and _tail bound.  A row that drained
+    ends with the cost cost_n.  A running row whose frontier surely drains
+    within the copy budget ends with a cost of at most
+    cost_n + front * (n + tail): each unit of frontier mass stops after at
+    most tail more copies on average, and mass that never stops adds nothing.
+    From any state that continues at most tail copies remain on average, so
+    by Markov's inequality at most half the frontier mass continues
+    ceil(2 * tail) copies later.  The frontier is surely drained, with a
+    factor of two to spare for rounding and trims, once it has halved
+    h + 1 times, h = ceil(log2(front / (mass_tolerance - leaked))), so the
+    row counts only if n + (h + 1) * ceil(2 * tail) <= max_copies.  The
+    bound of a row that does not count is inf.
+    """
+    room = np.where(opts.mass_tolerance > leaked, opts.mass_tolerance - leaked, np.nan)
+    span = np.where(np.isfinite(tail), np.ceil(2.0 * tail), np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        needed = np.log2(front / room)  # -inf for an empty frontier, nan where nothing can drain
+        np.ceil(needed, out=needed)
+        needed += 1.0
+        needed *= span
+        needed += ns
+        upper = front * (ns + tail)
+    upper += cost_n
+    upper[~(needed <= opts.max_copies)] = math.inf
+    np.copyto(upper, cost_n, where=drained)
+    return upper.min(axis=1)
+
+
 def fixed_angle_costs(
     problem: DiscriminationProblem,
     phis,
@@ -368,17 +401,25 @@ def fixed_angle_costs(
 
         cost_n + (n + 1) * front - max((n + 1) * mass_tolerance, bound_width_limit)
 
-    exceeds the cap: the lowest of cost_cap and the costs of the angles that
-    ended in earlier blocks.  cost_n is the cost of the mass stopped by depth
-    n and front the frontier mass.  The bound lies below every result the
-    angle can still end with.  That result's residual R (frontier and leaked
-    mass at its last depth n_end >= n) adds nothing to its cost, and the rest
-    of the frontier stops at depths >= n + 1, so the cost is at least
-    cost_n + (n + 1) * (front - R).  An accepted R is at most mass_tolerance,
-    or R * (n_end + tail) <= bound_width_limit with the _tail bound of at
-    least one copy, so (n + 1) * R is at most the subtracted term.  An angle
-    at the lowest cost, or at a cost equal to the cap, is therefore never
-    dropped.  Invalid inputs raise ValueError before any angle is run.
+    exceeds the cap at depth n.  cost_n is the cost of the mass stopped by
+    depth n and front the frontier mass.  The bound lies below every result
+    the angle can still end with.  That result's residual R (frontier and
+    leaked mass at its last depth n_end >= n) adds nothing to its cost, and
+    the rest of the frontier stops at depths >= n + 1, so the cost is at
+    least cost_n + (n + 1) * (front - R).  An accepted R is at most
+    mass_tolerance, or R * (n_end + tail) <= bound_width_limit with the
+    _tail bound of at least one copy, so (n + 1) * R is at most the
+    subtracted term.
+
+    The cap at depth n is the lowest of cost_cap and, at every depth up to
+    n, the cost of each angle that drained there and the upper bound
+    cost_n + front * (n + tail) of each angle that surely drains within the
+    copy budget (_ceilings).  Each of these is at least the cost that some
+    angle ends with when it runs alone, so the cap never falls below the
+    lowest such cost.  An angle at the lowest cost, or at a cost equal to
+    cost_cap, is therefore never dropped.  The cap depends on the depth
+    alone, not on how the depths fall into blocks.  Invalid inputs raise
+    ValueError before any angle is run.
     """
     opts = opts or EngineOptions()
     phis = list(phis)
@@ -387,10 +428,11 @@ def fixed_angle_costs(
         return AngleBatch([], 0, 0, 0)
 
     outcomes: list = [None] * len(phis)
+    tails = _tail(rule, eps)
     # if nothing can stop, the loop would end with the whole unit mass as
     # residual, so whether it would raise is already known
     for i in np.nonzero(~rule.can_stop_within(opts.max_copies))[0]:
-        if opts.max_copies + _tail(rule, eps, i) > opts.bound_width_limit:
+        if opts.max_copies + tails[i] > opts.bound_width_limit:
             outcomes[i] = NonConvergenceError(
                 f"no outcome string can stop within {opts.max_copies} copies at phi={phis[i]}"
             )
@@ -406,7 +448,7 @@ def fixed_angle_costs(
         if residual == 0.0:
             outcomes[i] = CostResult(expected_copies=cost, exact=True)
             return
-        bound_width = residual * (n + _tail(rule, eps, i))
+        bound_width = residual * (n + float(tails[i]))
         if residual > opts.mass_tolerance and bound_width > opts.bound_width_limit:
             outcomes[i] = NonConvergenceError(
                 f"residual mass {residual:.3e} after {n} copies at phi={phis[i]}; "
@@ -461,7 +503,11 @@ def fixed_angle_costs(
 
         # past a block cut to fit, the next one grows more slowly
         grown = min(_MAX_BLOCK, 2 * block if block == candidate else block + 1)
-        new = _advance(frontier, coefficients, pattern, once, opts.mass_tolerance)[1:]
+        # the rows have all drained once the mass that continues, weighted by
+        # the priors, is at most mass_tolerance less any row's leaked mass; a
+        # copy's mass, unweighted, is what continued after the copy before
+        new = _advance(frontier, coefficients, pattern, once,
+                       (opts.mass_tolerance - leaked.max()) / max(q1, q2))[1:]
         block = len(new)  # fewer once every row drained: the rest of the block is not needed
         ns, inside, origin = depths[1:block + 1], inside[1:block + 1, 1:-1], origin[1:block + 1]
         lo_run, hi_run = lo_run[:block + 1], hi_run[:block + 1]
@@ -483,7 +529,11 @@ def fixed_angle_costs(
         # a lower bound on the cost of any result the row can still end with
         bound = cost_n + front * (ns + 1) - np.maximum((ns + 1) * opts.mass_tolerance,
                                                        opts.bound_width_limit)
-        over = bound > cap
+        caps = np.full(block, cap)
+        if capped:
+            ceilings = _ceilings(cost_n, front, ns, leaked, tails[rows], drained, opts)
+            np.minimum.accumulate(np.minimum(ceilings, cap, out=ceilings), out=caps)
+        over = bound > caps[:, None]
         empty = lo_run[1:] > hi_run[1:]
         # a window trim drops the states at either end of the run that carry
         # at most this fraction of the frontier
@@ -510,7 +560,7 @@ def fixed_angle_costs(
                 finish(i, depth, float(cost_n[j, k]), new[j, :, run], float(leaked[k]))
             elif over[j, k]:
                 outcomes[i] = CostCapExceeded(
-                    f"cost lower bound exceeds cap {cap} at depth {depth} for phi={phis[i]}"
+                    f"cost lower bound exceeds cap {float(caps[j])} at depth {depth} for phi={phis[i]}"
                 )
             else:
                 # trim the window to states carrying non-negligible mass
@@ -537,9 +587,7 @@ def fixed_angle_costs(
             run = slice(at[k] + lo[k], at[k] + hi[k] + 1)
             finish(rows[k], n, float(cost_n[last, k]), new[last, :, run], float(leaked[k]))
             going[k] = False
-        if capped:  # the bound is sound, so any angle's cost caps every other angle
-            cap = min([cap] + [outcomes[i].expected_copies for i in rows[~going]
-                               if isinstance(outcomes[i], CostResult)])
+        cap = float(caps[last])
         rows, lo, hi, at = rows[going], lo[going], hi[going], at[going]
         run_len = hi - lo + 1
         mass = new[last][:, np.repeat(at + lo - (np.cumsum(run_len) - run_len), run_len)
@@ -593,5 +641,5 @@ def brute_force_cost(
         expected_copies=cost_accum,
         exact=False,
         residual_mass=residual,
-        bound_width=residual * (max_depth + _tail(rule, eps)),
+        bound_width=residual * (max_depth + float(_tail(rule, eps))),
     )

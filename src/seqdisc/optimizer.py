@@ -7,10 +7,16 @@ incumbent.  Ties between grid points break toward smaller phi.
 
 A scan is one batch of the engine: its grid points advance together through
 one depth loop (engine.fixed_angle_costs).  A capped scan drops a point once a
-lower bound on its cost exceeds the lowest of its cap and the costs of the
-points that converged, so it finds the same best point, with the same result,
-as an uncapped scan of the same grid whenever that point costs at most the
-cap.  Every cap is a cost that has already converged.
+lower bound on its cost exceeds the scan's cap at that depth: the lowest of
+its initial cap, the costs of the points that drained, and the proven upper
+bounds cost_n + front * (n + tail) of the points still running whose
+frontier surely drains within the copy budget.  tail is Wald's bound on the
+copies still needed from any state that continues; by Markov's inequality
+the frontier then at least halves every ceil(2 * tail) copies, and a point
+counts only if enough halvings fit in the budget.  Each cap is thus at least
+the cost of some point that converges, so a capped scan finds the same best
+point, with the same result, as an uncapped scan of the same grid whenever
+that point costs at most the initial cap.
 """
 
 from __future__ import annotations
@@ -38,8 +44,9 @@ class AngleScan:
 
     Samples where the engine failed to converge are recorded with result None
     and the failure message in `failures`; they never become the best point.
-    depth_iterations counts the depths the scan's depth loop ran and
-    angle_steps the depths its grid points were advanced, summed over them.
+    depth_iterations counts the depths the scan's depth loop ran, blocks the
+    blocks it ran them in, and angle_steps the depths its grid points were
+    advanced, summed over them.
     """
 
     samples: list[tuple[float, CostResult | None]]
@@ -47,6 +54,7 @@ class AngleScan:
     best_cost: float
     failures: dict[float, str] = field(default_factory=dict)
     depth_iterations: int = 0
+    blocks: int = 0
     angle_steps: int = 0
 
 
@@ -98,7 +106,8 @@ def scan_angles(
     if not math.isfinite(best_cost):
         raise NonConvergenceError("no grid point converged over the scan range")
     return AngleScan(samples=samples, best_phi=best_phi, best_cost=best_cost, failures=failures,
-                     depth_iterations=batch.depth_iterations, angle_steps=batch.angle_steps)
+                     depth_iterations=batch.depth_iterations, blocks=batch.blocks,
+                     angle_steps=batch.angle_steps)
 
 
 def optimize_angle(

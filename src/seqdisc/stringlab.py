@@ -491,7 +491,7 @@ def cost_from_strings(
     end is not rigorous, since unemitted strings can run past max_depth; it
     is with a bound on the expected copies still needed from any state that
     has not stopped, such as the engine's Wald bound
-    engine._tail(StoppingRule(problem, phi, eps), eps).
+    float(engine._tail(StoppingRule(problem, phi, eps), eps)).
     """
     cost = sum((strings.n * strings.prob).tolist(), 0.0)
     if residual <= 0.0:

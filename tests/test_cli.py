@@ -446,6 +446,8 @@ def test_exit_code_io_error(tmp_path):
      "e3cb039aca55e57618e0f1aabb6f29dfdccb8c2af392b1009ad03ed6eb4f81cd"),
     (("cost-curve", "--preset", "fig3", "--resolution", "100"),
      "164568acdcafbda4c4c167efacee7d21e3bd00510ade18e44db440e4b8d7ed3d"),
+    (("cost-curve", "--preset", "fig3"),
+     "492905b1894b43f4d888b87cfc90de50a17f2ed73829c14be1be50c06826f4d3"),
 ])
 def test_engine_outputs_are_pinned(tmp_path, argv, digest):
     code, out = run(tmp_path, "out.csv", *argv)

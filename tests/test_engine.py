@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -128,6 +129,45 @@ def test_cap_at_own_cost_keeps_an_accepted_residual(problem12):
     assert fixed_angle_cost(problem12, 0.6, 0.179, opts, cost_cap=result.expected_copies) == result
     with pytest.raises(CostCapExceeded):
         fixed_angle_cost(problem12, 0.6, 0.179, opts, cost_cap=0.5 * result.expected_copies)
+
+
+def _costs(batch):
+    return [o.expected_copies if isinstance(o, CostResult) else math.inf for o in batch.outcomes]
+
+
+def test_ceiling_only_from_angles_that_surely_drain():
+    # the upper bound of an angle that later fails to converge would cap the
+    # batch at 7.95, below the best angle's 8.0967 (index 47), which is
+    # accepted at the budget with a residual; the drain test keeps it out
+    problem = DiscriminationProblem(theta=math.pi / 12, q1=0.5)
+    phis = np.linspace(0.0, math.pi / 2 - 1e-9, 60)
+    opts = EngineOptions(max_copies=80)
+    uncapped = _costs(fixed_angle_costs(problem, phis, 0.02, opts))
+    capped = _costs(fixed_angle_costs(problem, phis, 0.02, opts, cost_cap=math.inf))
+    assert int(np.argmin(uncapped)) == int(np.argmin(capped)) == 47
+    assert capped[47] == uncapped[47] == 8.096731785744488
+
+
+@pytest.mark.parametrize("theta,q1", [
+    (theta, q1) for theta in (math.pi / 16, math.pi / 12, math.pi / 8) for q1 in (0.5, 0.3)
+])
+def test_capped_batch_keeps_the_uncapped_best(theta, q1):
+    # small budgets leave many angles failing or accepted with a residual; the
+    # running angles' upper bounds never drop the best angle, and every angle
+    # dropped costs more than it
+    problem = DiscriminationProblem(theta=theta, q1=q1)
+    phis = np.linspace(0.0, math.pi / 2 - 1e-9, 40)
+    for eps, max_copies in ((0.02, 80), (0.02, 150), (0.05, 50), (0.1, 30)):
+        opts = EngineOptions(max_copies=max_copies)
+        uncapped = _costs(fixed_angle_costs(problem, phis, eps, opts))
+        capped = fixed_angle_costs(problem, phis, eps, opts, cost_cap=math.inf)
+        best = min(uncapped)
+        assert math.isfinite(best)
+        assert min(_costs(capped)) == best
+        assert int(np.argmin(_costs(capped))) == int(np.argmin(uncapped))
+        for cost, outcome in zip(uncapped, capped.outcomes):
+            if isinstance(outcome, CostCapExceeded):
+                assert cost > best
 
 
 def test_brute_force_examples(problem12):
@@ -522,22 +562,34 @@ STEP = (math.pi / 2 - 1e-9) / 99
 MIXED_PHIS = [STEP, math.pi / 2 - STEP, math.pi / 4, MIXED_THETA, 0.002]
 
 
+# four informative angles more, where the upper bound of a running angle
+# drops the others before it converges
+WIDE_PHIS = MIXED_PHIS + [0.5, 0.6, 1.0, 0.3]
+
+
 @pytest.mark.parametrize("first,most,cells", [(1, 1, 1), (4096, 4096, 1 << 20)])
 def test_block_sizes_do_not_change_results(monkeypatch, first, most, cells):
     # one copy per block, or each run in one block: every angle ends as with
-    # the default blocks, uncapped, under a cost cap and at the copy budget,
-    # errors and their messages too
+    # the default blocks, uncapped, under a cost cap, under the upper bound of
+    # a running angle and at the copy budget, errors and their messages too
     problem = DiscriminationProblem(theta=MIXED_THETA)
     opts = EngineOptions(max_copies=1000)
-    caps = (None, 7.0)
-    default = [fixed_angle_costs(problem, MIXED_PHIS, 0.125, opts, cost_cap=cap) for cap in caps]
-    for batch, kinds in zip(default, ({CostResult, NonConvergenceError}, {CostResult, CostCapExceeded})):
-        assert {type(o) for o in batch.outcomes} == kinds
+    cases = ((MIXED_PHIS, None), (MIXED_PHIS, 7.0), (WIDE_PHIS, 7.0))
+    default = [fixed_angle_costs(problem, phis, 0.125, opts, cost_cap=cap) for phis, cap in cases]
+    kinds = ({CostResult, NonConvergenceError}, {CostResult, CostCapExceeded},
+             {CostResult, CostCapExceeded})
+    for batch, kind in zip(default, kinds):
+        assert {type(o) for o in batch.outcomes} == kind
+    # some cap of the wide case is neither 7.0 nor a cost any angle ends with
+    ended = set(_costs(fixed_angle_costs(problem, WIDE_PHIS, 0.125, opts)))
+    caps = {float(re.search(r"cap (\S+) at", str(o)).group(1)) for o in default[2].outcomes
+            if isinstance(o, CostCapExceeded)}
+    assert caps - ended - {7.0}
     monkeypatch.setattr(engine, "_FIRST_BLOCK", first)
     monkeypatch.setattr(engine, "_MAX_BLOCK", most)
     monkeypatch.setattr(engine, "_BLOCK_CELLS", cells)
-    for cap, expected in zip(caps, default):
-        batch = fixed_angle_costs(problem, MIXED_PHIS, 0.125, opts, cost_cap=cap)
+    for (phis, cap), expected in zip(cases, default):
+        batch = fixed_angle_costs(problem, phis, 0.125, opts, cost_cap=cap)
         assert [_fingerprint(o) for o in batch.outcomes] == [_fingerprint(o) for o in expected.outcomes]
         assert batch.angle_steps == expected.angle_steps
 

@@ -97,8 +97,10 @@ def test_scan_counts_its_depths(problem12):
     depths = [fixed_angle_costs(problem12, [phi], 0.179, opts).angle_steps for phi, _ in scan.samples]
     assert scan.angle_steps == sum(depths)
     assert max(depths) <= scan.depth_iterations < sum(depths)
+    batch = fixed_angle_costs(problem12, [phi for phi, _ in scan.samples], 0.179, opts)
+    assert 1 <= scan.blocks == batch.blocks <= scan.depth_iterations
     # plain ints, so the counts serialize as JSON
-    counts = [scan.angle_steps, scan.depth_iterations, *depths]
+    counts = [scan.angle_steps, scan.depth_iterations, scan.blocks, *depths]
     assert all(type(c) is int for c in counts)
     assert json.loads(json.dumps(counts)) == counts
 

@@ -244,7 +244,7 @@ def test_cost_from_strings_fbm(problem12):
 def test_cost_from_strings_ubm_enclosure(problem12):
     strings, residual = enumerate_strings(problem12, UBM, 0.179,
                                           coverage_target=1.0, max_depth=10)
-    tail = _tail(StoppingRule(problem12, math.pi / 4, 0.179), 0.179)
+    tail = float(_tail(StoppingRule(problem12, math.pi / 4, 0.179), 0.179))
     result = cost_from_strings(strings, residual, 10, tail_bound=tail)
     oracle = ubm_cost(problem12, 0.179).expected_copies
     assert result.expected_copies < oracle
