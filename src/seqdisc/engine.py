@@ -133,13 +133,16 @@ class AngleBatch:
     the depth loop, each of which advances every running angle by one copy
     (steps past a window trim are run again), and blocks the blocks of steps
     it ran; angle_steps sums, over the angles, the depths each one was
-    advanced.
+    advanced.  row_copies sums, over the copies made, the rows each one
+    advanced; a row that ends rides its block to the end, so it is at least
+    angle_steps.
     """
 
     outcomes: list
     depth_iterations: int
     angle_steps: int
     blocks: int
+    row_copies: int
 
 
 def fixed_angle_cost(
@@ -425,7 +428,7 @@ def fixed_angle_costs(
     phis = list(phis)
     rule = StoppingRule(problem, phis, eps)
     if not phis:
-        return AngleBatch([], 0, 0, 0)
+        return AngleBatch([], 0, 0, 0, 0)
 
     outcomes: list = [None] * len(phis)
     tails = _tail(rule, eps)
@@ -468,7 +471,7 @@ def fixed_angle_costs(
     cost, leaked = np.zeros((2, len(rows)))
     n = 0
     block = _FIRST_BLOCK
-    depth_iterations = angle_steps = blocks = 0
+    depth_iterations = angle_steps = row_copies = blocks = 0
     while len(rows):
         count = len(rows)
         run_len = hi - lo + 1
@@ -546,40 +549,49 @@ def fixed_angle_costs(
         first = event.argmax(axis=0)
         at_first = first, row_ix
         hit = event[at_first]
+        drained_at = drained[at_first]
+        over_at = over[at_first] & ~drained_at
         # a window trim changes the frontier, so the block ends at the first one
-        last = int(first[thin[at_first] & ~drained[at_first] & ~over[at_first]].min(initial=block - 1))
+        last = int(first[thin[at_first] & ~drained_at & ~over_at].min(initial=block - 1))
         ends = hit & (first <= last)
 
-        done = np.zeros(count, dtype=bool)
-        for k in np.nonzero(ends)[0]:
+        # a row that ends is done unless a window trim keeps it running
+        done = ends.copy()
+        # the rows the cap drops end in one pass over plain Python columns;
+        # the rows dropped at one depth share their message up to the angle
+        dropped = np.flatnonzero(ends & over_at)
+        at_depth = first[dropped]
+        # the depths some row is dropped at (np.unique's sort added 0.1 MiB of peak RSS)
+        js = np.flatnonzero(np.bincount(at_depth))
+        heads = {j: f"cost lower bound exceeds cap {c} at depth {n + j + 1} for phi="
+                 for j, c in zip(js.tolist(), caps[js].tolist())}
+        for i, j in zip(rows[dropped].tolist(), at_depth.tolist()):
+            outcomes[i] = CostCapExceeded(f"{heads[j]}{phis[i]}")
+        # the rows that drained, and the window trims
+        for k in np.flatnonzero(ends & ~over_at):
             i, j = rows[k], int(first[k])
-            depth = int(ns[j, 0])
+            depth = n + j + 1
             start = origin[j, k] + lo_run[j + 1, k]
             run = slice(start, max(start, origin[j, k] + hi_run[j + 1, k] + 1))
-            if drained[j, k]:
+            if drained_at[k]:
                 finish(i, depth, float(cost_n[j, k]), new[j, :, run], float(leaked[k]))
-            elif over[j, k]:
-                outcomes[i] = CostCapExceeded(
-                    f"cost lower bound exceeds cap {float(caps[j])} at depth {depth} for phi={phis[i]}"
-                )
+                continue
+            # trim the window to states carrying non-negligible mass
+            live_row = weight[j, run]
+            kept = np.nonzero(live_row > cut[j, k])[0]
+            if len(kept) == 0:
+                finish(i, depth, float(cost_n[j, k]), new[j, :, run][:, :0],
+                       float(leaked[k]) + float(front[j, k]))
             else:
-                # trim the window to states carrying non-negligible mass
-                live_row = weight[j, run]
-                kept = np.nonzero(live_row > cut[j, k])[0]
-                if len(kept) == 0:
-                    finish(i, depth, float(cost_n[j, k]), new[j, :, run][:, :0],
-                           float(leaked[k]) + float(front[j, k]))
-                else:
-                    k0, k1 = int(kept[0]), int(kept[-1]) + 1
-                    leaked[k] += float(live_row[:k0].sum() + live_row[k1:].sum())
-                    lo_run[j + 1, k] += k0
-                    hi_run[j + 1, k] -= len(live_row) - k1
-                    continue
-            done[k] = True
-            angle_steps += j + 1
+                k0, k1 = int(kept[0]), int(kept[-1]) + 1
+                leaked[k] += float(live_row[:k0].sum() + live_row[k1:].sum())
+                lo_run[j + 1, k] += k0
+                hi_run[j + 1, k] -= len(live_row) - k1
+                done[k] = False
 
+        angle_steps += int(np.where(done, first + 1, last + 1).sum())
+        row_copies += count * block
         going = ~done
-        angle_steps += (last + 1) * int(going.sum())
         n += last + 1
         block = min(grown, 2 * (last + 1))
         lo, hi, at = lo_run[last + 1], hi_run[last + 1], origin[last]
@@ -595,7 +607,7 @@ def fixed_angle_costs(
         cost, leaked = cost_n[last, going], leaked[going]
         # the block's arrays go before the next block's are made
         del new, weight, inside, cells_buffer, live, stopped_cells
-    return AngleBatch(outcomes, depth_iterations, angle_steps, blocks)
+    return AngleBatch(outcomes, depth_iterations, angle_steps, blocks, row_copies)
 
 
 def brute_force_cost(

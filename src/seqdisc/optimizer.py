@@ -45,8 +45,9 @@ class AngleScan:
     Samples where the engine failed to converge are recorded with result None
     and the failure message in `failures`; they never become the best point.
     depth_iterations counts the depths the scan's depth loop ran, blocks the
-    blocks it ran them in, and angle_steps the depths its grid points were
-    advanced, summed over them.
+    blocks it ran them in, angle_steps the depths its grid points were
+    advanced, summed over them, and row_copies the grid points each copy of
+    the loop advanced, summed over the copies (engine.AngleBatch).
     """
 
     samples: list[tuple[float, CostResult | None]]
@@ -56,6 +57,7 @@ class AngleScan:
     depth_iterations: int = 0
     blocks: int = 0
     angle_steps: int = 0
+    row_copies: int = 0
 
 
 def _scan_options(opts: EngineOptions | None) -> EngineOptions:
@@ -107,7 +109,7 @@ def scan_angles(
         raise NonConvergenceError("no grid point converged over the scan range")
     return AngleScan(samples=samples, best_phi=best_phi, best_cost=best_cost, failures=failures,
                      depth_iterations=batch.depth_iterations, blocks=batch.blocks,
-                     angle_steps=batch.angle_steps)
+                     angle_steps=batch.angle_steps, row_copies=batch.row_copies)
 
 
 def optimize_angle(
@@ -119,29 +121,30 @@ def optimize_angle(
     """Globally optimal fixed angle, up to grid resolution.
 
     The anchors, the FBM angle phi = theta and the Helstrom angle, are
-    evaluated first.  Then a coarse uniform scan over [0, pi/2), capped by
-    the lower anchor cost (or by its own running minimum alone if neither
-    anchor converges), and recursive refinement of the bracket one coarse cell
-    to each side of the incumbent, down to an angle resolution of 1e-6 rad.
-    A grid point wins a tie with an anchor.  The refined optimum never exceeds
-    the coarse one.  Each refinement round is capped by the incumbent's cost;
-    since the caps are sound, the result is that of the same search with
-    every scan uncapped.  NonConvergenceError is raised only if neither an
-    anchor nor a coarse grid point converges.
+    evaluated first, together as one uncapped batch of the engine, which
+    gives each the result it has alone; theta wins a tie between them.  Then
+    a coarse uniform scan over [0, pi/2), capped by the lower anchor cost (or
+    by its own running minimum alone if neither anchor converges), and
+    recursive refinement of the bracket one coarse cell to each side of the
+    incumbent, down to an angle resolution of 1e-6 rad.  A grid point wins a
+    tie with an anchor.  The refined optimum never exceeds the coarse one.
+    Each refinement round is capped by the incumbent's cost; since the caps
+    are sound, the result is that of the same search with every scan
+    uncapped.  NonConvergenceError is raised only if neither an anchor nor a
+    coarse grid point converges.
     """
     opts = _scan_options(opts)
     lo, hi = 0.0, math.pi / 2 - _UPPER_GUARD
     # the reference angles are always candidates, so a coarse grid can never
     # return something worse than either of them
     best_phi, best_cost, best_result = math.nan, math.inf, None
-    for anchor in (problem.theta, helstrom_angle(problem)):
-        if not 0.0 < anchor < hi:
-            continue
-        try:
-            result = fixed_angle_cost(problem, anchor, eps, opts)
-        except (NonConvergenceError, ValueError):
-            continue
-        if result.expected_copies < best_cost:
+    anchors = [a for a in (problem.theta, helstrom_angle(problem)) if 0.0 < a < hi]
+    try:
+        results = fixed_angle_costs(problem, anchors, eps, opts).outcomes
+    except ValueError:
+        results = []
+    for anchor, result in zip(anchors, results):
+        if isinstance(result, CostResult) and result.expected_copies < best_cost:
             best_phi, best_cost, best_result = anchor, result.expected_copies, result
     try:
         scan = scan_angles(problem, eps, lo, hi, resolution, opts, initial_cap=best_cost)

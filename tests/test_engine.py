@@ -1,6 +1,8 @@
+import hashlib
 import math
 import random
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from seqdisc import (
     brute_force_cost,
     fbm_cost,
     fixed_angle_cost,
+    helstrom_angle,
     likelihoods,
     lol_cost,
     posterior_from_counts,
@@ -255,11 +258,11 @@ def test_costs_are_monotone_in_eps(theta, q1, phi, eps):
 
 
 def test_brute_force_truncated_enclosure_is_pinned():
-    # a residual > 0: the enclosure width is the residual times (max_depth + Wald tail)
-    res = brute_force_cost(DiscriminationProblem(theta=math.pi / 12), math.pi / 4, 0.01, 20)
+    # a residual > 0 (0.172): the enclosure width is the residual times (max_depth + Wald tail)
+    res = brute_force_cost(DiscriminationProblem(theta=math.pi / 12), math.pi / 4, 0.01, 14)
     assert not res.exact
     assert (res.expected_copies.hex(), res.residual_mass.hex(), res.bound_width.hex()) == (
-        "0x1.11fd32c321fffp+3", "0x1.b8702baa00000p-5", "0x1.184d4d46c8649p+1")
+        "0x1.a725eebfffffep+2", "0x1.603fc80000000p-3", "0x1.7e4eaff7ec56ep+2")
 
 
 def test_brute_force_reproduces_fbm_string_termination(problem12):
@@ -592,6 +595,22 @@ def test_block_sizes_do_not_change_results(monkeypatch, first, most, cells):
         batch = fixed_angle_costs(problem, phis, 0.125, opts, cost_cap=cap)
         assert [_fingerprint(o) for o in batch.outcomes] == [_fingerprint(o) for o in expected.outcomes]
         assert batch.angle_steps == expected.angle_steps
+
+
+def test_capped_wide_batch_outcomes_are_pinned():
+    # a coarse scan's batch: 200 grid points capped at the lower anchor
+    # cost, which drops 196 of them; every outcome and message is pinned
+    problem = DiscriminationProblem(theta=math.pi / 12)
+    opts = EngineOptions(max_copies=20_000)
+    cap = min(fixed_angle_cost(problem, phi, 0.05, opts).expected_copies
+              for phi in (problem.theta, helstrom_angle(problem)))
+    step = (math.pi / 2 - 1e-9) / 199
+    outcomes = fixed_angle_costs(problem, [i * step for i in range(200)], 0.05, opts,
+                                 cost_cap=cap).outcomes
+    assert Counter(type(o) for o in outcomes) == {
+        CostCapExceeded: 196, NonConvergenceError: 2, CostResult: 2}
+    digest = hashlib.sha256("\n".join(map(str, outcomes)).encode()).hexdigest()
+    assert digest == "1ed4eaab0eb1ae358f348a409622d30d156606db2ef2b6db736d0f9eac416be5"
 
 
 def test_near_endpoint_angle_runs_in_long_blocks():

@@ -105,6 +105,15 @@ def test_scan_counts_its_depths(problem12):
     assert json.loads(json.dumps(counts)) == counts
 
 
+def test_capped_scan_counts_its_row_copies(problem12):
+    # the 19 grid points past the pre-screened phi = 0 ride one block of 88
+    # copies, though the cap drops most of them within a few copies
+    scan = scan_angles(problem12, 0.179, 0.0, 1.2, 20, initial_cap=3.0)
+    assert (scan.blocks, scan.depth_iterations, scan.angle_steps) == (1, 88, 101)
+    assert scan.row_copies == 19 * 88 >= scan.angle_steps
+    assert type(scan.row_copies) is int
+
+
 class _sequential_reference:
     """scan_angles and optimize_angle as they were before scans were batched.
 
