@@ -34,7 +34,6 @@ from .strategies import (
     CostResult,
     StrategyKind,
     StrategySpec,
-    WalkSpec,
     fbm_cost,
     fbm_threshold,
     lol_cost,
@@ -51,7 +50,7 @@ __all__ = [
     "optimize_angle", "scan_angles", "PosteriorState", "StoppingRule", "meets_error_bound",
     "posterior_error", "posterior_from_counts", "LengthAggregate", "StringSet",
     "aggregate_by_length", "cost_from_strings", "enumerate_strings", "CostResult",
-    "StrategyKind", "StrategySpec", "WalkSpec", "fbm_cost", "fbm_threshold", "lol_cost",
+    "StrategyKind", "StrategySpec", "fbm_cost", "fbm_threshold", "lol_cost",
     "lol_next_angle", "strategy_angle", "ubm_boundary", "ubm_cost",
 ]
 

@@ -41,19 +41,16 @@ _PRESETS = {
     "fig1": {
         "command": "angle-scan",
         "theta": [math.pi / 8, math.pi / 12, math.pi / 16],
-        "q1": 0.5,
         "epsilon": 0.125,
     },
     "fig3": {
         "command": "cost-curve",
         "theta": [math.pi / 12],
-        "q1": 0.5,
-        "epsilon_range": (0.01, 0.3, 25, "log"),
+        "epsilon_range": "0.01:0.3:25:log",
     },
     "fig4": {
         "command": "strings",
         "theta": [math.pi / 12],
-        "q1": 0.5,
         "epsilon": 0.179,
         "strategy": ["fbm", "ubm", "gof"],
     },
@@ -68,38 +65,24 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    """Writes the header, then each row of the iterable `rows` as soon as it is formatted."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(_fmt, row)) + "\n")
-
-
 def _write_json(path: str, payload) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _rows_to_json(header: list[str], rows) -> list[dict]:
-    return [dict(zip(header, row)) for row in rows]
-
-
 def _write_rows(run: _Run, header: list[str], rows, svg=None) -> None:
-    """Writes `rows` as CSV or JSON, or `svg` = (series, xlabel, ylabel) as SVG."""
+    """Writes the iterable `rows` as CSV, each row as soon as it is formatted, or as JSON,
+    or `svg` = (series, xlabel, ylabel) as SVG."""
     if run.fmt == "csv":
-        _write_csv(run.output, header, rows)
+        with open(run.output, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(map(_fmt, row)) + "\n")
     elif run.fmt == "json":
-        _write_json(run.output, _rows_to_json(header, rows))
+        _write_json(run.output, [dict(zip(header, row)) for row in rows])
     else:
         _write_svg(run.output, *svg)
-
-
-def _check_text_format(run: _Run) -> None:
-    """Rejects SVG output for a command that writes only tables, before any work."""
-    if run.fmt not in ("csv", "json"):
-        raise ValueError(f"{run.command} supports csv or json output")
 
 
 def _write_svg(path: str, series: list[tuple[str, list[tuple[float, float]]]],
@@ -160,14 +143,11 @@ def _write_svg(path: str, series: list[tuple[str, list[tuple[float, float]]]],
         fh.write("\n".join(parts) + "\n")
 
 
-def _parse_epsilon_range(spec: str | tuple) -> list[float]:
-    if isinstance(spec, tuple):
-        lo, hi, count, scale = spec
-    else:
-        parts = spec.split(":")
-        if len(parts) != 4:
-            raise ValueError("epsilon range must be lo:hi:count:log|lin")
-        lo, hi, count, scale = float(parts[0]), float(parts[1]), int(parts[2]), parts[3]
+def _parse_epsilon_range(spec: str) -> list[float]:
+    parts = spec.split(":")
+    if len(parts) != 4:
+        raise ValueError("epsilon range must be lo:hi:count:log|lin")
+    lo, hi, count, scale = float(parts[0]), float(parts[1]), int(parts[2]), parts[3]
     if not 0.0 < lo < hi or count < 2 or scale not in ("log", "lin"):
         raise ValueError(f"bad epsilon range {spec!r}")
     if scale == "log":
@@ -178,12 +158,8 @@ def _parse_epsilon_range(spec: str | tuple) -> list[float]:
 
 def _parse_strategy(token: str) -> tuple[str, StrategySpec | None]:
     """Returns (name, spec); spec is None for 'gof' (angle found at run time)."""
-    if token == "fbm":
-        return token, StrategySpec(StrategyKind.FBM)
-    if token == "ubm":
-        return token, StrategySpec(StrategyKind.UBM)
-    if token == "lol":
-        return token, StrategySpec(StrategyKind.LOL)
+    if token in ("fbm", "ubm", "lol"):
+        return token, StrategySpec(StrategyKind(token))
     if token == "gof":
         return token, None
     if token.startswith("fixed:"):
@@ -192,7 +168,8 @@ def _parse_strategy(token: str) -> tuple[str, StrategySpec | None]:
 
 
 @functools.cache  # built once per process; parsing leaves it unchanged
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Action]]:
+    """The parser, and the setting options its commands share, by name."""
     parser = argparse.ArgumentParser(
         prog="seqdisc",
         description="Bounded-error sequential discrimination of two nonorthogonal qubit states",
@@ -200,63 +177,90 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("angle-scan", "cost-curve", "strings", "optimize", "simulate"):
         p = sub.add_parser(name)
-        p.add_argument("--theta", type=float, action="append")
-        p.add_argument("--q1", type=float)
-        p.add_argument("--epsilon", type=float)
-        p.add_argument("--epsilon-range", dest="epsilon_range")
-        p.add_argument("--strategy", action="append")
-        p.add_argument("--resolution", type=int)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--coverage", type=float)
-        p.add_argument("--max-depth", dest="max_depth", type=int)
-        p.add_argument("--aggregate", action="store_true", default=None)
-        p.add_argument("--format", dest="fmt", choices=("csv", "json", "svg"))
+        settings = [
+            p.add_argument("--theta", type=float, action="append"),
+            p.add_argument("--q1", type=float),
+            p.add_argument("--epsilon", type=float),
+            p.add_argument("--epsilon-range", dest="epsilon_range"),
+            p.add_argument("--strategy", action="append"),
+            p.add_argument("--resolution", type=int),
+            p.add_argument("--trials", type=int),
+            p.add_argument("--seed", type=int),
+            p.add_argument("--coverage", type=float),
+            p.add_argument("--max-depth", dest="max_depth", type=int),
+            p.add_argument("--aggregate", action="store_true", default=None),
+            p.add_argument("--format", dest="fmt", choices=("csv", "json", "svg")),
+        ]
         p.add_argument("--preset", choices=sorted(_PRESETS))
         p.add_argument("--config", help="JSON config file; explicit flags win")
         p.add_argument("-o", "--output", required=True)
-    return parser
+    return parser, {option.dest: option for option in settings}
+
+
+def _read_config(path: str, options: dict[str, argparse.Action]) -> dict:
+    """The settings of the JSON config file at `path`, each as its option's flag would give
+    it; a JSON integer stands for a float."""
+    with open(path, encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
+    for key, value in cfg.items():
+        option = options.get(key)
+        if option is None:
+            raise ValueError(f"config file {path}: unknown setting {key!r}")
+        kind = bool if option.nargs == 0 else option.type or str  # nargs 0: a switch
+        listed = isinstance(option, argparse._AppendAction)  # a repeatable flag gives a list
+        items = value if listed and isinstance(value, list) else [value]
+        items = [float(x) if kind is float and type(x) is int else x for x in items]
+        if listed != isinstance(value, list) or any(
+                type(x) is not kind or option.choices and x not in option.choices for x in items):
+            raise ValueError(f"config file {path}: {key!r} cannot be {value!r}")
+        cfg[key] = items if listed else items[0]
+    return cfg
 
 
 class _Run:
-    """Resolved configuration: flags over config file over preset over defaults."""
+    """Resolved configuration: flags over config file over preset over defaults.
 
-    def __init__(self, args: argparse.Namespace):
-        layers = [{}]
-        if args.preset:
-            preset = dict(_PRESETS[args.preset])
-            if preset.pop("command") != args.command:
-                raise ValueError(f"preset {args.preset!r} belongs to another command")
-            layers.append(preset)
-        if args.config:
-            with open(args.config, encoding="utf-8") as fh:
-                layers.append(json.load(fh))
-        flags = {k: v for k, v in vars(args).items()
-                 if k not in ("command", "preset", "config", "output") and v is not None}
-        layers.append(flags)
+    Each setting is read here, in one place, and the output format is checked
+    before any work.
+    """
+
+    def __init__(self, args: argparse.Namespace, options: dict[str, argparse.Action]):
         merged = {}
-        for layer in layers:
-            merged.update(layer)
+        if args.preset:
+            merged.update(_PRESETS[args.preset])
+            if merged.pop("command") != args.command:
+                raise ValueError(f"preset {args.preset!r} belongs to another command")
+        if args.config:
+            merged.update(_read_config(args.config, options))
+        merged.update((k, v) for k, v in vars(args).items() if k in options and v is not None)
         self.command = args.command
         self.output = args.output
         self._cfg = merged
+        self.fmt = merged.get("fmt", "csv")
+        self.resolution = merged.get("resolution", 2000)
+        if self.fmt == "svg" and self.command in ("strings", "optimize"):
+            raise ValueError(f"{self.command} supports csv or json output")
+        if self.fmt == "svg" and self.command == "simulate" and len(self.epsilons) < 2:
+            raise ValueError("svg output needs an --epsilon-range")
 
     def get(self, key, default=None):
         return self._cfg.get(key, default)
 
     @property
-    def thetas(self) -> list[float]:
-        theta = self.get("theta")
-        if not theta:
+    def problems(self) -> list[DiscriminationProblem]:
+        thetas = self.get("theta")
+        if not thetas:
             raise ValueError("--theta is required (or use a preset)")
-        return list(theta) if isinstance(theta, (list, tuple)) else [theta]
+        return [DiscriminationProblem(theta=theta, q1=self.get("q1", 0.5)) for theta in thetas]
 
     @property
     def problem(self) -> DiscriminationProblem:
-        thetas = self.thetas
-        if len(thetas) != 1:
+        problems = self.problems
+        if len(problems) != 1:
             raise ValueError("this command takes a single --theta")
-        return DiscriminationProblem(theta=thetas[0], q1=self.get("q1", 0.5))
+        return problems[0]
 
     @property
     def epsilons(self) -> list[float]:
@@ -269,22 +273,36 @@ class _Run:
         return [eps]
 
     @property
-    def fmt(self) -> str:
-        return self.get("fmt", "csv")
+    def epsilon(self) -> float:
+        eps = self.epsilons
+        if len(eps) != 1:
+            raise ValueError(f"{self.command} takes a single --epsilon")
+        return eps[0]
+
+    def strategies(self, default: str) -> list[tuple[str, StrategySpec | None]]:
+        """(name, spec) of each --strategy, or of the command's `default`."""
+        names = self.get("strategy") or [default]
+        if self.command == "simulate" and len(names) != 1:
+            raise ValueError("simulate takes a single --strategy")
+        return [_parse_strategy(name) for name in names]
+
+    def fixed(self, problem: DiscriminationProblem, spec: StrategySpec | None,
+              eps: float) -> StrategySpec:
+        """`spec`, or for gof (None) the fixed angle that optimize_angle finds at eps."""
+        if spec is None:
+            phi_opt, _ = optimize_angle(problem, eps, resolution=self.resolution)
+            spec = StrategySpec(StrategyKind.FIXED_ANGLE, phi=phi_opt)
+        return spec
 
 
 def _cmd_angle_scan(run: _Run) -> None:
-    eps = run.epsilons
-    if len(eps) != 1:
-        raise ValueError("angle-scan takes a single --epsilon")
-    resolution = run.get("resolution", 2000)
-    q1 = run.get("q1", 0.5)
+    eps = run.epsilon
     header = ["theta", "phi", "cost", "residual_mass", "bound_width", "note"]
     rows = []
     series = []
-    for theta in run.thetas:
-        problem = DiscriminationProblem(theta=theta, q1=q1)
-        scan = scan_angles(problem, eps[0], 0.0, math.pi / 2 - 1e-9, resolution)
+    for problem in run.problems:
+        theta = problem.theta
+        scan = scan_angles(problem, eps, 0.0, math.pi / 2 - 1e-9, run.resolution)
         pts = []
         for phi, result in scan.samples:
             if result is None:
@@ -301,12 +319,11 @@ def _cmd_cost_curve(run: _Run) -> None:
     problem = run.problem
     if problem.q1 != 0.5:
         raise ValueError("cost-curve includes UBM and requires q1 = 0.5")
-    resolution = run.get("resolution", 2000)
     header = ["epsilon", "neg_log_epsilon", "cost_fbm", "cost_ubm", "cost_lol",
               "cost_gof", "phi_opt"]
     rows = []
     for eps in run.epsilons:
-        phi_opt, gof = optimize_angle(problem, eps, resolution=resolution)
+        phi_opt, gof = optimize_angle(problem, eps, resolution=run.resolution)
         rows.append([
             eps,
             -math.log(eps),
@@ -322,74 +339,56 @@ def _cmd_cost_curve(run: _Run) -> None:
 
 
 def _cmd_strings(run: _Run) -> None:
-    _check_text_format(run)
     problem = run.problem
-    eps = run.epsilons
-    if len(eps) != 1:
-        raise ValueError("strings takes a single --epsilon")
-    eps = eps[0]
-    names = run.get("strategy") or ["fbm"]
-    if isinstance(names, str):
-        names = [names]
+    eps = run.epsilon
     coverage = run.get("coverage", DEFAULT_COVERAGE)
     max_depth = run.get("max_depth", DEFAULT_MAX_DEPTH)
-    aggregate = bool(run.get("aggregate"))
     header = ["strategy", "string", "n", "prob", "true_error", "guess"]
     results = []
-    for name in names:
-        name, spec = _parse_strategy(name)
-        if spec is None:
-            phi_opt, _ = optimize_angle(problem, eps, resolution=run.get("resolution", 2000))
-            spec = StrategySpec(StrategyKind.FIXED_ANGLE, phi=phi_opt)
+    for name, spec in run.strategies("fbm"):
+        spec = run.fixed(problem, spec, eps)
         strings, _residual = enumerate_strings(problem, spec, eps, coverage, max_depth)
         results.append((name, strings))
 
-    if aggregate:  # one row per length, labelled "len=<n>", with an empty guess
+    if run.get("aggregate"):  # one row per length, labelled "len=<n>", with an empty guess
         _write_rows(run, header, ((name, f"len={a.n}", a.n, a.total_prob, a.mean_error, "")
                                   for name, strings in results for a in aggregate_by_length(strings)))
         return
-    with open(run.output, "wb") as fh:
-        if run.fmt == "json":
-            _write_strings_json(fh, results)
-            return
-        fh.write((",".join(header) + "\n").encode())
-        for name, strings in results:
-            head = f"{name},".encode()
-            rows, index = _distinct_rows(strings)
-            ends = np.array([f",{n},{_fmt(p)},{_fmt(e)},{g}\n".encode()
-                             for n, p, e, g in _row_values(strings, rows)], dtype=object)
-            for start in range(0, len(strings), _CHUNK_ROWS):
-                part = slice(start, start + _CHUNK_ROWS)
-                # name, + label + end, for each row of the chunk
-                fh.write(head + head.join(map(bytes.__add__, strings.labels[part].tolist(),
-                                              ends[index[part]].tolist())))
-
-
-def _write_strings_json(fh, results) -> None:
-    """Writes the rows of `results` to the binary file fh as json.dump(rows, fh,
-    indent=2, sort_keys=True) and a newline do: each distinct row's text before
-    and after its label is made once."""
-    fh.write(b"[")
-    sep = b"\n"
-    for name, strings in results:
-        rows, index = _distinct_rows(strings)
-        name = json.dumps(name)
-        before, after = np.empty((2, len(rows)), dtype=object)
-        for i, (n, p, e, g) in enumerate(_row_values(strings, rows)):
-            before[i] = (f'  {{\n    "guess": {g},\n    "n": {n},\n    "prob": {json.dumps(p)},\n'
-                         f'    "strategy": {name},\n    "string": "').encode()
-            after[i] = f'",\n    "true_error": {json.dumps(e)}\n  }}'.encode()
-        for start in range(0, len(strings), _CHUNK_ROWS):
-            part = slice(start, start + _CHUNK_ROWS)
-            fh.write(sep + b",\n".join(map(b"".join, zip(
-                before[index[part]].tolist(), strings.labels[part].tolist(),
-                after[index[part]].tolist()))))
-            sep = b",\n"
-    fh.write(b"\n]\n" if sep == b",\n" else b"]\n")
+    _write_strings(run, header, results)
 
 
 # rows formatted per write, so the text held at once stays a few hundred KiB
 _CHUNK_ROWS = 4096
+
+
+def _write_strings(run: _Run, header: list[str], results) -> None:
+    """Writes the rows of `results`, (name, strings) pairs, as _write_rows would, in CSV or
+    JSON: each distinct row's text before and after its label is made once."""
+    is_json = run.fmt == "json"
+    lead, sep = (b"\n", b",\n") if is_json else (b"", b"")
+    with open(run.output, "wb") as fh:
+        fh.write(b"[" if is_json else (",".join(header) + "\n").encode())
+        for name, strings in results:
+            rows, index = _distinct_rows(strings)
+            before, after = np.empty((2, len(rows)), dtype=object)
+            for i, (n, p, e, g) in enumerate(zip(
+                    strings.n[rows].tolist(), strings.prob[rows].tolist(),
+                    strings.true_error[rows].tolist(), strings.guess[rows].tolist())):
+                if is_json:  # json.dump's text of the row, keys sorted, indent 2
+                    texts = (f'  {{\n    "guess": {g},\n    "n": {n},\n    "prob": {json.dumps(p)},'
+                             f'\n    "strategy": {json.dumps(name)},\n    "string": "',
+                             f'",\n    "true_error": {json.dumps(e)}\n  }}')
+                else:
+                    texts = (f"{name},", f",{n},{_fmt(p)},{_fmt(e)},{g}\n")
+                before[i], after[i] = (text.encode() for text in texts)
+            for start in range(0, len(strings), _CHUNK_ROWS):
+                part = slice(start, start + _CHUNK_ROWS)
+                fh.write(lead + sep.join(map(b"".join, zip(
+                    before[index[part]].tolist(), strings.labels[part].tolist(),
+                    after[index[part]].tolist()))))
+                lead = sep
+        if is_json:
+            fh.write(b"\n]\n" if lead == sep else b"]\n")
 
 
 def _distinct_rows(strings) -> tuple[np.ndarray, np.ndarray]:
@@ -409,46 +408,23 @@ def _distinct_rows(strings) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(starts)[first], of_run.reshape(-1)[np.cumsum(starts) - 1]
 
 
-def _row_values(strings, rows: np.ndarray):
-    """(n, prob, true_error, guess) of each of the rows `rows` of `strings`."""
-    return zip(strings.n[rows].tolist(), strings.prob[rows].tolist(),
-               strings.true_error[rows].tolist(), strings.guess[rows].tolist())
-
-
 def _cmd_optimize(run: _Run) -> None:
-    _check_text_format(run)
-    q1 = run.get("q1", 0.5)
-    resolution = run.get("resolution", 2000)
     header = ["theta", "epsilon", "phi_opt", "cost", "bound_width"]
     rows = []
-    for theta in run.thetas:
-        problem = DiscriminationProblem(theta=theta, q1=q1)
+    for problem in run.problems:
         for eps in run.epsilons:
-            phi_opt, result = optimize_angle(problem, eps, resolution=resolution)
-            rows.append([theta, eps, phi_opt, result.expected_copies, result.bound_width])
+            phi_opt, result = optimize_angle(problem, eps, resolution=run.resolution)
+            rows.append([problem.theta, eps, phi_opt, result.expected_copies, result.bound_width])
     _write_rows(run, header, rows)
 
 
 def _cmd_simulate(run: _Run) -> None:
-    if run.fmt == "svg" and len(run.epsilons) < 2:
-        raise ValueError("svg output needs an --epsilon-range")
     problem = run.problem
     trials = run.get("trials", 100_000)
     seed = run.get("seed", 0)
-    names = run.get("strategy") or ["ubm"]
-    if isinstance(names, str):
-        names = [names]
-    if len(names) != 1:
-        raise ValueError("simulate takes a single --strategy")
-    name, spec = _parse_strategy(names[0])
-    reports = []
-    for eps in run.epsilons:
-        actual = spec
-        if actual is None:
-            phi_opt, _ = optimize_angle(problem, eps, resolution=run.get("resolution", 2000))
-            actual = StrategySpec(StrategyKind.FIXED_ANGLE, phi=phi_opt)
-        report = run_trials(problem, actual, eps, trials, seed)
-        reports.append((eps, report))
+    [(name, spec)] = run.strategies("ubm")
+    reports = [(eps, run_trials(problem, run.fixed(problem, spec, eps), eps, trials, seed))
+               for eps in run.epsilons]
     if run.fmt == "json":
         payload = [
             {
@@ -467,17 +443,14 @@ def _cmd_simulate(run: _Run) -> None:
             for eps, r in reports
         ]
         _write_json(run.output, payload if len(payload) > 1 else payload[0])
-    elif run.fmt == "csv":
-        header = ["epsilon", "string", "count", "errors", "observed_error", "observed_prob"]
-        rows = []
-        for eps, r in reports:
+        return
+    header = ["epsilon", "string", "count", "errors", "observed_error", "observed_prob"]
+    rows = ([eps, label, count, errs, errs / count, count / r.trials]
+            for eps, r in reports
             for label, (count, errs) in sorted(r.per_string.items(),
-                                               key=lambda kv: (-kv[1][0], kv[0])):
-                rows.append([eps, label, count, errs, errs / count, count / r.trials])
-        _write_csv(run.output, header, rows)
-    else:
-        pts = [(-math.log(eps), r.mean_copies) for eps, r in reports]
-        _write_svg(run.output, [(name, pts)], "-ln(epsilon)", "mean copies")
+                                               key=lambda kv: (-kv[1][0], kv[0])))
+    pts = [(-math.log(eps), r.mean_copies) for eps, r in reports]
+    _write_rows(run, header, rows, ([(name, pts)], "-ln(epsilon)", "mean copies"))
 
 
 _COMMANDS = {
@@ -490,19 +463,14 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, options = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        run = _Run(args)
+        run = _Run(args, options)
         _COMMANDS[run.command](run)
-    except (ValueError, json.JSONDecodeError) as exc:
-        print(f"seqdisc: {exc}", file=sys.stderr)
-        return 2
-    except (NonConvergenceError, TrialLengthError, PrefixLimitError) as exc:
-        print(f"seqdisc: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"seqdisc: {exc}", file=sys.stderr)
-        return 4
+    except (ValueError, NonConvergenceError, TrialLengthError, PrefixLimitError, OSError) as exc:
+        print(f"seqdisc: {exc}", file=sys.stderr)  # a json.JSONDecodeError is a ValueError
+        return 2 if isinstance(exc, ValueError) else 4 if isinstance(exc, OSError) else 3
     return 0
 
 

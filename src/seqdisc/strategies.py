@@ -22,7 +22,6 @@ __all__ = [
     "StrategyKind",
     "StrategySpec",
     "CostResult",
-    "WalkSpec",
     "fbm_threshold",
     "fbm_cost",
     "ubm_boundary",
@@ -82,20 +81,6 @@ class CostResult:
             raise ValueError("exact results must have zero residual mass and bound width")
 
 
-@dataclass(frozen=True)
-class WalkSpec:
-    """Symmetric absorbing random walk: step +1 w.p. p_up, absorb at +-boundary."""
-
-    p_up: float
-    boundary: int
-
-    def __post_init__(self):
-        if not 0.0 < self.p_up < 1.0:
-            raise ValueError(f"p_up must lie in (0, 1), got {self.p_up}")
-        if self.boundary < 1:
-            raise ValueError(f"boundary must be a positive integer, got {self.boundary}")
-
-
 def _fbm_run_error(problem: DiscriminationProblem, n: int) -> float:
     """Posterior error after n consecutive outcome-1 results at phi = theta."""
     c = problem.overlap ** 2
@@ -141,8 +126,8 @@ def _require_symmetric(problem: DiscriminationProblem) -> None:
                          "use the generic fixed-angle engine for asymmetric priors")
 
 
-def ubm_boundary(problem: DiscriminationProblem, eps: float) -> WalkSpec:
-    """Absorbing-walk parameters for the unbiased strategy at symmetric priors.
+def ubm_boundary(problem: DiscriminationProblem, eps: float) -> int:
+    """Absorbing boundary K >= 1 of the unbiased strategy at symmetric priors.
 
     The count difference m1 - m2 performs a +-1 walk; absorption at |R| = K,
     the smallest integer where the posterior error drops to <= eps.
@@ -152,25 +137,20 @@ def ubm_boundary(problem: DiscriminationProblem, eps: float) -> WalkSpec:
     k = 1
     while not meets_error_bound(_ubm_error_at(problem, k), eps):
         k += 1
-    p_up = (1.0 + math.sin(2.0 * problem.theta)) / 2.0
-    return WalkSpec(p_up=p_up, boundary=k)
+    return k
 
 
 def ubm_cost(problem: DiscriminationProblem, eps: float) -> CostResult:
     """Expected absorption time of the UBM walk, by direct linear solve.
 
-    Solves E_i = 1 + p E_{i+1} + (1-p) E_{i-1} on i in (-K, K) with E_{+-K} = 0.
-    By prior symmetry the same value holds under either true state.
+    Solves E_i = 1 + p E_{i+1} + (1-p) E_{i-1} on i in (-K, K) with E_{+-K} = 0,
+    where p = (1 + sin 2 theta) / 2 is the chance of a step up.  By prior
+    symmetry the same value holds under either true state.
     """
-    walk = ubm_boundary(problem, eps)
-    k, p = walk.boundary, walk.p_up
+    k = ubm_boundary(problem, eps)
+    p = (1.0 + math.sin(2.0 * problem.theta)) / 2.0
     dim = 2 * k - 1  # interior states -K+1 .. K-1
-    a = np.eye(dim)
-    for i in range(dim):
-        if i + 1 < dim:
-            a[i, i + 1] = -p
-        if i - 1 >= 0:
-            a[i, i - 1] = -(1.0 - p)
+    a = np.eye(dim) - p * np.eye(dim, k=1) - (1.0 - p) * np.eye(dim, k=-1)
     e = np.linalg.solve(a, np.ones(dim))
     return CostResult(expected_copies=float(e[k - 1]), exact=True)
 

@@ -21,6 +21,7 @@ object per string; aggregate_by_length and cost_from_strings read the columns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -482,15 +483,16 @@ def cost_from_strings(
     strings: StringSet,
     residual: float,
     max_depth: int,
-    tail_bound: float = 0.0,
+    tail_bound: float = math.inf,
 ) -> CostResult:
     """Expected copies from an enumerated string set: sum of n * P(X_n).
 
     The residual (unemitted) mass widens the enclosure by residual *
-    (max_depth + tail_bound).  With the default tail_bound of 0 the upper
-    end is not rigorous, since unemitted strings can run past max_depth; it
-    is with a bound on the expected copies still needed from any state that
-    has not stopped, such as the engine's Wald bound
+    (max_depth + tail_bound), where tail_bound bounds the expected copies
+    still needed from any state that has not stopped, since unemitted
+    strings can run past max_depth.  The default, inf, keeps the enclosure
+    rigorous without one: its bound_width is inf whenever residual > 0.  A
+    finite bound is the engine's Wald bound
     float(engine._tail(StoppingRule(problem, phi, eps), eps)).
     """
     cost = sum((strings.n * strings.prob).tolist(), 0.0)

@@ -68,14 +68,14 @@ def test_acceptance_02_gof_cost(problem12, capsys):
 
 
 def test_acceptance_03_ubm_semianalytic(problem12, capsys):
-    walk = ubm_boundary(problem12, 0.179)
+    k = ubm_boundary(problem12, 0.179)
     cost = ubm_cost(problem12, 0.179).expected_copies
     strings, _ = enumerate_strings(problem12, UBM, 0.179, coverage_target=1.0,
                                    max_depth=20)
     errors_ok = bool((abs(strings.true_error - 0.1) <= 1e-12).all())
-    ok = walk.boundary == 2 and abs(cost - 3.2) <= 1e-12 and errors_ok
+    ok = k == 2 and abs(cost - 3.2) <= 1e-12 and errors_ok
     _report(capsys, 3, "symmetric-walk strategy", ok,
-            f"K = {walk.boundary}, cost = {cost!r}, per-string error 0.1: {errors_ok}")
+            f"K = {k}, cost = {cost!r}, per-string error 0.1: {errors_ok}")
 
 
 def test_acceptance_04_fbm_closed_form(problem12, capsys):

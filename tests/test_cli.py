@@ -363,6 +363,48 @@ def test_config_file_merging(tmp_path):
     assert code == 2
 
 
+# each of these crashed with a traceback before config values were checked
+@pytest.mark.parametrize("command,cfg,message", [
+    ("angle-scan", [1, 2], "must hold a JSON object"),
+    ("angle-scan", {"resolution": "5"}, "'resolution' cannot be '5'"),
+    ("optimize", {"epsilon": "0.2"}, "'epsilon' cannot be '0.2'"),
+    ("cost-curve", {"epsilon_range": [0.1, 0.3, 3, "lin"]},
+     "'epsilon_range' cannot be [0.1, 0.3, 3, 'lin']"),
+    # and these are values that no flag gives
+    ("angle-scan", {"theta": 0.3}, "'theta' cannot be 0.3"),
+    ("strings", {"strategy": "ubm"}, "'strategy' cannot be 'ubm'"),
+    ("strings", {"strategy": ["ubm", 2]}, "'strategy' cannot be ['ubm', 2]"),
+    ("angle-scan", {"resolution": 2.5}, "'resolution' cannot be 2.5"),
+    ("angle-scan", {"resolution": True}, "'resolution' cannot be True"),
+    ("angle-scan", {"epsilon": None}, "'epsilon' cannot be None"),
+    ("strings", {"aggregate": 1}, "'aggregate' cannot be 1"),
+    ("optimize", {"fmt": "xml"}, "'fmt' cannot be 'xml'"),
+    ("optimize", {"resolutoin": 50}, "unknown setting 'resolutoin'"),
+    ("optimize", {"output": "x.csv"}, "unknown setting 'output'"),
+])
+def test_bad_config_values_exit_2_naming_the_key(tmp_path, capsys, command, cfg, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out = run(tmp_path, "out.csv", command, "--config", str(path),
+                    "--theta", "0.3", "--epsilon", "0.2")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("seqdisc: ") and message in err
+    assert not out.exists()
+
+
+def test_config_values_read_as_their_flags_give_them(tmp_path):
+    # a JSON integer stands for a float; a switch may be false
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theta": [0.3], "epsilon": 0.2, "coverage": 1,
+                               "strategy": ["fbm"], "aggregate": False, "fmt": "csv"}))
+    code, out = run(tmp_path, "from_cfg.csv", "strings", "--config", str(cfg))
+    assert code == 0
+    _, flags = run(tmp_path, "from_flags.csv", "strings", "--theta", "0.3", "--epsilon", "0.2",
+                   "--coverage", "1", "--strategy", "fbm")
+    assert out.read_bytes() == flags.read_bytes()
+
+
 def test_svg_outputs(tmp_path):
     code, out = run(tmp_path, "scan.svg", "angle-scan", "--theta", "0.3",
                     "--epsilon", "0.2", "--resolution", "25", "--format", "svg")
@@ -451,5 +493,40 @@ def test_exit_code_io_error(tmp_path):
 ])
 def test_engine_outputs_are_pinned(tmp_path, argv, digest):
     code, out = run(tmp_path, "out.csv", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+_RANGE = ("--theta", repr(math.pi / 12), "--epsilon-range", "0.1:0.25:3:lin")
+
+
+# sha256 of each (command, format) pair no other test pins, recorded before the
+# CLI's writers and settings were merged into one path each
+@pytest.mark.parametrize("argv,digest", [
+    (("angle-scan", "--theta", "0.3", "--epsilon", "0.2", "--resolution", "25", "--format", "json"),
+     "bd026a437c41be284c1a1f93a8c30bfd06672a507e177f934d79599412eafbad"),
+    (("angle-scan", "--theta", "0.3", "--epsilon", "0.2", "--resolution", "25", "--format", "svg"),
+     "b47a000c600d5566b90bf48a638b0b30ededfd84f42ea4290272d94d71cc7109"),
+    (("cost-curve", *_RANGE, "--resolution", "50", "--format", "json"),
+     "982eeb1443508f89e8a79b01380d22141a719d224cb9cab08757fcaf4f4bef31"),
+    (("cost-curve", *_RANGE, "--resolution", "50", "--format", "svg"),
+     "cd7ffdcc50a21d43e61e877188d624173d2d216e4025f840c81498be77ad2060"),
+    (("optimize", *_RANGE, "--resolution", "50", "--format", "csv"),
+     "88f6d0b701e50865d2d68f7616077ee1d35db5a88bb8ece65ccea61f8b1180db"),
+    (("optimize", *_RANGE, "--resolution", "50", "--format", "json"),
+     "dcd911b9e8a319ff17bcd79188b9e8afc1b534f06aac27c8060b9151df8992fe"),
+    (("simulate", *_RANGE, "--strategy", "ubm", "--trials", "300", "--format", "csv"),
+     "25bf5bc24f1618a691400675ae55ed2ced30d8cb070d2e598c7ad3dcffc215f0"),
+    (("simulate", *_RANGE, "--strategy", "ubm", "--trials", "300", "--format", "json"),
+     "454e0b8c4cf3885e588312a58b133f59e07142dae9cdcd5c83cc650bdaf2ff9b"),
+    (("simulate", *_RANGE, "--strategy", "ubm", "--trials", "300", "--format", "svg"),
+     "96f855bd3382395c33cdd7449eacfb474c80cf9b697c482ccc691c6b8f64d015"),
+    (("strings", "--preset", "fig4"),
+     "731187725f58b91333b150b3c7e32a4fac34422033f089ebf495a21d2527252e"),
+    (("strings", "--preset", "fig4", "--format", "json"),
+     "e679553e1498fd8c24bc643587c5e95ef65f7d2c515648c177972cba630d5b47"),
+])
+def test_every_command_and_format_is_pinned(tmp_path, argv, digest):
+    code, out = run(tmp_path, "out", *argv)
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -73,7 +73,7 @@ def test_closed_form_thresholds_keep_the_error_bound_for_tiny_eps(problem12, eps
     assert fbm_error(n_t) <= eps * GUARANTEE < fbm_error(n_t - 1)
 
     s = math.sin(2.0 * problem12.theta)
-    k = ubm_boundary(problem12, eps).boundary
+    k = ubm_boundary(problem12, eps)
     assert 1.0 / (1.0 + ((1.0 + s) / (1.0 - s)) ** k) <= eps * GUARANTEE
 
     assert collective_error(problem12, lol_cost(problem12, eps)) <= eps * GUARANTEE

@@ -77,12 +77,10 @@ def test_fbm_cost_examples(problem12):
 
 
 def test_ubm_boundary_examples(problem12):
-    walk = ubm_boundary(problem12, 0.179)
-    assert walk.p_up == pytest.approx(0.75, abs=1e-12)
-    assert walk.boundary == 2
+    assert ubm_boundary(problem12, 0.179) == 2
     # the error at K=2 is exactly 0.1: inclusive comparison keeps K=2 at eps=0.1
-    assert ubm_boundary(problem12, 0.1).boundary == 2
-    assert ubm_boundary(problem12, 0.099).boundary == 3
+    assert ubm_boundary(problem12, 0.1) == 2
+    assert ubm_boundary(problem12, 0.099) == 3
     with pytest.raises(ValueError):
         ubm_boundary(DiscriminationProblem(theta=0.2, q1=0.3), 0.1)
     for eps in (0.5, 0.0, math.nan):
@@ -94,7 +92,7 @@ def test_ubm_boundary_examples(problem12):
 @settings(max_examples=60)
 def test_ubm_boundary_minimality(theta, eps):
     p = DiscriminationProblem(theta=theta)
-    k = ubm_boundary(p, eps).boundary
+    k = ubm_boundary(p, eps)
     assert _ubm_error_at(p, k) <= eps + 1e-12
     if k > 1:
         assert _ubm_error_at(p, k - 1) > eps

@@ -251,6 +251,17 @@ def test_cost_from_strings_ubm_enclosure(problem12):
     assert oracle < result.expected_copies + result.bound_width
 
 
+def test_cost_from_strings_default_enclosure_holds_the_exact_cost(problem12):
+    # with a tail bound of 0 this enclosure was [3.102, 3.176], against the exact 3.2
+    strings, residual = enumerate_strings(problem12, UBM, 0.179,
+                                          coverage_target=1.0, max_depth=10)
+    result = cost_from_strings(strings, residual, 10)
+    oracle = ubm_cost(problem12, 0.179).expected_copies
+    assert residual > 0.0 and not result.exact
+    assert result.bound_width == math.inf
+    assert result.expected_copies < oracle < result.expected_copies + result.bound_width
+
+
 def test_single_certain_string(problem12):
     strings, _ = enumerate_strings(problem12, UBM, 0.01, max_depth=1)
     result = cost_from_strings(strings, 0.0, 5)
