@@ -168,55 +168,73 @@ def _parse_strategy(token: str) -> tuple[str, StrategySpec | None]:
 
 
 @functools.cache  # built once per process; parsing leaves it unchanged
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Action]]:
-    """The parser, and the setting options its commands share, by name."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Action]]]:
+    """The parser, and per command the setting options it reads, by name."""
     parser = argparse.ArgumentParser(
         prog="seqdisc",
         description="Bounded-error sequential discrimination of two nonorthogonal qubit states",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("angle-scan", "cost-curve", "strings", "optimize", "simulate"):
+    settings = {  # name: (flag, keywords)
+        "theta": ("--theta", {"type": float, "action": "append"}),
+        "q1": ("--q1", {"type": float}),
+        "epsilon": ("--epsilon", {"type": float}),
+        "epsilon_range": ("--epsilon-range", {}),
+        "strategy": ("--strategy", {"action": "append"}),
+        "resolution": ("--resolution", {"type": int}),
+        "trials": ("--trials", {"type": int}),
+        "seed": ("--seed", {"type": int}),
+        "coverage": ("--coverage", {"type": float}),
+        "max_depth": ("--max-depth", {"type": int}),
+        "aggregate": ("--aggregate", {"action": "store_true", "default": None}),
+        "fmt": ("--format", {"choices": ("csv", "json", "svg")}),
+    }
+    # a command is given only the settings it reads; resolution is gof's angle grid
+    shared = {"theta", "q1", "epsilon", "resolution", "fmt"}
+    reads = {
+        "angle-scan": shared,
+        "cost-curve": shared | {"epsilon_range"},
+        "strings": shared | {"strategy", "coverage", "max_depth", "aggregate"},
+        "optimize": shared | {"epsilon_range"},
+        "simulate": shared | {"epsilon_range", "strategy", "trials", "seed"},
+    }
+    options = {}
+    for name, keys in reads.items():
         p = sub.add_parser(name)
-        settings = [
-            p.add_argument("--theta", type=float, action="append"),
-            p.add_argument("--q1", type=float),
-            p.add_argument("--epsilon", type=float),
-            p.add_argument("--epsilon-range", dest="epsilon_range"),
-            p.add_argument("--strategy", action="append"),
-            p.add_argument("--resolution", type=int),
-            p.add_argument("--trials", type=int),
-            p.add_argument("--seed", type=int),
-            p.add_argument("--coverage", type=float),
-            p.add_argument("--max-depth", dest="max_depth", type=int),
-            p.add_argument("--aggregate", action="store_true", default=None),
-            p.add_argument("--format", dest="fmt", choices=("csv", "json", "svg")),
-        ]
+        options[name] = {key: p.add_argument(flag, dest=key, **kwargs)
+                         for key, (flag, kwargs) in settings.items() if key in keys}
         p.add_argument("--preset", choices=sorted(_PRESETS))
         p.add_argument("--config", help="JSON config file; explicit flags win")
         p.add_argument("-o", "--output", required=True)
-    return parser, {option.dest: option for option in settings}
+    return parser, options
 
 
-def _read_config(path: str, options: dict[str, argparse.Action]) -> dict:
-    """The settings of the JSON config file at `path`, each as its option's flag would give
-    it; a JSON integer stands for a float."""
-    with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError(f"config file {path} must hold a JSON object")
+def _checked(source: str, cfg: dict, options: dict[str, argparse.Action]) -> dict:
+    """The settings `cfg` of `source`, a config file or a preset, each as its command's option
+    would give it; a JSON integer stands for a float."""
+    settings = {}
     for key, value in cfg.items():
         option = options.get(key)
         if option is None:
-            raise ValueError(f"config file {path}: unknown setting {key!r}")
+            raise ValueError(f"{source}: unknown setting {key!r}")
         kind = bool if option.nargs == 0 else option.type or str  # nargs 0: a switch
         listed = isinstance(option, argparse._AppendAction)  # a repeatable flag gives a list
         items = value if listed and isinstance(value, list) else [value]
         items = [float(x) if kind is float and type(x) is int else x for x in items]
         if listed != isinstance(value, list) or any(
                 type(x) is not kind or option.choices and x not in option.choices for x in items):
-            raise ValueError(f"config file {path}: {key!r} cannot be {value!r}")
-        cfg[key] = items if listed else items[0]
-    return cfg
+            raise ValueError(f"{source}: {key!r} cannot be {value!r}")
+        settings[key] = items if listed else items[0]
+    return settings
+
+
+def _read_config(path: str, options: dict[str, argparse.Action]) -> dict:
+    """The checked settings of the JSON config file at `path`."""
+    with open(path, encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
+    return _checked(f"config file {path}", cfg, options)
 
 
 class _Run:
@@ -229,9 +247,10 @@ class _Run:
     def __init__(self, args: argparse.Namespace, options: dict[str, argparse.Action]):
         merged = {}
         if args.preset:
-            merged.update(_PRESETS[args.preset])
-            if merged.pop("command") != args.command:
+            preset = dict(_PRESETS[args.preset])
+            if preset.pop("command") != args.command:
                 raise ValueError(f"preset {args.preset!r} belongs to another command")
+            merged.update(_checked(f"preset {args.preset!r}", preset, options))
         if args.config:
             merged.update(_read_config(args.config, options))
         merged.update((k, v) for k, v in vars(args).items() if k in options and v is not None)
@@ -274,10 +293,11 @@ class _Run:
 
     @property
     def epsilon(self) -> float:
-        eps = self.epsilons
-        if len(eps) != 1:
-            raise ValueError(f"{self.command} takes a single --epsilon")
-        return eps[0]
+        """The --epsilon of a command that has no --epsilon-range."""
+        eps = self.get("epsilon")
+        if eps is None:
+            raise ValueError("--epsilon is required")
+        return eps
 
     def strategies(self, default: str) -> list[tuple[str, StrategySpec | None]]:
         """(name, spec) of each --strategy, or of the command's `default`."""
@@ -466,7 +486,7 @@ def main(argv: list[str] | None = None) -> int:
     parser, options = _build_parser()
     args = parser.parse_args(argv)
     try:
-        run = _Run(args, options)
+        run = _Run(args, options[args.command])
         _COMMANDS[run.command](run)
     except (ValueError, NonConvergenceError, TrialLengthError, PrefixLimitError, OSError) as exc:
         print(f"seqdisc: {exc}", file=sys.stderr)  # a json.JSONDecodeError is a ValueError

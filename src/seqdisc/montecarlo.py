@@ -18,8 +18,13 @@ fixed-angle trials carry their outcome-1 counts and take their verdicts from
 the StoppingRule's `verdicts`; LOL trials carry an index into a table of the
 distinct posterior beliefs met so far, whose entry maps each outcome to the
 verdict and the next index, so that a copy is a few gathers per trial.
-Finished trials are tallied by outcome string.  A fixed angle at which no
-count state stops within TRIAL_COPY_CAP copies fails before any trial runs.
+A fixed-angle chunk skips the stepper for its first block: one lookup of
+each row's first few outcomes, packed into an integer, in a table of all
+such patterns gives the copy at which the row stops and its guess.
+Finished trials are tallied by packed outcome string, one key and two counts
+per distinct string, and each string's label is built once, after the last
+chunk.  A fixed angle at which no count state stops within TRIAL_COPY_CAP
+copies fails before any trial runs.
 """
 
 from __future__ import annotations
@@ -70,7 +75,11 @@ class _FixedAngle:
 
     Within the _ROW - 1 copies of a table row the verdicts come from one flat
     triangle of count states, computed once; past the row, where the triangle
-    would grow with the square of the depth, from the rule itself.
+    would grow with the square of the depth, from the rule itself.  The first
+    _FIRST_COPIES copies of a row are decided at once from `first_stop` and
+    `first_guess`, indexed by the row's pattern of those outcomes, bit j set
+    for outcome 2 at copy j + 1: the copy at which the row stops (0 if it does
+    not) and the guess there.
     """
 
     def __init__(self, problem: DiscriminationProblem, strategy: StrategySpec, eps: float):
@@ -83,6 +92,16 @@ class _FixedAngle:
         n = np.repeat(np.arange(_ROW), np.arange(1, _ROW + 1))
         m1 = np.arange(len(n)) - n * (n + 1) // 2
         self.row_verdicts = self.rule.verdicts(m1, n - m1)
+        stop = guess = twos = np.zeros(1, np.int8)
+        for k in range(1, _FIRST_COPIES + 1):
+            # the patterns of k copies: those of k - 1 copies, then each with outcome 2 at copy k
+            stop, guess, twos = (np.concatenate([a, a + more])
+                                 for a, more in ((stop, 0), (guess, 0), (twos, 1)))
+            # the verdicts of the states of k copies, by their count of outcome 2
+            verdict = self.row_verdicts[k * (k + 1) // 2:(k + 1) * (k + 2) // 2][::-1].take(twos)
+            fresh = (stop == 0) & (verdict != 0)
+            stop[fresh], guess[fresh] = k, verdict[fresh]
+        self.first_stop, self.first_guess = stop, guess
 
     def start(self, psi1: np.ndarray) -> None:
         # P(outcome 1 | psi1) or P(outcome 1 | psi2), by the row's state
@@ -190,30 +209,60 @@ class _Lol:
         return ones, verdicts
 
 
-def _tally(per_string: dict[str, list[int]], ones: np.ndarray, n: np.ndarray,
-           wrong: np.ndarray) -> None:
-    """Adds finished trials to the tally: outcome strings the rows of `ones` cut at n."""
+def _check_cap(copies) -> None:
+    """Fails if a trial needs `copies` copies, its stop or one past its block, past the cap."""
+    if copies > TRIAL_COPY_CAP:
+        raise TrialLengthError(f"trial exceeded {TRIAL_COPY_CAP} copies without reaching the bound")
+
+
+def _tally(finished: list, ones: np.ndarray, n: np.ndarray, wrong: np.ndarray) -> None:
+    """Adds to `finished` the key of each outcome string, the row of `ones` cut at n, and
+    whether its guess is wrong.
+
+    A key has bit j set for outcome 2 at copy j + 1, and bit n; it is a uint64
+    up to n = 63, else the bytes of as many 64-bit words as the block needs.
+    """
     width = ones.shape[1]
     words = width // 64 + 1  # room for bit n <= width
-    # one key per outcome string: bit j for outcome 2 at copy j, and bit n
     bits = np.zeros((len(n), 64 * words), bool)
     bits[:, :width] = ~ones & (np.arange(width) < n[:, None])
     bits[np.arange(len(n)), n] = True
     packed = np.packbits(bits, axis=1, bitorder="little")
-    keys = packed.view("<u8" if words == 1 else np.dtype((np.void, 8 * words))).ravel()
-    _, where, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    counts = np.bincount(inverse, minlength=len(where))
-    errors = np.bincount(inverse[wrong], minlength=len(where))
-    labels = outcome_labels(~ones[where], n[where]).astype(str).tolist()
-    for label, count, errs in zip(labels, counts.tolist(), errors.tolist()):
-        tally = per_string.setdefault(label, [0, 0])
-        tally[0] += count
-        tally[1] += errs
+    finished.append((packed.view("<u8" if words == 1 else np.dtype((np.void, 8 * words))).ravel(),
+                     wrong))
+
+
+def _merge(tally: dict, finished: list) -> None:
+    """Merges the (keys, wrong) pairs of `finished` into `tally`, which holds per key
+    dtype the distinct keys, sorted, with the count and the error count of each."""
+    for dtype in {keys.dtype for keys, _ in finished if len(keys)}:
+        parts = [(keys, wrong) for keys, wrong in finished if keys.dtype == dtype]
+        held, counts, errors = tally.get(dtype, (np.zeros(0, dtype), 0, 0))
+        distinct, inverse = np.unique(np.concatenate([held, *(keys for keys, _ in parts)]),
+                                      return_inverse=True)
+        old, new = inverse[:len(held)], inverse[len(held):]
+        wrong = np.concatenate([wrong for _, wrong in parts])
+        tally[dtype] = merged = (distinct, np.bincount(new, minlength=len(distinct)),
+                                 np.bincount(new[wrong], minlength=len(distinct)))
+        merged[1][old] += counts
+        merged[2][old] += errors
+
+
+def _per_string(tally: dict) -> dict[str, tuple[int, int]]:
+    """The merged tally as label -> (count, error count); each label is built once."""
+    per_string = {}
+    for keys, counts, errors in tally.values():
+        bits = np.unpackbits(keys.view(np.uint8).reshape(len(keys), -1), axis=1,
+                             bitorder="little").view(bool)
+        n = bits.shape[1] - 1 - bits[:, ::-1].argmax(axis=1)  # the top bit
+        labels = outcome_labels(bits, n).astype(str).tolist()
+        per_string.update(zip(labels, zip(counts.tolist(), errors.tolist())))
+    return per_string
 
 
 def _step(stepper: _FixedAngle | _Lol, live: np.ndarray, u: np.ndarray, depth: int,
           blocks: list[tuple[np.ndarray, np.ndarray]], psi1: np.ndarray,
-          per_string: dict[str, list[int]]) -> np.ndarray:
+          finished: list) -> np.ndarray:
     """Advances rows `live` over the uniforms u, tallies those that stop; returns the rest.
 
     `blocks` holds the (rows kept, outcomes) of the blocks stepped so far; a row's
@@ -224,21 +273,41 @@ def _step(stepper: _FixedAngle | _Lol, live: np.ndarray, u: np.ndarray, depth: i
     stops = verdicts != 0
     at = stops.argmax(axis=1)
     hit = stops[np.arange(len(live)), at]
-    # copies each row needs at least: its stop, or one past the block
-    if np.where(hit, depth + at + 1, depth + u.shape[1] + 1).max(initial=0) > TRIAL_COPY_CAP:
-        raise TrialLengthError(f"trial exceeded {TRIAL_COPY_CAP} copies without reaching the bound")
+    _check_cap(np.where(hit, depth + at + 1, depth + u.shape[1] + 1).max(initial=0))
     done = live[hit]
     if len(done):
         history = np.concatenate([outcomes[np.searchsorted(kept, done)]
                                   for kept, outcomes in blocks], axis=1)
         guess = verdicts[hit, at[hit]]
-        _tally(per_string, history, depth + at[hit] + 1, guess != np.where(psi1[done], 1, 2))
+        _tally(finished, history, depth + at[hit] + 1, guess != np.where(psi1[done], 1, 2))
     return live[~hit]
 
 
+def _look_up(stepper: _FixedAngle, u: np.ndarray, blocks: list[tuple[np.ndarray, np.ndarray]],
+             psi1: np.ndarray, finished: list) -> np.ndarray:
+    """As _step for the first _FIRST_COPIES copies of all rows of a fixed-angle chunk, by
+    one lookup of each row's pattern of outcomes in the stepper's table."""
+    twos = u >= stepper.p1[:, None]
+    # a row's _FIRST_COPIES bits, a whole number of bytes, packed as one integer
+    pattern = np.packbits(twos.ravel(), bitorder="little").view(f"<u{_FIRST_COPIES // 8}")
+    n = stepper.first_stop[pattern]
+    hit = n != 0
+    _check_cap(np.where(hit, n, _FIRST_COPIES + 1).max())
+    # a stopped row's key: its pattern cut at n, and bit n
+    stopped = pattern[hit]
+    bit = np.uint64(1) << n[hit].astype(np.uint64)
+    wrong = stepper.first_guess[stopped] != np.where(psi1[hit], 1, 2)
+    finished.append((stopped & (bit - np.uint64(1)) | bit, wrong))
+    rest = np.flatnonzero(~hit)
+    blocks.append((rest, ~twos[rest]))
+    stepper.m1[rest] = _FIRST_COPIES - np.bitwise_count(pattern[rest])
+    return rest
+
+
 def _run_chunk(problem: DiscriminationProblem, stepper: _FixedAngle | _Lol, rows: np.ndarray,
-               seed: int, first: int, per_string: dict[str, list[int]]) -> None:
-    """Runs the trials of table rows first, first + 1, ... in lockstep.
+               seed: int, first: int) -> list:
+    """Runs the trials of table rows first, first + 1, ... in lockstep; returns their
+    (keys, wrong) pairs, as _tally makes them.
 
     The live rows advance one block of copies at a time: the first
     _FIRST_COPIES copies of the row, then the rest of it, then, _ROW trials at
@@ -247,10 +316,14 @@ def _run_chunk(problem: DiscriminationProblem, stepper: _FixedAngle | _Lol, rows
     psi1 = rows[:, 0] < problem.q1
     stepper.start(psi1)
     blocks: list[tuple[np.ndarray, np.ndarray]] = []
-    live = np.arange(len(rows))
-    live = _step(stepper, live, rows[:, 1:_FIRST_COPIES + 1], 0, blocks, psi1, per_string)
+    finished: list = []
+    u = rows[:, 1:_FIRST_COPIES + 1]
+    if isinstance(stepper, _FixedAngle):
+        live = _look_up(stepper, u, blocks, psi1, finished)
+    else:
+        live = _step(stepper, np.arange(len(rows)), u, 0, blocks, psi1, finished)
     live = _step(stepper, live, rows[live, _FIRST_COPIES + 1:], _FIRST_COPIES, blocks, psi1,
-                 per_string)
+                 finished)
     for start in range(0, len(live), _ROW):
         group = live[start:start + _ROW]
         streams = {j: np.random.default_rng((seed, first + j)) for j in group.tolist()}
@@ -258,8 +331,9 @@ def _run_chunk(problem: DiscriminationProblem, stepper: _FixedAngle | _Lol, rows
         depth = _ROW - 1
         while len(group):
             u = np.stack([streams[j].random(_REFILL) for j in group.tolist()])
-            group = _step(stepper, group, u, depth, group_blocks, psi1, per_string)
+            group = _step(stepper, group, u, depth, group_blocks, psi1, finished)
             depth += _REFILL
+    return finished
 
 
 def run_trials(
@@ -278,11 +352,12 @@ def run_trials(
         stepper = _FixedAngle(problem, strategy, eps)
 
     rng = np.random.default_rng(seed)
-    per_string: dict[str, list[int]] = {}
+    tally: dict = {}
     for first in range(0, trials, _CHUNK_ROWS):
         # consecutive draws from one generator continue one table row by row
         rows = rng.random((min(_CHUNK_ROWS, trials - first), _ROW))
-        _run_chunk(problem, stepper, rows, seed, first, per_string)
+        _merge(tally, _run_chunk(problem, stepper, rows, seed, first))
+    per_string = _per_string(tally)
 
     total = total_sq = errors = 0
     for label, (count, errs) in per_string.items():
@@ -297,7 +372,7 @@ def run_trials(
         mean_copies=mean,
         mean_copies_stderr=stderr,
         empirical_error=errors / trials,
-        per_string={k: (c, e) for k, (c, e) in per_string.items()},
+        per_string=per_string,
         seed=seed,
         min_copies=min(map(len, per_string)),
         max_copies=max(map(len, per_string)),

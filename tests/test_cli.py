@@ -393,6 +393,44 @@ def test_bad_config_values_exit_2_naming_the_key(tmp_path, capsys, command, cfg,
     assert not out.exists()
 
 
+# per command, a setting flag and a config key that the command does not read; both were
+# once accepted and ignored
+@pytest.mark.parametrize("argv,flag,cfg", [
+    (("angle-scan", "--theta", "0.3", "--epsilon", "0.2", "--resolution", "5"),
+     ("--strategy", "zzz"), {"coverage": 9}),
+    (("cost-curve", "--theta", "0.3", "--epsilon", "0.3", "--resolution", "20"),
+     ("--trials", "7"), {"seed": 1}),
+    (("strings", "--theta", "0.3", "--epsilon", "0.2"), ("--seed", "3"), {"trials": 7}),
+    (("optimize", "--theta", "0.3", "--epsilon", "0.2", "--resolution", "20"),
+     ("--coverage", "9"), {"max_depth": 5}),
+    (("simulate", "--theta", "0.3", "--epsilon", "0.2", "--trials", "50"),
+     ("--aggregate",), {"coverage": 0.5}),
+], ids=["angle-scan", "cost-curve", "strings", "optimize", "simulate"])
+def test_each_command_takes_only_the_settings_it_reads(tmp_path, capsys, argv, flag, cfg):
+    code, _ = run(tmp_path, "ok.csv", *argv)
+    assert code == 0
+    with pytest.raises(SystemExit) as exited:
+        run(tmp_path, "flag.csv", *argv, *flag)
+    assert exited.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out = run(tmp_path, "cfg.csv", *argv, "--config", str(path))
+    assert code == 2
+    [key] = cfg
+    assert f"unknown setting {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_preset_settings_are_checked_against_the_command(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(seqdisc.cli._PRESETS, "fig1",
+                        {**seqdisc.cli._PRESETS["fig1"], "trials": 5})
+    code, out = run(tmp_path, "fig1.csv", "angle-scan", "--preset", "fig1")
+    assert code == 2
+    assert capsys.readouterr().err == "seqdisc: preset 'fig1': unknown setting 'trials'\n"
+    assert not out.exists()
+
+
 def test_config_values_read_as_their_flags_give_them(tmp_path):
     # a JSON integer stands for a float; a switch may be false
     cfg = tmp_path / "cfg.json"

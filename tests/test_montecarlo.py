@@ -22,7 +22,14 @@ from seqdisc import (
     ubm_cost,
 )
 from seqdisc.cli import main
-from seqdisc.montecarlo import _CHUNK_ROWS, _REFILL, TRIAL_COPY_CAP, TrialLengthError
+from seqdisc.montecarlo import (
+    _CHUNK_ROWS,
+    _FIRST_COPIES,
+    _REFILL,
+    TRIAL_COPY_CAP,
+    TrialLengthError,
+    _FixedAngle,
+)
 from seqdisc.posterior import _log_ratio, meets_error_bound
 
 UBM = StrategySpec(StrategyKind.UBM)
@@ -34,6 +41,9 @@ LOL = StrategySpec(StrategyKind.LOL)
 SLOW_LOL = DiscriminationProblem(theta=0.05, q1=0.3)
 
 TRIALS = 20_000
+# at phi = 0.62, eps = 0.01 some trials stop at the last copy of the first block and some at
+# the copy after it
+TABLE_EDGE = (StrategySpec(StrategyKind.FIXED_ANGLE, phi=0.62), 0.01)
 # the reference trial's own slack on the error bound
 BOUNDARY_TOL = 1e-12
 
@@ -252,11 +262,15 @@ def _per_trial_reference(problem, strategy, eps, trials, seed):
     (LOL, 0.05, 14),
     # about 30 copies a trial, through a belief table of a few hundred entries
     (LOL, 1e-4, 15),
+    (*TABLE_EDGE, 16),
 ])
 def test_lockstep_matches_per_trial_reference(problem12, spec, eps, seed, offset):
     trials = _CHUNK_ROWS + offset
     report = run_trials(problem12, spec, eps, trials, seed)
     assert report == _per_trial_reference(problem12, spec, eps, trials, seed)
+    if (spec, eps) == TABLE_EDGE:
+        lengths = {len(label) for label in report.per_string}
+        assert {_FIRST_COPIES, _FIRST_COPIES + 1} <= lengths
 
 
 @pytest.mark.parametrize("problem,spec,eps,trials,seed,twos_past_row", [
@@ -280,7 +294,9 @@ def test_lockstep_fallback_matches_per_trial_reference(problem, spec, eps, trial
 @pytest.mark.parametrize("problem,spec,eps,trials,seed,max_copies", [
     (DiscriminationProblem(theta=math.pi / 12), FBM, 1e-9, 4396, 7, 73),
     (SLOW_LOL, LOL, 0.01, 300, 3, 305),
-], ids=["fbm", "lol"])
+    # every trial stops within the first block, the longest at copy 12
+    (DiscriminationProblem(theta=math.pi / 12), UBM, 0.2, 300, 7, 12),
+], ids=["fbm", "lol", "ubm-first-block"])
 def test_copy_cap_is_exact(monkeypatch, problem, spec, eps, trials, seed, max_copies):
     # a trial may stop at the cap's own copy, and must not run past it
     monkeypatch.setattr(seqdisc.montecarlo, "TRIAL_COPY_CAP", max_copies)
@@ -288,6 +304,32 @@ def test_copy_cap_is_exact(monkeypatch, problem, spec, eps, trials, seed, max_co
     monkeypatch.setattr(seqdisc.montecarlo, "TRIAL_COPY_CAP", max_copies - 1)
     with pytest.raises(TrialLengthError, match=f"exceeded {max_copies - 1} copies"):
         run_trials(problem, spec, eps, trials, seed)
+
+
+@pytest.mark.parametrize("spec,impossible_outcome", [
+    # at phi = theta outcome 2 cannot occur under psi1: a pattern with it at copy 1,
+    # half of them, stops there
+    (FBM, True),
+    (UBM, False),
+    (StrategySpec(StrategyKind.FIXED_ANGLE, phi=0.62), False),
+], ids=["fbm", "ubm", "fixed"])
+def test_first_block_table_matches_stepping_each_copy(problem12, spec, impossible_outcome):
+    # every pattern of the first copies' outcomes, bit j for outcome 2 at copy j + 1,
+    # stepped one copy at a time through the verdicts of the row's count states
+    stepper = _FixedAngle(problem12, spec, 0.01)
+    patterns = np.arange(2**_FIRST_COPIES)
+    stop = np.zeros(len(patterns), np.int64)
+    guess = np.zeros(len(patterns), np.int64)
+    m2 = np.zeros(len(patterns), np.int64)
+    for k in range(1, _FIRST_COPIES + 1):
+        m2 += patterns >> (k - 1) & 1
+        verdict = stepper.row_verdicts[k * (k + 1) // 2 + k - m2]
+        fresh = (stop == 0) & (verdict != 0)
+        stop[fresh], guess[fresh] = k, verdict[fresh]
+    assert np.array_equal(stepper.first_stop, stop)
+    assert np.array_equal(stepper.first_guess, guess)
+    assert np.isinf(stepper.rule.d2) == impossible_outcome
+    assert ((stop == 1).sum() == 2**(_FIRST_COPIES - 1)) == impossible_outcome
 
 
 def test_trials_past_their_row_hold_bounded_memory(problem12, monkeypatch):
