@@ -14,8 +14,8 @@ Angles are evaluated in batches that advance through one depth loop together,
 their frontiers held side by side in one flat array.  The loop runs in blocks
 of depths.  A block computes the continuation runs of all its depths and
 angles first, then advances the frontiers (the only step that must go depth by
-depth), then reads off the stopped mass, the cost and the stop, cap and trim
-tests for all its depths at once.  Each angle's slot follows its run: the
+depth), then reads off the stopped mass, the cost and the stop and cap tests
+for all its depths at once.  Each angle's slot follows its run: the
 columns shift by one state at a copy where the run's lower end rises, so a
 slot grows only as its run widens, and a run that drifts by almost a state per
 copy (near phi = 0) still fits a block of a thousand copies.  One copy is one
@@ -23,7 +23,8 @@ multiply of each cell's left, own and right neighbour by coefficients made
 once per distinct copy pattern of the block, which hold the one-copy law, the
 shift and the cut to the runs, and one sum of the three products.  An angle
 leaves the batch at the first depth where it drains, exceeds its cap or
-fails; a window trim ends the block at its depth.
+fails.  A block ends early only once every angle has drained; at its end,
+the window of each angle still running is trimmed.
 
 A brute-force outcome-tree enumeration serves as the independent correctness
 oracle at validation scale: it walks every outcome string instead of the count
@@ -33,6 +34,7 @@ lattice, and stops each one through the same StoppingRule.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +54,9 @@ __all__ = [
 ]
 
 _BRUTE_FORCE_DEPTH_LIMIT = 30
-# frontier states carrying less than this fraction of the live mass are dropped
-# (tracked as leaked mass, so conservation accounting stays honest)
+# at the last depth of each block, the states at either end of a running
+# angle's run that each carry at most this fraction of its frontier mass go
+# into its leaked mass, which the residual counts
 _WINDOW_CUT = 1e-40
 # depths per block: the first block has _FIRST_BLOCK, later ones double up to
 # _MAX_BLOCK, or grow by one past a block cut to fit (a doubled one would be
@@ -85,8 +88,9 @@ class EngineOptions:
     bound_width_limit: float = 1e-6
 
     def __post_init__(self):
-        if self.max_copies < 1:
-            raise ValueError(f"max_copies must be >= 1, got {self.max_copies}")
+        if isinstance(self.max_copies, bool) or not isinstance(self.max_copies, numbers.Integral) \
+                or self.max_copies < 1:
+            raise ValueError(f"max_copies must be an integer >= 1, got {self.max_copies!r}")
         if not 0.0 < self.mass_tolerance < 1.0:
             raise ValueError(f"mass_tolerance must lie in (0, 1), got {self.mass_tolerance}")
         if not self.bound_width_limit >= 0.0:  # nan fails too; inf accepts any width
@@ -130,9 +134,9 @@ class AngleBatch:
 
     outcomes[i] is the CostResult of the i-th angle, or the NonConvergenceError
     or CostCapExceeded it ended with.  depth_iterations counts the steps of
-    the depth loop, each of which advances every running angle by one copy
-    (steps past a window trim are run again), and blocks the blocks of steps
-    it ran; angle_steps sums, over the angles, the depths each one was
+    the depth loop, each of which advances every running angle by one copy,
+    so it is the depth the loop reached, and blocks the blocks of steps it
+    ran; angle_steps sums, over the angles, the depths each one was
     advanced.  row_copies sums, over the copies made, the rows each one
     advanced; a row that ends rides its block to the end, so it is at least
     angle_steps.
@@ -423,6 +427,16 @@ def fixed_angle_costs(
     cost_cap, is therefore never dropped.  The cap depends on the depth
     alone, not on how the depths fall into blocks.  Invalid inputs raise
     ValueError before any angle is run.
+
+    All of the above holds exactly for a batch in which no trim cuts a
+    window.  At the last depth of each block, the states at either end of a running
+    angle's run that each hold at most _WINDOW_CUT = 1e-40 of its frontier
+    mass go from its frontier into its leaked mass, so a trim moves at most
+    (run length) * 1e-40 of that frontier.  Where the blocks end depends on
+    the batch, so an angle that trims may do so at other depths than when it
+    runs alone, and its cost and residual may then differ by that mass.
+    Trimmed mass adds nothing to the cost and counts in the residual either
+    way, so every enclosure stays rigorous.
     """
     opts = opts or EngineOptions()
     phis = list(phis)
@@ -537,29 +551,15 @@ def fixed_angle_costs(
             ceilings = _ceilings(cost_n, front, ns, leaked, tails[rows], drained, opts)
             np.minimum.accumulate(np.minimum(ceilings, cap, out=ceilings), out=caps)
         over = bound > caps[:, None]
-        empty = lo_run[1:] > hi_run[1:]
-        # a window trim drops the states at either end of the run that carry
-        # at most this fraction of the frontier
-        cut = front * _WINDOW_CUT
-        at_lo = np.where(empty, 0, origin + lo_run[1:])
-        at_hi = np.where(empty, 0, origin + hi_run[1:])
-        depth_ix, row_ix = np.arange(block)[:, None], np.arange(count)
-        thin = ~empty & ((weight[depth_ix, at_lo] <= cut) | (weight[depth_ix, at_hi] <= cut))
-        event = drained | over | empty | thin
+        event = drained | over | (lo_run[1:] > hi_run[1:])
         first = event.argmax(axis=0)
-        at_first = first, row_ix
-        hit = event[at_first]
-        drained_at = drained[at_first]
-        over_at = over[at_first] & ~drained_at
-        # a window trim changes the frontier, so the block ends at the first one
-        last = int(first[thin[at_first] & ~drained_at & ~over_at].min(initial=block - 1))
-        ends = hit & (first <= last)
+        at_first = first, np.arange(count)
+        done = event[at_first]
+        over_at = over[at_first] & ~drained[at_first]
 
-        # a row that ends is done unless a window trim keeps it running
-        done = ends.copy()
         # the rows the cap drops end in one pass over plain Python columns;
         # the rows dropped at one depth share their message up to the angle
-        dropped = np.flatnonzero(ends & over_at)
+        dropped = np.flatnonzero(done & over_at)
         at_depth = first[dropped]
         # the depths some row is dropped at (np.unique's sort added 0.1 MiB of peak RSS)
         js = np.flatnonzero(np.bincount(at_depth))
@@ -567,44 +567,39 @@ def fixed_angle_costs(
                  for j, c in zip(js.tolist(), caps[js].tolist())}
         for i, j in zip(rows[dropped].tolist(), at_depth.tolist()):
             outcomes[i] = CostCapExceeded(f"{heads[j]}{phis[i]}")
-        # the rows that drained, and the window trims
-        for k in np.flatnonzero(ends & ~over_at):
-            i, j = rows[k], int(first[k])
-            depth = n + j + 1
-            start = origin[j, k] + lo_run[j + 1, k]
-            run = slice(start, max(start, origin[j, k] + hi_run[j + 1, k] + 1))
-            if drained_at[k]:
-                finish(i, depth, float(cost_n[j, k]), new[j, :, run], float(leaked[k]))
-                continue
-            # trim the window to states carrying non-negligible mass
-            live_row = weight[j, run]
-            kept = np.nonzero(live_row > cut[j, k])[0]
-            if len(kept) == 0:
-                finish(i, depth, float(cost_n[j, k]), new[j, :, run][:, :0],
-                       float(leaked[k]) + float(front[j, k]))
-            else:
-                k0, k1 = int(kept[0]), int(kept[-1]) + 1
-                leaked[k] += float(live_row[:k0].sum() + live_row[k1:].sum())
-                lo_run[j + 1, k] += k0
-                hi_run[j + 1, k] -= len(live_row) - k1
-                done[k] = False
 
-        angle_steps += int(np.where(done, first + 1, last + 1).sum())
-        row_copies += count * block
         going = ~done
-        n += last + 1
-        block = min(grown, 2 * (last + 1))
-        lo, hi, at = lo_run[last + 1], hi_run[last + 1], origin[last]
-        for k in np.nonzero(going & (n == opts.max_copies))[0]:
-            run = slice(at[k] + lo[k], at[k] + hi[k] + 1)
-            finish(rows[k], n, float(cost_n[last, k]), new[last, :, run], float(leaked[k]))
-            going[k] = False
-        cap = float(caps[last])
+        first[going] = block - 1  # the last depth of the block each row reached
+        angle_steps += int(first.sum()) + count
+        row_copies += count * block
+        lo, hi, at = lo_run[-1], hi_run[-1], origin[-1]
+        # the window trim: the states at either end of a running row's run
+        # that carry at most _WINDOW_CUT of its frontier go into its leaked
+        # mass, all of them if all do
+        cut = front[-1] * _WINDOW_CUT
+        ks = np.flatnonzero(going)
+        for k in ks[(weight[-1, at[ks] + lo[ks]] <= cut[ks]) | (weight[-1, at[ks] + hi[ks]] <= cut[ks])]:
+            live_row = weight[-1, at[k] + lo[k]:at[k] + hi[k] + 1]
+            kept = np.flatnonzero(live_row > cut[k])
+            k0, k1 = (kept[0], kept[-1] + 1) if len(kept) else (0, 0)
+            leaked[k] += float(live_row[:k0].sum() + live_row[k1:].sum())
+            lo[k] += k0
+            hi[k] -= len(live_row) - k1
+        # the rows that drained, whose run emptied or that reached the copy budget
+        ends = done & ~over_at | going & ((lo > hi) | (n + block == opts.max_copies))
+        for k in np.flatnonzero(ends):
+            j = int(first[k])
+            run = slice(origin[j, k] + lo_run[j + 1, k], origin[j, k] + hi_run[j + 1, k] + 1)
+            finish(rows[k], n + j + 1, float(cost_n[j, k]), new[j, :, run], float(leaked[k]))
+        going &= ~ends
+        n += block
+        cap = float(caps[-1])
         rows, lo, hi, at = rows[going], lo[going], hi[going], at[going]
         run_len = hi - lo + 1
-        mass = new[last][:, np.repeat(at + lo - (np.cumsum(run_len) - run_len), run_len)
-                         + np.arange(run_len.sum())]
-        cost, leaked = cost_n[last, going], leaked[going]
+        mass = new[-1][:, np.repeat(at + lo - (np.cumsum(run_len) - run_len), run_len)
+                       + np.arange(run_len.sum())]
+        cost, leaked = cost_n[-1, going], leaked[going]
+        block = grown
         # the block's arrays go before the next block's are made
         del new, weight, inside, cells_buffer, live, stopped_cells
     return AngleBatch(outcomes, depth_iterations, angle_steps, blocks, row_copies)

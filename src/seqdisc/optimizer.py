@@ -22,6 +22,7 @@ that point costs at most the initial cap.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .engine import EngineOptions, NonConvergenceError, fixed_angle_cost, fixed_angle_costs
@@ -66,6 +67,11 @@ def _scan_options(opts: EngineOptions | None) -> EngineOptions:
     return opts or EngineOptions(max_copies=20_000)
 
 
+def _check_resolution(resolution) -> None:
+    if isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral) or resolution < 2:
+        raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
+
+
 def scan_angles(
     problem: DiscriminationProblem,
     eps: float,
@@ -87,8 +93,7 @@ def scan_angles(
     """
     if not 0.0 <= phi_min < phi_max < math.pi / 2:
         raise ValueError(f"need 0 <= phi_min < phi_max < pi/2, got [{phi_min}, {phi_max}]")
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
+    _check_resolution(resolution)
     step = (phi_max - phi_min) / (resolution - 1)
     phis = [phi_min + i * step for i in range(resolution)]
     batch = fixed_angle_costs(problem, phis, eps, _scan_options(opts), cost_cap=initial_cap)
@@ -131,8 +136,10 @@ def optimize_angle(
     Each refinement round is capped by the incumbent's cost; since the caps
     are sound, the result is that of the same search with every scan
     uncapped.  NonConvergenceError is raised only if neither an anchor nor a
-    coarse grid point converges.
+    coarse grid point converges.  A resolution that is not an integer of at
+    least 2 raises ValueError before any angle is run.
     """
+    _check_resolution(resolution)
     opts = _scan_options(opts)
     lo, hi = 0.0, math.pi / 2 - _UPPER_GUARD
     # the reference angles are always candidates, so a coarse grid can never

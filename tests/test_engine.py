@@ -41,6 +41,18 @@ def test_engine_options_validation():
     assert EngineOptions(bound_width_limit=0.0).bound_width_limit == 0.0
 
 
+@pytest.mark.parametrize("max_copies", [2.5, 3.0, True])
+def test_max_copies_must_be_a_positive_integer(max_copies):
+    with pytest.raises(ValueError, match="max_copies must be an integer >= 1"):
+        EngineOptions(max_copies=max_copies)
+
+
+def test_max_copies_accepts_numpy_integers(problem12):
+    opts = EngineOptions(max_copies=np.int64(5_000))
+    assert fixed_angle_cost(problem12, 0.3, 0.1, opts) == fixed_angle_cost(
+        problem12, 0.3, 0.1, EngineOptions(max_copies=5_000))
+
+
 def test_domain_errors(problem12):
     with pytest.raises(ValueError):
         fixed_angle_cost(problem12, math.pi / 2, 0.1)
@@ -621,6 +633,20 @@ def test_near_endpoint_angle_runs_in_long_blocks():
     assert isinstance(batch.outcomes[0], CostResult)
     assert batch.angle_steps > 15_000
     assert batch.blocks <= 32
+
+
+def test_trimming_angle_runs_each_depth_once():
+    # Fig. 1's first grid angle at theta = pi/8 trims its window every few
+    # depths and fails at the copy budget; its window is trimmed only at
+    # block ends, so every block runs to its end and no depth is run twice
+    phi = (math.pi / 2 - 1e-9) / 1999
+    batch = fixed_angle_costs(DiscriminationProblem(theta=math.pi / 8), [phi], 0.125,
+                              EngineOptions(max_copies=20_000))
+    assert str(batch.outcomes[0]) == (
+        "residual mass 1.000e+00 after 20000 copies at phi=0.0007857910584266616; "
+        "enclosure width 8.105e+05 exceeds 1.000e-06")
+    assert batch.depth_iterations == batch.angle_steps == 20_000
+    assert batch.blocks <= 1_000
 
 
 def test_stopped_mass_sums_many_stopped_states_in_window_order():

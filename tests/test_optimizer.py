@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from seqdisc import (
@@ -25,6 +26,21 @@ def test_scan_validation(problem12):
         scan_angles(problem12, 0.179, 0.5, 0.4, 10)
     with pytest.raises(ValueError):
         scan_angles(problem12, 0.179, 0.0, 1.0, 1)
+
+
+@pytest.mark.parametrize("resolution", [2.5, True, 1.0])
+def test_scan_resolution_must_be_an_integer(problem12, monkeypatch, resolution):
+    # rejected before any angle is run
+    monkeypatch.setattr(optimizer, "fixed_angle_costs", None)
+    with pytest.raises(ValueError, match="resolution must be an integer >= 2"):
+        scan_angles(problem12, 0.179, 0.4, 0.9, resolution)
+    with pytest.raises(ValueError, match="resolution must be an integer >= 2"):
+        optimize_angle(problem12, 0.179, resolution=resolution)
+
+
+def test_scan_accepts_numpy_integer_resolution(problem12):
+    scan = scan_angles(problem12, 0.179, 0.4, 0.9, np.int64(3))
+    assert scan.samples == scan_angles(problem12, 0.179, 0.4, 0.9, 3).samples
 
 
 def test_scan_resolution_two_returns_endpoints(problem12):
