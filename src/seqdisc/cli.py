@@ -394,8 +394,8 @@ def _write_strings(run: _Run, header: list[str], results) -> None:
             for i, (n, p, e, g) in enumerate(zip(
                     strings.n[rows].tolist(), strings.prob[rows].tolist(),
                     strings.true_error[rows].tolist(), strings.guess[rows].tolist())):
-                if is_json:  # json.dump's text of the row, keys sorted, indent 2
-                    texts = (f'  {{\n    "guess": {g},\n    "n": {n},\n    "prob": {json.dumps(p)},'
+                if is_json:  # json.dump's text of the row, keys sorted, indent 2, after `sep`
+                    texts = (f',\n  {{\n    "guess": {g},\n    "n": {n},\n    "prob": {json.dumps(p)},'
                              f'\n    "strategy": {json.dumps(name)},\n    "string": "',
                              f'",\n    "true_error": {json.dumps(e)}\n  }}')
                 else:
@@ -403,9 +403,12 @@ def _write_strings(run: _Run, header: list[str], results) -> None:
                 before[i], after[i] = (text.encode() for text in texts)
             for start in range(0, len(strings), _CHUNK_ROWS):
                 part = slice(start, start + _CHUNK_ROWS)
-                fh.write(lead + sep.join(map(b"".join, zip(
+                flat = [b""] * (3 * len(strings.n[part]))  # the rows' pieces in turn, one join
+                flat[0::3], flat[1::3], flat[2::3] = (
                     before[index[part]].tolist(), strings.labels[part].tolist(),
-                    after[index[part]].tolist()))))
+                    after[index[part]].tolist())
+                flat[0] = lead + flat[0][len(sep):]  # the file's first row follows no other
+                fh.write(b"".join(flat))
                 lead = sep
         if is_json:
             fh.write(b"\n]\n" if lead == sep else b"]\n")

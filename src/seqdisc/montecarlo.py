@@ -22,14 +22,15 @@ A fixed-angle chunk skips the stepper for its first block: one lookup of
 each row's first few outcomes, packed into an integer, in a table of all
 such patterns gives the copy at which the row stops and its guess.
 Finished trials are tallied by packed outcome string, one key and two counts
-per distinct string, and each string's label is built once, after the last
-chunk.  A fixed angle at which no count state stops within TRIAL_COPY_CAP
-copies fails before any trial runs.
+per distinct string, merged a few chunks at a time, and each string's label
+is built once, after the last chunk.  A fixed angle at which no count state
+stops within TRIAL_COPY_CAP copies fails before any trial runs.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,7 @@ TRIAL_COPY_CAP = 1_000_000
 _ROW = 64  # uniforms per trial in the seeded table (1 state draw + 63 copies)
 _REFILL = 64  # refill size of the fallback stream of a trial that outlives its row
 _CHUNK_ROWS = 4096  # table rows drawn and simulated at a time, whatever the trial count
+_MERGE_CHUNKS = 8  # chunks whose finished trials are merged into the tally at a time
 _FIRST_COPIES = 16  # copies of a row tried on all trials of a chunk before the rest
 
 
@@ -344,8 +346,9 @@ def run_trials(
     seed: int = 0,
 ) -> MonteCarloReport:
     """Simulate independent discrimination runs and aggregate their statistics."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    trials = int(trials)
     if strategy.kind is StrategyKind.LOL:
         stepper = _Lol(problem, eps)
     else:
@@ -353,10 +356,15 @@ def run_trials(
 
     rng = np.random.default_rng(seed)
     tally: dict = {}
-    for first in range(0, trials, _CHUNK_ROWS):
+    finished: list = []
+    for i, first in enumerate(range(0, trials, _CHUNK_ROWS), 1):
         # consecutive draws from one generator continue one table row by row
         rows = rng.random((min(_CHUNK_ROWS, trials - first), _ROW))
-        _merge(tally, _run_chunk(problem, stepper, rows, seed, first))
+        finished += _run_chunk(problem, stepper, rows, seed, first)
+        if i % _MERGE_CHUNKS == 0:
+            _merge(tally, finished)
+            finished = []
+    _merge(tally, finished)
     per_string = _per_string(tally)
 
     total = total_sq = errors = 0

@@ -407,8 +407,9 @@ def outcome_labels(twos: np.ndarray, n) -> np.ndarray:
     bytes such as b"121": one S{width} array, width the longest length."""
     n = np.asarray(n)
     width = int(n.max(initial=1))
-    chars = np.where(twos[:, :width], np.uint8(ord("2")), np.uint8(ord("1")))
-    chars[np.arange(width) >= n[:, None]] = 0  # a bytes view stops there
+    # bool is one byte: 0 and 1 become "1" and "2", and past n a 0, where a bytes view stops
+    chars = twos[:, :width].view(np.uint8) + np.uint8(ord("1"))
+    chars *= np.arange(width) < n[:, None]
     return chars.view(f"S{width}").ravel()
 
 

@@ -337,6 +337,51 @@ def test_simulate_json_reproducible(tmp_path):
     assert payload["empirical_error"] <= 0.179 + 0.03
 
 
+def _simulate_json_reference(epsilons, name, trials, seed) -> bytes:
+    """The simulate JSON at theta = pi/12 as json.dump(payload, indent=2, sort_keys=True)
+    writes it."""
+    problem = DiscriminationProblem(theta=math.pi / 12)
+    payload = []
+    for eps in epsilons:
+        r = run_trials(problem, StrategySpec(StrategyKind(name)), eps, trials, seed)
+        payload.append({
+            "epsilon": eps, "neg_log_epsilon": -math.log(eps), "strategy": name,
+            "trials": r.trials, "mean_copies": r.mean_copies,
+            "mean_copies_stderr": r.mean_copies_stderr, "empirical_error": r.empirical_error,
+            "min_copies": r.min_copies, "max_copies": r.max_copies, "seed": r.seed,
+            "per_string": {k: list(v) for k, v in sorted(r.per_string.items())},
+        })
+    return (json.dumps(payload if len(payload) > 1 else payload[0], indent=2, sort_keys=True)
+            + "\n").encode()
+
+
+@pytest.mark.parametrize("name,eps,trials", [
+    ("ubm", ("--epsilon", "0.074"), 3000),
+    ("ubm", ("--epsilon-range", "0.1:0.25:3:lin"), 3000),
+    ("lol", ("--epsilon", "0.074"), 3000),
+    # one trial: a tally of a single string
+    ("ubm", ("--epsilon", "0.074"), 1),
+    # strings past 63 copies, tallied by multi-word keys
+    ("fbm", ("--epsilon", "1e-9"), 300),
+], ids=["one-eps", "three-eps", "lol", "one-string", "long-strings"])
+def test_simulate_json_is_json_dump_of_the_records(tmp_path, name, eps, trials):
+    argv = ["simulate", "--theta", repr(math.pi / 12), *eps, "--strategy", name,
+            "--trials", str(trials), "--seed", "7", "--format", "json"]
+    code, out = run(tmp_path, "sim.json", *argv)
+    assert code == 0
+    flag, value = eps
+    epsilons = (seqdisc.cli._parse_epsilon_range(value) if flag == "--epsilon-range"
+                else [float(value)])
+    assert out.read_bytes() == _simulate_json_reference(epsilons, name, trials, 7)
+    records = json.loads(out.read_text())
+    records = records if isinstance(records, list) else [records]
+    assert len(records) == len(epsilons)
+    if trials == 1:
+        assert all(len(r["per_string"]) == 1 for r in records)
+    if name == "fbm":
+        assert all(r["max_copies"] > 63 for r in records)
+
+
 def test_simulate_csv_per_string(tmp_path):
     code, out = run(tmp_path, "sim.csv", "simulate", "--theta", str(math.pi / 12),
                     "--epsilon", "0.179", "--strategy", "fbm", "--trials", "500")

@@ -53,6 +53,24 @@ def test_input_validation(problem12):
         run_trials(problem12, UBM, 0.179, 0)
 
 
+@pytest.mark.parametrize("trials", [True, False, 2.5, 3.0, np.float64(3), "3", 0, -1,
+                                    np.int64(0)])
+def test_trials_must_be_a_positive_integer(problem12, monkeypatch, trials):
+    def no_chunk(*args):
+        raise AssertionError("a chunk of trials ran")
+
+    monkeypatch.setattr(seqdisc.montecarlo, "_run_chunk", no_chunk)
+    with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+        run_trials(problem12, UBM, 0.179, trials)
+
+
+@pytest.mark.parametrize("trials", [np.int64(300), np.int32(300), np.uint16(300)])
+def test_trials_may_be_a_numpy_integer(problem12, trials):
+    report = run_trials(problem12, UBM, 0.179, trials, seed=4)
+    assert type(report.trials) is int
+    assert report == run_trials(problem12, UBM, 0.179, 300, seed=4)
+
+
 def test_reproducibility(problem12):
     a = run_trials(problem12, UBM, 0.179, 2000, seed=42)
     b = run_trials(problem12, UBM, 0.179, 2000, seed=42)
@@ -382,6 +400,18 @@ def test_simulate_json_matches_loop_labels(tmp_path, monkeypatch, strategy):
     monkeypatch.setattr(seqdisc.montecarlo, "outcome_labels", _loop_labels)
     assert main([*argv, str(tmp_path / "loop.json")]) == 0
     assert (tmp_path / "bulk.json").read_bytes() == (tmp_path / "loop.json").read_bytes()
+
+
+@pytest.mark.parametrize("merge_chunks", [1, 3, 8])
+@pytest.mark.parametrize("spec", [UBM, LOL], ids=["ubm", "lol"])
+def test_tally_does_not_depend_on_how_chunks_are_merged(problem12, monkeypatch, spec,
+                                                        merge_chunks):
+    # 2,050 trials in chunks of 100: 21 chunks, the last one short, so the last merge
+    # takes fewer chunks than the others
+    whole = run_trials(problem12, spec, 0.074, 2050, seed=9)
+    monkeypatch.setattr(seqdisc.montecarlo, "_CHUNK_ROWS", 100)
+    monkeypatch.setattr(seqdisc.montecarlo, "_MERGE_CHUNKS", merge_chunks)
+    assert run_trials(problem12, spec, 0.074, 2050, seed=9) == whole
 
 
 def test_chunked_table_rows_continue_one_stream():

@@ -231,6 +231,25 @@ def test_outcome_labels_match_a_loop():
     ]
 
 
+def test_outcome_labels_match_a_per_row_reference():
+    rng = np.random.default_rng(11)
+    for width in range(1, 131):
+        # a column slice of a wider matrix, so its rows are not contiguous
+        twos = (rng.random((40, width + 3)) < 0.5)[:, 2:width + 2]
+        assert not twos.flags.c_contiguous
+        n = rng.integers(0, width + 1, len(twos))
+        n[:3] = 0, width, width  # empty and full rows
+        expected = ["".join("2" if two else "1" for two in row[:k]).encode()
+                    for row, k in zip(twos.tolist(), n.tolist())]
+        for given in (n, n.tolist()):
+            labels = outcome_labels(twos, given)
+            assert labels.dtype == np.dtype(f"S{width}")
+            assert labels.tolist() == expected
+    # no row longer than 0: one byte per row, every label empty
+    labels = outcome_labels(np.ones((4, 5), bool), np.zeros(4, np.int64))
+    assert labels.dtype == np.dtype("S1") and labels.tolist() == [b""] * 4
+
+
 def test_cost_from_strings_fbm(problem12):
     strings, residual = enumerate_strings(problem12, FBM, 0.179,
                                           coverage_target=1.0, max_depth=64)
