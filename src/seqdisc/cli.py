@@ -3,7 +3,7 @@
 Every command is a pure function of its parsed configuration; identical
 invocations produce byte-identical output files.  Exit codes: 0 success,
 2 usage or validation error, 3 numerical non-convergence, a simulated trial
-past its copy cap or a string search past its prefix cap, 4 I/O error.
+past its copy cap or a string search past its string cap, 4 I/O error.
 """
 
 from __future__ import annotations

@@ -4,17 +4,17 @@ A termination string is an outcome sequence whose posterior first satisfies
 the error bound at its last copy; the set of such strings is prefix-free by
 construction.  Strings are emitted in descending observation probability with
 a lexicographic tie-break, exactly as a best-first expansion of prefixes would
-emit them.  The prefixes are held as a frontier of numpy arrays (conditional
-probabilities, outcome-1 count, outcomes packed into uint64 words) and
-advanced one depth at a time, above a probability threshold that falls in
-rounds until the emitted strings reach the coverage target.  The frontier of
-a depth is a list of parts, each split, classified and extended on its own,
-so that the working memory stays a small multiple of the prefixes held, and
-a search that would hold more than _MAX_PREFIXES fails with PrefixLimitError.
-Whether a prefix stops, and the hypothesis it then guesses, depend only on
-its outcome counts: the StoppingRule's verdicts are computed once per depth,
-for every count state, and a string's true error once per count state
-emitted, whatever the number of prefixes that reach it.
+emit them, up to the first at which their running sum reaches the coverage
+target.  Whether a string stops, the hypothesis it then guesses, its true
+error and its exact probability depend only on its count state (n, m1).  So
+the search first walks the count lattice: the StoppingRule's verdicts, taken
+for a block of depths in one call, and the number of strings that reach each
+state through continuing ones.  It then chooses the most probable stopping
+states that hold the coverage target, counts their strings against
+_MAX_STRINGS before walking any (PrefixLimitError past it), and walks only
+the prefixes that lead to them, each with its own float path product, as the
+best-first expansion computes it.  A string's true error is evaluated once
+per count state emitted.
 The strings come back as a StringSet, one numpy column per field and no
 object per string; aggregate_by_length and cost_from_strings read the columns.
 """
@@ -42,22 +42,16 @@ __all__ = [
 DEFAULT_COVERAGE = 0.998
 DEFAULT_MAX_DEPTH = 64
 _WORD_BITS = 64  # outcomes packed per code word
-# only prefixes of probability >= threshold are expanded; while the strings
-# found do not reach the coverage target, the threshold falls by this step
-_FIRST_THRESHOLD = 2.0 ** -10
-_THRESHOLD_STEP = 0.5
-# runs of smaller parts of the frontier are joined into one part
-_PART_ROWS = 1 << 16
 # strings decoded into labels at a time
 _LABEL_ROWS = 1 << 14
-# the most prefixes a round of the search may hold (recorded for the residual
-# or waiting), about 30 bytes each; UBM at theta = pi/12, eps = 0.074 holds
-# 0.94M.  A search that needs more fails instead of growing without bound.
-_MAX_PREFIXES = 1 << 22
+# the most strings a search may walk, about 50 bytes each; UBM at theta =
+# pi/12, eps = 0.074 walks 177,146.  A search that needs more fails before
+# walking any, instead of growing without bound.
+_MAX_STRINGS = 1 << 22
 
 
 class PrefixLimitError(RuntimeError):
-    """The string search needs more live prefixes than _MAX_PREFIXES."""
+    """The string search needs to walk more strings than _MAX_STRINGS."""
 
 
 class StringSet:
@@ -98,134 +92,6 @@ class LengthAggregate:
     mean_error: float
 
 
-class _Prefixes:
-    """Outcome prefixes of one length n, as parallel arrays.
-
-    c1 and c2 are the prefix's probabilities under psi1 and psi2 and m1 its
-    count of outcome 1, in the smallest unsigned type that holds max_depth.
-    code packs the outcomes first to last, from the top bit of each uint64
-    word down, outcome 2 as a set bit: comparing the words in order compares
-    the outcome tuples, except that a prefix and its extensions by outcome 1
-    share a code and differ only in n.  The prefix's probability q1 * c1 +
-    q2 * c2 is held in prob only while the prefix is in a round, not while it
-    waits for one.  parent, the prob of the prefix one outcome shorter, is
-    read only by the residual, and only for the prefixes created in the
-    current round: a part of prefixes carried into the round has parent None,
-    and a joined part gives them parent inf, which pops first.
-    """
-
-    __slots__ = ("n", "c1", "c2", "m1", "code", "prob", "parent")
-
-    def __init__(self, n, c1, c2, m1, code, prob=None, parent=None):
-        self.n = n
-        self.c1 = c1
-        self.c2 = c2
-        self.m1 = m1
-        self.code = code
-        self.prob = prob
-        self.parent = parent
-
-    def __len__(self) -> int:
-        return len(self.c1)
-
-    def take(self, mask) -> "_Prefixes":
-        return _Prefixes(self.n, self.c1[mask], self.c2[mask], self.m1[mask], self.code[mask],
-                         self.prob[mask], None if self.parent is None else self.parent[mask])
-
-    def lean(self) -> "_Prefixes":
-        """The same prefixes without prob and parent, as they wait for a later round."""
-        return _Prefixes(self.n, self.c1, self.c2, self.m1, self.code)
-
-    @staticmethod
-    def join(parts: list["_Prefixes"]) -> "_Prefixes":
-        if len(parts) == 1:
-            return parts[0]
-        joined = _Prefixes(parts[0].n, *(np.concatenate(cols) for cols in zip(*(
-            (part.c1, part.c2, part.m1, part.code, part.prob) for part in parts))))
-        if any(part.parent is not None for part in parts):
-            joined.parent = np.concatenate([np.full(len(part), np.inf) if part.parent is None
-                                            else part.parent for part in parts])
-        return joined
-
-    def extend(self, rule: StoppingRule, q1: float, q2: float) -> list["_Prefixes"]:
-        """Both one-outcome extensions of every prefix, as up to two parts whose
-        parent is this prob, less those of probability 0."""
-        n = self.n
-        parts = []
-        likelihoods = rule.likelihoods.tolist()
-        for d in (1, 2):
-            c1 = self.c1 * likelihoods[d - 1]  # P(d|psi1)
-            c2 = self.c2 * likelihoods[d + 1]  # P(d|psi2)
-            prob = q1 * c1 + q2 * c2
-            if d == 1:
-                m1, code = self.m1 + 1, self.code
-            else:
-                m1, code = self.m1, _with_bit(self.code, n, True)
-            child = _Prefixes(n + 1, c1, c2, m1, code, prob, self.prob)
-            parts.append(child if prob.all() else child.take(prob != 0.0))
-        return [part for part in parts if len(part)]
-
-
-def _packed(parts: list[_Prefixes]) -> list[_Prefixes]:
-    """The parts taken out of list `parts`, each run of parts under _PART_ROWS
-    rows joined into one as soon as the run reaches _PART_ROWS rows.
-
-    The number of parts stays at most rows / _PART_ROWS + 1, and no joined
-    copy holds 2 * _PART_ROWS rows.
-    """
-    packed, run, rows = [], [], 0
-    while parts:
-        part = parts.pop()
-        if len(part) >= _PART_ROWS:
-            packed.append(part)
-            continue
-        run.append(part)
-        rows += len(part)
-        if rows >= _PART_ROWS:
-            packed.append(_Prefixes.join(run))
-            run, rows = [], 0
-    if run:
-        packed.append(_Prefixes.join(run))
-    return packed
-
-
-def _split(part: _Prefixes, mask: np.ndarray) -> tuple[_Prefixes | None, _Prefixes | None]:
-    """(the rows of `part` where mask is set, the others), None for an empty side."""
-    count = np.count_nonzero(mask)
-    if count == len(mask):
-        return part, None
-    if count == 0:
-        return None, part
-    return part.take(mask), part.take(~mask)
-
-
-def _with_bit(code: np.ndarray, i: int, value: bool) -> np.ndarray:
-    """A copy of `code` with the bit of outcome i set (outcome 2) or cleared (outcome 1)."""
-    out = code.copy()
-    bit = np.uint64(1 << (_WORD_BITS - 1 - i % _WORD_BITS))
-    if value:
-        out[:, i // _WORD_BITS] |= bit
-    else:
-        out[:, i // _WORD_BITS] &= ~bit
-    return out
-
-
-def _compare(prob, code, n, cut) -> np.ndarray:
-    """-1, 0 or 1 per prefix: popped before, as, or after `cut` = (prob, code, n).
-
-    Prefixes pop in descending probability, ties in ascending outcome tuple.
-    """
-    p, cut_code, cut_n = cut
-    sign = np.where(prob > p, -1, 1)
-    ties = np.flatnonzero(prob == p)
-    if len(ties):
-        differ = code[ties] != cut_code
-        first = differ.argmax(axis=1)  # the first word that differs, if any
-        later = code[ties, first] > cut_code[first]
-        sign[ties] = np.where(differ.any(axis=1), np.where(later, 1, -1), np.sign(n - cut_n))
-    return sign
-
-
 def enumerate_strings(
     problem: DiscriminationProblem,
     strategy: StrategySpec,
@@ -243,163 +109,175 @@ def enumerate_strings(
     """
     if strategy.kind is StrategyKind.LOL:
         raise ValueError("LOL has no fixed-angle string set; its copy count is lol_cost(eps)")
-    if not 0.0 < coverage_target <= 1.0:
-        raise ValueError(f"coverage_target must lie in (0, 1], got {coverage_target}")
+    if isinstance(coverage_target, bool) or not 0.0 < coverage_target <= 1.0:
+        raise ValueError(f"coverage_target must lie in (0, 1], got {coverage_target!r}")
+    if isinstance(max_depth, bool) or not isinstance(max_depth, (int, np.integer)):
+        raise ValueError(f"max_depth must be an integer, got {max_depth!r}")
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     phi = strategy_angle(problem, strategy)
     rule = StoppingRule(problem, phi, eps)
-    emitted, residual = _best_first(problem, rule, coverage_target, max_depth)
-    return _string_set(problem, rule, emitted), residual
+    columns, residual = _select(problem, rule, coverage_target, int(max_depth))
+    return _string_set(problem, rule, columns), residual
 
 
-def _best_first(problem, rule, coverage_target, max_depth) -> tuple[list[tuple], float]:
-    """The strings a best-first expansion emits, as columns, and the mass it leaves.
+def _start(n):
+    """The flat index of the count state (n, 0): state (n, m1) sits at n(n + 1)/2 + m1."""
+    return n * (n + 1) // 2
+
+
+def _state_probs(problem, rule, n, m1) -> np.ndarray:
+    """The probability of one outcome string of each count state (n, m1)."""
+    p11, p21, p12, p22 = rule.likelihoods
+    return problem.q1 * p11 ** m1 * p21 ** (n - m1) + problem.q2 * p12 ** m1 * p22 ** (n - m1)
+
+
+def _choose(prob, mass, coverage_target) -> tuple[np.ndarray, float]:
+    """The stopping states to walk, given each one's string probability and mass,
+    and the probability below which the states are left out (0 when none is).
+
+    The states sorted by descending probability: the fewest whose mass reaches
+    coverage_target * (1 + 1e-6), or all of them, and every further state
+    within a relative 1e-9 of the last one.  A string's float probability is
+    off from its state's by about one ulp a copy, so every string of a state
+    left out sorts after every string of the states taken, and the float sum
+    of those strings reaches coverage_target if the states' mass does.
+    """
+    order = np.argsort(-prob, kind="stable")
+    reached = np.flatnonzero(np.cumsum(mass[order]) >= coverage_target * (1 + 1e-6))
+    if not len(reached):
+        return order, 0.0
+    floor = prob[order[reached[0]]] * (1 - 1e-9)
+    return order[:np.count_nonzero(prob >= floor)], floor
+
+
+def _select(problem, rule, coverage_target, max_depth) -> tuple[tuple, float]:
+    """The strings a best-first expansion emits, as columns (n, code, prob, c1, c2,
+    m1, guess) in emission order, and the mass it leaves.
 
     A best-first queue pops prefixes in descending probability, ties in
     ascending outcome tuple.  An extension never outranks its prefix (its
     float probability is never larger), so the pops follow the sorted order
     of all prefixes that have no stopped or cut-off proper prefix, and the
     strings are the stopping ones in that order, up to the first at which the
-    running sum of their probabilities reaches coverage_target.  This finds
-    them in rounds, one depth at a time: a round classifies and expands the
-    prefixes of probability >= threshold, and leaves the others for a later
-    round with a lower threshold; no prefix is expanded twice.
+    running sum of their probabilities reaches coverage_target.
 
-    The prefixes of one depth are a list of parts, and each part is split at
-    the threshold, classified and extended on its own, so that no copy of a
-    whole depth is made next to its parts.  Only runs of small parts are
-    joined (_packed), which keeps the number of parts bounded.  A prefix left
-    below the threshold keeps no prob, and the residual reads the parent prob
-    of this round's prefixes only.  A round that holds more than
-    _MAX_PREFIXES prefixes, counting those recorded for the residual and
-    those waiting, raises PrefixLimitError.
+    The count lattice is built DEFAULT_MAX_DEPTH depths at a time, each
+    block's verdicts in one call, up to max_depth or the first depth that no
+    continuing state reaches.  It ends sooner once its live states are all
+    less probable than the states _choose keeps: no deeper string can then
+    come before the cut.  The strings of the states chosen are counted before
+    any is walked; past _MAX_STRINGS, PrefixLimitError.  Then _walk walks
+    only the prefixes whose state leads to a chosen state, each with its own
+    float path product, and the walked strings are sorted and cut.  The
+    residual is the mass of the stopping states left out, of the walked
+    strings past the cut and of the live states where the lattice ends.
+    """
+    p11, p21, p12, p22 = rule.likelihoods.tolist()
+    steps = np.array([[[1.0], [p11], [p12]], [[1.0], [p21], [p22]]])  # by outcome
+    # per state (n, m1): the number of strings that reach it through continuing
+    # states, and their mass under psi1 and psi2, q1 and q2 included
+    live, depth = np.array([[1.0], [problem.q1], [problem.q2]]), 0
+    verdicts = [np.zeros(1, np.int8)]  # per state in flat order
+    found = []  # per block: the stopping states reached, their depths and their rows
+    while True:
+        first, top = depth + 1, min(depth + DEFAULT_MAX_DEPTH, max_depth)
+        depths = np.repeat(np.arange(first, top + 1), np.arange(first + 1, top + 2))
+        m1 = np.arange(len(depths)) + _start(first) - _start(depths)
+        block = rule.verdicts(m1, depths - m1)
+        rows = []
+        with np.errstate(over="ignore"):  # a count past 2^1024 reads inf, past any cap
+            for depth in range(first, top + 1):
+                reach = np.zeros((3, depth + 1))
+                reach[:, 1:] = live * steps[0]
+                reach[:, :-1] += live * steps[1]
+                rows.append(reach)
+                start = _start(depth) - _start(first)
+                live = np.where(block[start:start + depth + 1] == 0, reach, 0.0)
+                if not np.count_nonzero(live[0]):
+                    break
+        block = block[:_start(depth + 1) - _start(first)]
+        rows = np.concatenate(rows, axis=1)
+        at = np.flatnonzero((block != 0) & (rows[0] > 0.0))
+        verdicts.append(block)
+        found.append((at + _start(first), depths[at], rows[:, at]))
+        stops, n, (count, mass1, mass2) = (np.concatenate(c, axis=-1) for c in zip(*found))
+        prob = _state_probs(problem, rule, n, stops - _start(n))
+        mass = mass1 + mass2
+        chosen, floor = _choose(prob, mass, coverage_target)
+        at = np.flatnonzero(live[0])
+        if (not len(at) or depth == max_depth
+                or _state_probs(problem, rule, depth, at).max() * (1 + 1e-9) < floor):
+            break
+    left = float(np.delete(mass, chosen).sum() + (live[1] + live[2]).sum())
+    if count[chosen].sum() > _MAX_STRINGS:
+        raise PrefixLimitError(
+            f"the string search needs to walk more than {_MAX_STRINGS} strings; "
+            f"lower the coverage (--coverage) or the depth (--max-depth)")
+    deepest = int(n[chosen].max(initial=0))
+    if not deepest:
+        return (), left
+    # the chosen states and the continuing ones that lead to them, by one pass up the lattice
+    verdict = np.concatenate(verdicts)
+    goal = np.zeros(len(verdict), bool)
+    goal[stops[chosen]] = True
+    for d in range(deepest, 0, -1):
+        below = goal[_start(d):_start(d + 1)]
+        goal[_start(d - 1):_start(d)] |= (verdict[_start(d - 1):_start(d)] == 0) & (
+            below[1:] | below[:-1])
+    columns = _walk(problem, rule, verdict, goal, deepest)
+    order = np.lexsort((columns[0], *columns[1].T[::-1], -columns[2]))
+    # the running sum in pop order, exactly as a one-by-one loop adds it
+    reached = np.flatnonzero(np.cumsum(columns[2][order]) >= coverage_target)
+    end = int(reached[0]) + 1 if len(reached) else len(order)
+    left += float(columns[2][order[end:]].sum())
+    order = order[:end]
+    for j, column in enumerate(columns):  # each unsorted copy released as it is sorted
+        columns[j] = column[order]
+    return tuple(columns), left
+
+
+def _walk(problem, rule, verdict, goal, deepest) -> list[np.ndarray]:
+    """The columns n, code, prob, c1, c2, m1 and guess of the strings whose states
+    are stopping states marked in `goal`, the flat count lattice, in no order.
+
+    The walk extends, depth by depth, only the prefixes at continuing states
+    marked in `goal`, with the float operations of a best-first expansion, and
+    drops the extensions of probability 0 as it does.  A prefix's outcomes are
+    packed first to last in `code`, from the top bit of each uint64 word down,
+    outcome 2 as a set bit: comparing the words in order compares the outcome
+    tuples, except that a string and its extensions by outcome 1 share a code
+    and differ only in n.
     """
     q1, q2 = problem.q1, problem.q2
-    words = -(-max_depth // _WORD_BITS)
-    one = np.ones(1)
-    root = _Prefixes(0, one, one, np.zeros(1, np.min_scalar_type(max_depth)),
-                     np.zeros((1, words), np.uint64), one)
-    # unclassified prefixes below the threshold, by length
-    pending: dict[int, list[_Prefixes]] = {1: [part.lean() for part in root.extend(rule, q1, q2)]}
-    emitted: list[tuple] = []  # per round: (n, code, prob, c1, c2, m1, guess) in pop order
-    verdicts: dict[int, np.ndarray] = {}  # the rule's verdicts at depth n, by m1
-    covered = 0.0
-    dropped = 0.0  # prefixes cut off at max_depth, in rounds before the last
-    threshold = _FIRST_THRESHOLD
-    while True:
-        waiting = 0.0  # mass of the prefixes carried into the round that stay below it
-        # (n, prob, code, parent) of the round's other prefixes; parent None or
-        # inf for those carried into it
-        seen: list[tuple] = []
-        seen_rows = 0
-        stopped: list[_Prefixes] = []
-        cut_off: list[_Prefixes] = []
-        below: dict[int, list[_Prefixes]] = {}
-        highest = 0.0  # the largest prob below the threshold
-        children: list[_Prefixes] = []
-        for n in range(min(pending), max_depth + 1):
-            for part in pending.get(n, []):  # carried into the round
-                part.prob = q1 * part.c1 + q2 * part.c2
-            children += pending.pop(n, [])  # all parts of length n
-            parts = _packed(children)  # empties `children`, which collects length n + 1
-            if not parts:
-                if not pending:
-                    break
-                continue
-            if n not in verdicts:
-                m1s = np.arange(n + 1)
-                verdicts[n] = rule.verdicts(m1s, n - m1s)
-            while parts:  # popped, so that a part's arrays are freed once it is split
-                part = parts.pop()
-                low, part = _split(part, part.prob < threshold)
-                if low is not None:
-                    highest = max(highest, float(low.prob.max()))
-                    if low.parent is None:
-                        waiting += float(low.prob.sum())
-                    else:
-                        seen.append((n, low.prob, low.code, low.parent))
-                        seen_rows += len(low)
-                    below.setdefault(n, []).append(low.lean())
-                if part is None:
-                    continue
-                seen.append((n, part.prob, part.code, part.parent))
-                seen_rows += len(part)
-                stop, live = _split(part, verdicts[n][part.m1] != 0)
-                if stop is not None:
-                    stopped.append(stop)
-                if live is None:
-                    continue
-                if n == max_depth:
-                    cut_off.append(live)
-                else:
-                    children += live.extend(rule, q1, q2)
-            waiting_rows = sum(len(part) for parts in (children, *pending.values(),
-                                                       *below.values()) for part in parts)
-            if seen_rows + waiting_rows > _MAX_PREFIXES:
-                raise PrefixLimitError(
-                    f"the string search needs more than {_MAX_PREFIXES} live prefixes by depth "
-                    f"{n + 1}; lower the coverage (--coverage) or the depth (--max-depth)")
-        pending = below
-
-        if stopped:
-            columns, covered, reached = _pop_order(stopped, verdicts, covered, coverage_target)
-            emitted.append(columns)
-            if reached:
-                n, code, prob = (column[-1] for column in columns[:3])
-                return emitted, dropped + _unpopped((prob, code, int(n)), waiting, seen, cut_off)
-        dropped += sum(float(part.prob.sum()) for part in cut_off)
-        if not pending:
-            return emitted, dropped
-        threshold = min(threshold * _THRESHOLD_STEP, highest)
-
-
-def _pop_order(stopped: list[_Prefixes], verdicts: dict[int, np.ndarray], covered: float,
-               coverage_target: float) -> tuple[tuple, float, bool]:
-    """The stopped prefixes in pop order, up to the first at which the running
-    sum of their probabilities, from `covered`, reaches coverage_target.
-
-    Returns their columns (n, code, prob, c1, c2, m1, guess), the running
-    sum at the last of them, and whether it reached the target.  The columns
-    are gathered one at a time, and only for the rows kept.
-    """
-    def gather(name) -> np.ndarray:
-        return np.concatenate([getattr(part, name) for part in stopped])
-
-    n = np.concatenate([np.full(len(part), part.n) for part in stopped])
-    code, prob = gather("code"), gather("prob")
-    order = np.lexsort((n, *code.T[::-1], -prob))
-    prob = prob[order]
-    # the running sum in pop order, exactly as a one-by-one loop adds it
-    running = np.cumsum(np.concatenate(([covered], prob)))[1:]
-    reached = np.flatnonzero(running >= coverage_target)
-    end = int(reached[0]) + 1 if len(reached) else len(prob)
-    order = order[:end]
-    guess = np.concatenate([verdicts[part.n][part.m1] for part in stopped])
-    columns = (n[order], code[order], prob[:end], gather("c1")[order], gather("c2")[order],
-               gather("m1")[order], guess[order])
-    return columns, float(running[end - 1]), len(reached) > 0
-
-
-def _unpopped(cut, waiting, seen, cut_off) -> float:
-    """Mass a best-first expansion leaves unemitted when it stops at string `cut`.
-
-    That is the prefixes cut off at max_depth that popped before `cut`, plus
-    the prefixes left in its queue: those popped after `cut` whose parent
-    popped before it.  Only the last round's prefixes can be either, and the
-    parents of the prefixes carried into that round popped before `cut`.
-    Those of them that stayed below the round's threshold, of mass `waiting`,
-    all pop after `cut`, whose probability is at least the threshold.
-    """
-    mass = waiting
-    for part in cut_off:
-        mass += float(part.prob[_compare(part.prob, part.code, part.n, cut) < 0].sum())
-    for n, prob, code, parent in seen:
-        left = _compare(prob, code, n, cut) > 0
-        if parent is not None:
-            left &= _compare(parent, _with_bit(code, n - 1, False), n - 1, cut) < 0
-        mass += float(prob[left].sum())
-    return mass
+    likelihoods = rule.likelihoods.reshape(2, 2)  # P(d|psi1), then P(d|psi2), by outcome d
+    c1 = c2 = np.ones(1)
+    m1 = np.zeros(1, np.int64)
+    code = np.zeros((1, -(-deepest // _WORD_BITS)), np.uint64)
+    walked = [[] for _ in range(7)]  # a part of each column per depth
+    for d in range(deepest):
+        # each prefix's extensions by outcome 1 and 2, side by side
+        c1 = (c1[:, None] * likelihoods[0]).ravel()
+        c2 = (c2[:, None] * likelihoods[1]).ravel()
+        prob = q1 * c1 + q2 * c2
+        m1 = (m1[:, None] + [1, 0]).ravel()
+        code = code.repeat(2, axis=0)
+        code[1::2, d // _WORD_BITS] |= np.uint64(1 << (_WORD_BITS - 1 - d % _WORD_BITS))
+        state = _start(d + 1) + m1
+        keep = goal[state] & (prob != 0.0)
+        stop = keep & (verdict[state] != 0)
+        if stop.any():
+            for parts, column in zip(walked, (np.full(len(prob), d + 1), code, prob, c1, c2, m1,
+                                              verdict[state])):
+                parts.append(column[stop])
+        keep &= ~stop
+        c1, c2, m1, code = c1[keep], c2[keep], m1[keep], code[keep]
+    # a column's parts are released as it is joined
+    columns = []
+    for parts in walked:
+        columns.append(np.concatenate(parts))
+        parts.clear()
+    return columns
 
 
 def outcome_labels(twos: np.ndarray, n) -> np.ndarray:
@@ -423,38 +301,21 @@ def _true_errors(problem, rule, n: np.ndarray, m1: np.ndarray) -> np.ndarray:
     return errors[m1, n - m1]
 
 
-def _string_set(problem, rule, emitted: list[tuple]) -> StringSet:
-    """The emitted columns as a StringSet; empties list `emitted`.
+def _string_set(problem, rule, columns: tuple) -> StringSet:
+    """The columns (n, code, prob, c1, c2, m1, guess) of _select as a StringSet.
 
-    The rounds' columns are joined one column at a time, each round's copy
-    released once joined, and the outcomes are decoded a chunk of rows at a
-    time into one preallocated label array, so only the column being joined
-    is held twice.
+    The outcomes are decoded a chunk of rows at a time into one preallocated
+    label array, so no bit matrix of all the strings is held.
     """
-    if not emitted:
+    if not columns or not len(columns[0]):
         none = np.zeros(0)
         return StringSet(none.astype("S1"), none, none, none, none, none.astype(np.int8),
                          none.astype(np.int64))
-    rounds = [list(columns) for columns in emitted]
-    emitted.clear()
-
-    def join(j: int) -> np.ndarray:
-        column = np.concatenate([columns[j] for columns in rounds])
-        for columns in rounds:
-            columns[j] = None
-        return column
-
-    n = join(0)
+    n, code, prob, c1, c2, m1, guess = columns
     labels = np.zeros(len(n), f"S{int(n.max())}")
-    start = 0
-    for columns in rounds:
-        code, columns[1] = columns[1], None
-        for first in range(0, len(code), _LABEL_ROWS):
-            part = code[first:first + _LABEL_ROWS]
-            rows = slice(start + first, start + first + len(part))
-            labels[rows] = _decode(part, n[rows])
-        start += len(code)
-    prob, c1, c2, m1, guess = (join(j) for j in range(2, 7))
+    for first in range(0, len(n), _LABEL_ROWS):
+        rows = slice(first, first + _LABEL_ROWS)
+        labels[rows] = _decode(code[rows], n[rows])
     return StringSet(labels, prob, c1, c2, _true_errors(problem, rule, n, m1), guess, n)
 
 

@@ -122,15 +122,18 @@ def test_simulate_exits_3_when_no_string_can_stop(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_strings_exits_3_past_the_prefix_cap(tmp_path, capsys, monkeypatch):
-    # UBM at eps = 0.074 holds 0.94M prefixes at once; under a cap of 1,000 the
-    # search fails at the depth where it passes the cap, before any output
-    monkeypatch.setattr(seqdisc.stringlab, "_MAX_PREFIXES", 1000)
-    code, out = run(tmp_path, "s.csv", "strings", "--theta", repr(math.pi / 12),
-                    "--epsilon", "0.074", "--strategy", "ubm")
+def test_strings_exits_3_past_the_string_cap(tmp_path, capsys, monkeypatch):
+    # UBM at eps = 0.179 walks 254 strings; under a cap of 253 the search fails
+    # before it walks any, and before any output
+    argv = ("strings", "--theta", repr(math.pi / 12), "--epsilon", "0.179", "--strategy", "ubm")
+    monkeypatch.setattr(seqdisc.stringlab, "_MAX_STRINGS", 254)
+    code, out = run(tmp_path, "ok.csv", *argv)
+    assert code == 0 and out.exists()
+    monkeypatch.setattr(seqdisc.stringlab, "_MAX_STRINGS", 253)
+    code, out = run(tmp_path, "s.csv", *argv)
     assert code == 3
     err = capsys.readouterr().err
-    assert err.startswith("seqdisc: the string search needs more than 1000 live prefixes")
+    assert err.startswith("seqdisc: the string search needs to walk more than 253 strings")
     assert "--coverage" in err and "--max-depth" in err
     assert not out.exists()
 

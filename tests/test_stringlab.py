@@ -356,6 +356,11 @@ def _exactness_grid():
     # residual counts those that popped before the cut
     grid += [(pi12, StrategySpec(StrategyKind.FIXED_ANGLE, phi=0.9), 0.179, 0.8, 3),
              (pi12, StrategySpec(StrategyKind.FIXED_ANGLE, phi=0.5), 0.01, 0.5, 8)]
+    # the cut falls inside a group of strings of one probability: those of UBM's
+    # mirror states (n, m1) and (n, n - m1) at q1 = q2, here (4, 1) and (4, 3),
+    # then (10, 4) and (10, 6), and at q1 != q2 those of the one state (12, 3)
+    grid += [(pi12, UBM, 0.1, 0.75, 24), (pi12, UBM, 0.1, 0.99, 64),
+             (DiscriminationProblem(theta=math.pi / 12, q1=0.4), UBM, 0.1, 0.95, 24)]
     return grid
 
 
@@ -395,20 +400,6 @@ def test_string_lab_evaluates_true_errors_through_its_posterior_attribute(proble
     assert len(strings) > len(calls) / 2
 
 
-def test_frontier_in_small_parts_gives_the_same_strings(problem12, monkeypatch):
-    # parts of 1 and 7 rows: every depth's frontier is split, packed and joined
-    cases = [(UBM, 0.1, 0.999, 24), (FBM, 1e-9, 0.998, 70),
-             (StrategySpec(StrategyKind.FIXED_ANGLE, phi=0.5), 0.01, 0.5, 8)]
-    expected = [enumerate_strings(problem12, *case) for case in cases]
-    for part_rows in (1, 7):
-        monkeypatch.setattr(seqdisc.stringlab, "_PART_ROWS", part_rows)
-        for case, (strings, residual) in zip(cases, expected):
-            twin, twin_residual = enumerate_strings(problem12, *case)
-            assert all(getattr(twin, name).tobytes() == getattr(strings, name).tobytes()
-                       for name in COLUMNS)
-            assert twin_residual == pytest.approx(residual, abs=1e-14)
-
-
 def test_labels_decoded_in_small_chunks_are_the_same(problem12, monkeypatch):
     # chunks of 1 and 7 rows cut through every round's strings; FBM at eps =
     # 1e-20 to depth 200 decodes strings of up to 161 copies from four-word codes
@@ -425,40 +416,71 @@ def test_labels_decoded_in_small_chunks_are_the_same(problem12, monkeypatch):
 
 
 def test_string_set_holds_no_column_twice(problem12):
-    # the rounds' columns are released as they are joined, the labels are
-    # decoded a chunk at a time and the true errors looked up in a table of
-    # the count states: for 158,744 strings (9.7 MiB) the build takes the set
-    # itself and 1.4 MiB more, where joining every column at once and decoding
-    # all labels took 9.8 MiB, and sorting the count states 6.4 MiB
+    # the labels are decoded a chunk at a time and the true errors looked up in
+    # a table of the count states: for 158,744 strings (9.7 MiB) the build takes
+    # the set itself and 1.4 MiB more, where decoding all labels at once took
+    # 9.8 MiB, and sorting the count states 6.4 MiB
     phi = strategy_angle(problem12, UBM)
     rule = StoppingRule(problem12, phi, 0.074)
-    emitted, _ = seqdisc.stringlab._best_first(problem12, rule, 0.998, 64)
+    columns, _ = seqdisc.stringlab._select(problem12, rule, 0.998, 64)
     tracemalloc.start()
     try:
-        strings = seqdisc.stringlab._string_set(problem12, rule, emitted)
+        strings = seqdisc.stringlab._string_set(problem12, rule, columns)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert emitted == []
     size = sum(getattr(strings, name).nbytes for name in COLUMNS)
     assert peak <= size + 2 * 2**20
 
 
-def test_search_past_its_prefix_cap_fails(problem12, monkeypatch):
-    # UBM at eps = 0.179 to depth 64 holds at most 768 prefixes at once, and at
-    # eps = 0.074 0.94M
+def test_search_past_its_string_cap_fails(problem12, monkeypatch):
+    # UBM at eps = 0.179 to depth 64 walks 254 strings to emit 184, and at eps =
+    # 0.074 177,146 to emit 158,744
     expected, residual = enumerate_strings(problem12, UBM, 0.179)
-    monkeypatch.setattr(seqdisc.stringlab, "_MAX_PREFIXES", 768)
+    monkeypatch.setattr(seqdisc.stringlab, "_MAX_STRINGS", 254)
     strings, twin_residual = enumerate_strings(problem12, UBM, 0.179)
     assert all(getattr(strings, name).tobytes() == getattr(expected, name).tobytes()
                for name in COLUMNS)
     assert twin_residual == residual
-    monkeypatch.setattr(seqdisc.stringlab, "_MAX_PREFIXES", 767)
-    with pytest.raises(seqdisc.stringlab.PrefixLimitError, match="more than 767 live prefixes"):
+    monkeypatch.setattr(seqdisc.stringlab, "_MAX_STRINGS", 253)
+    with pytest.raises(seqdisc.stringlab.PrefixLimitError,
+                       match="needs to walk more than 253 strings"):
         enumerate_strings(problem12, UBM, 0.179)
-    monkeypatch.setattr(seqdisc.stringlab, "_MAX_PREFIXES", 100_000)
+    monkeypatch.setattr(seqdisc.stringlab, "_MAX_STRINGS", 100_000)
     with pytest.raises(seqdisc.stringlab.PrefixLimitError, match="--coverage.*--max-depth"):
         enumerate_strings(problem12, UBM, 0.074)
+
+
+def test_search_past_its_string_cap_fails_before_any_walk(problem12):
+    # UBM at eps = 0.03 needs more than 2^22 strings; the count comes from the
+    # count lattice alone, where a walk to depth 25 took 95.5 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(seqdisc.stringlab.PrefixLimitError, match="--coverage.*--max-depth"):
+            enumerate_strings(problem12, UBM, 0.03)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("keyword,value", [
+    ("max_depth", True), ("max_depth", np.True_), ("max_depth", 2.5), ("max_depth", 24.0),
+    ("max_depth", "24"), ("coverage_target", True),
+])
+def test_settings_of_the_wrong_type_are_rejected(problem12, keyword, value, monkeypatch):
+    # checked before any work: max_depth=True used to run as depth 1, and 2.5
+    # to fail in numpy with a TypeError
+    monkeypatch.setattr(seqdisc.stringlab, "_select", None)
+    with pytest.raises(ValueError, match=keyword):
+        enumerate_strings(problem12, UBM, 0.179, **{keyword: value})
+
+
+def test_numpy_integer_depths_are_accepted(problem12):
+    expected, residual = enumerate_strings(problem12, UBM, 0.179, max_depth=10)
+    for depth in (np.int64(10), np.uint8(10)):
+        strings, twin_residual = enumerate_strings(problem12, UBM, 0.179, max_depth=depth)
+        assert _columns(strings) == _columns(expected) and twin_residual == residual
 
 
 def test_large_enumeration_stays_in_bounded_memory(problem12):
