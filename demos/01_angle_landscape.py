@@ -8,7 +8,7 @@ phi = pi/4, the unbiased/Helstrom choice for equal priors).
 
 import math
 
-from seqdisc import DiscriminationProblem, fixed_angle_cost, scan_angles
+from seqdisc import CostResult, DiscriminationProblem, fixed_angle_cost, scan_angles
 
 problem = DiscriminationProblem(theta=math.pi / 8)
 eps = 0.125
@@ -18,11 +18,11 @@ scan = scan_angles(problem, eps, 0.05, math.pi / 2 - 1e-9, 60)
 print(f"theta = pi/8, eps = {eps}")
 print(f"{'phi':>8}  {'expected copies':>16}")
 for phi, result in scan.samples:
-    if result is None:
-        print(f"{phi:8.4f}  {'(no convergence)':>16}")
-    else:
+    if isinstance(result, CostResult):
         bar = "#" * int(round(4 * result.expected_copies))
         print(f"{phi:8.4f}  {result.expected_copies:16.6f}  {bar}")
+    else:
+        print(f"{phi:8.4f}  {'(no convergence)':>16}")
 
 at_theta = fixed_angle_cost(problem, problem.theta, eps)
 at_quarter = fixed_angle_cost(problem, math.pi / 4, eps)

@@ -28,6 +28,7 @@ from .stringlab import (
     enumerate_strings,
 )
 from .strategies import (
+    CostResult,
     StrategyKind,
     StrategySpec,
     fbm_cost,
@@ -325,12 +326,12 @@ def _cmd_angle_scan(run: _Run) -> None:
         scan = scan_angles(problem, eps, 0.0, math.pi / 2 - 1e-9, run.resolution)
         pts = []
         for phi, result in scan.samples:
-            if result is None:
-                rows.append([theta, phi, None, None, None, scan.failures[phi]])
-            else:
+            if isinstance(result, CostResult):
                 rows.append([theta, phi, result.expected_copies,
                              result.residual_mass, result.bound_width, ""])
                 pts.append((phi, result.expected_copies))
+            else:
+                rows.append([theta, phi, None, None, None, str(result)])
         series.append((f"theta={theta:.4f}", pts))
     _write_rows(run, header, rows, (series, "measurement angle phi (rad)", "expected copies"))
 

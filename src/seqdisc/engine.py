@@ -77,7 +77,15 @@ class NonConvergenceError(RuntimeError):
 
 
 class CostCapExceeded(RuntimeError):
-    """The running lower bound on the cost exceeded the caller's cap."""
+    """The running lower bound on the cost exceeded the caller's cap.
+
+    Built as CostCapExceeded(cap, depth, phi); the message is formatted from
+    those args only when it is read.
+    """
+
+    def __str__(self) -> str:
+        cap, depth, phi = self.args
+        return f"cost lower bound exceeds cap {cap} at depth {depth} for phi={phi}"
 
 
 @dataclass(frozen=True)
@@ -557,16 +565,11 @@ def fixed_angle_costs(
         done = event[at_first]
         over_at = over[at_first] & ~drained[at_first]
 
-        # the rows the cap drops end in one pass over plain Python columns;
-        # the rows dropped at one depth share their message up to the angle
+        # the rows the cap drops end in one pass over plain Python columns
         dropped = np.flatnonzero(done & over_at)
-        at_depth = first[dropped]
-        # the depths some row is dropped at (np.unique's sort added 0.1 MiB of peak RSS)
-        js = np.flatnonzero(np.bincount(at_depth))
-        heads = {j: f"cost lower bound exceeds cap {c} at depth {n + j + 1} for phi="
-                 for j, c in zip(js.tolist(), caps[js].tolist())}
-        for i, j in zip(rows[dropped].tolist(), at_depth.tolist()):
-            outcomes[i] = CostCapExceeded(f"{heads[j]}{phis[i]}")
+        at_cap = caps.tolist()
+        for i, j in zip(rows[dropped].tolist(), first[dropped].tolist()):
+            outcomes[i] = CostCapExceeded(at_cap[j], n + j + 1, phis[i])
 
         going = ~done
         first[going] = block - 1  # the last depth of the block each row reached

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .engine import EngineOptions, NonConvergenceError, fixed_angle_cost, fixed_angle_costs
 from .model import DiscriminationProblem, helstrom_angle
@@ -41,20 +41,20 @@ _ANGLE_RESOLUTION = 1e-6
 
 @dataclass
 class AngleScan:
-    """Ordered grid of (phi, cost) samples with the best point found.
+    """Ordered grid of (phi, outcome) samples with the best point found.
 
-    Samples where the engine failed to converge are recorded with result None
-    and the failure message in `failures`; they never become the best point.
-    depth_iterations counts the depths the scan's depth loop ran, blocks the
-    blocks it ran them in, angle_steps the depths its grid points were
-    advanced, summed over them, and row_copies the grid points each copy of
-    the loop advanced, summed over the copies (engine.AngleBatch).
+    Each outcome is what engine.fixed_angle_costs gave the point: a
+    CostResult, or the NonConvergenceError or CostCapExceeded it ended with,
+    whose message is built only when read.  A failed point never becomes the
+    best point.  depth_iterations counts the depths the scan's depth loop
+    ran, blocks the blocks it ran them in, angle_steps the depths its grid
+    points were advanced, summed over them, and row_copies the grid points
+    each copy of the loop advanced, summed over the copies (engine.AngleBatch).
     """
 
-    samples: list[tuple[float, CostResult | None]]
+    samples: list[tuple[float, CostResult | Exception]]
     best_phi: float
     best_cost: float
-    failures: dict[float, str] = field(default_factory=dict)
     depth_iterations: int = 0
     blocks: int = 0
     angle_steps: int = 0
@@ -84,7 +84,7 @@ def scan_angles(
     """Evaluate the fixed-angle cost on a uniform grid inclusive of both endpoints.
 
     With initial_cap None the scan is uncapped.  With a number (inf included),
-    a grid point is abandoned (and recorded as a failure) once its cost
+    a grid point is abandoned (its outcome a CostCapExceeded) once its cost
     provably exceeds initial_cap or the cost of a point that already
     converged; this only makes sense when the caller wants the minimum, not
     the whole curve.  The best point and its result are those of the uncapped
@@ -97,22 +97,17 @@ def scan_angles(
     step = (phi_max - phi_min) / (resolution - 1)
     phis = [phi_min + i * step for i in range(resolution)]
     batch = fixed_angle_costs(problem, phis, eps, _scan_options(opts), cost_cap=initial_cap)
-    samples: list[tuple[float, CostResult | None]] = []
-    failures: dict[float, str] = {}
+    samples = list(zip(phis, batch.outcomes))
     best_phi = math.nan
     best_cost = math.inf
-    for phi, outcome in zip(phis, batch.outcomes):
-        if isinstance(outcome, Exception):
-            samples.append((phi, None))
-            failures[phi] = str(outcome)
-            continue
-        samples.append((phi, outcome))
-        if outcome.expected_copies < best_cost:  # strict: ties keep the smaller phi
+    for phi, outcome in samples:
+        # strict: ties keep the smaller phi
+        if isinstance(outcome, CostResult) and outcome.expected_copies < best_cost:
             best_cost = outcome.expected_copies
             best_phi = phi
     if not math.isfinite(best_cost):
         raise NonConvergenceError("no grid point converged over the scan range")
-    return AngleScan(samples=samples, best_phi=best_phi, best_cost=best_cost, failures=failures,
+    return AngleScan(samples=samples, best_phi=best_phi, best_cost=best_cost,
                      depth_iterations=batch.depth_iterations, blocks=batch.blocks,
                      angle_steps=batch.angle_steps, row_copies=batch.row_copies)
 
@@ -146,10 +141,7 @@ def optimize_angle(
     # return something worse than either of them
     best_phi, best_cost, best_result = math.nan, math.inf, None
     anchors = [a for a in (problem.theta, helstrom_angle(problem)) if 0.0 < a < hi]
-    try:
-        results = fixed_angle_costs(problem, anchors, eps, opts).outcomes
-    except ValueError:
-        results = []
+    results = fixed_angle_costs(problem, anchors, eps, opts).outcomes
     for anchor, result in zip(anchors, results):
         if isinstance(result, CostResult) and result.expected_copies < best_cost:
             best_phi, best_cost, best_result = anchor, result.expected_copies, result
@@ -183,7 +175,7 @@ def optimize_angle(
         mirror = math.pi / 2 - best_phi
         try:
             mirror_result = fixed_angle_cost(problem, mirror, eps, opts)
-        except (NonConvergenceError, ValueError):
+        except NonConvergenceError:
             mirror_result = None
         if mirror_result is not None:
             slack = best_result.bound_width + mirror_result.bound_width + 1e-9

@@ -105,8 +105,6 @@ def fbm_threshold(problem: DiscriminationProblem, eps: float) -> int:
 
 def fbm_cost(problem: DiscriminationProblem, eps: float) -> CostResult:
     """Exact expected copy count for the fully biased strategy (phi = theta)."""
-    if eps >= min(problem.q1, problem.q2):
-        return CostResult(0.0, exact=True)
     n_t = fbm_threshold(problem, eps)
     s2 = math.sin(2.0 * problem.theta) ** 2
     cost = problem.q1 * n_t + problem.q2 * (1.0 - problem.overlap ** (2 * n_t)) / s2

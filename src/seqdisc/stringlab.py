@@ -104,8 +104,10 @@ def enumerate_strings(
     Emits the strings a best-first expansion of outcome prefixes would emit
     until they cover coverage_target of the probability mass or every live
     prefix reaches max_depth.  Returns (strings, residual) with residual the
-    unemitted mass.  LOL is rejected: its strings are angle-adaptive and its
-    copy count is deterministic (see lol_cost).
+    unemitted mass, at most 1.0; it is exactly 1.0, known before any lattice
+    is built, if no string can stop within max_depth copies.  LOL is
+    rejected: its strings are angle-adaptive and its copy count is
+    deterministic (see lol_cost).
     """
     if strategy.kind is StrategyKind.LOL:
         raise ValueError("LOL has no fixed-angle string set; its copy count is lol_cost(eps)")
@@ -117,8 +119,11 @@ def enumerate_strings(
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     phi = strategy_angle(problem, strategy)
     rule = StoppingRule(problem, phi, eps)
+    if not rule.can_stop_within(max_depth):  # no lattice to build: every string runs on
+        return _string_set(problem, rule, ()), 1.0
     columns, residual = _select(problem, rule, coverage_target, int(max_depth))
-    return _string_set(problem, rule, columns), residual
+    # a sum of masses can round past 1, the mass it stands for cannot
+    return _string_set(problem, rule, columns), min(residual, 1.0)
 
 
 def _start(n):

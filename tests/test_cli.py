@@ -8,6 +8,7 @@ import seqdisc.cli
 import seqdisc.montecarlo
 import seqdisc.stringlab
 from seqdisc import (
+    CostResult,
     DiscriminationProblem,
     StrategyKind,
     StrategySpec,
@@ -305,10 +306,11 @@ def test_angle_scan_json_is_scan_angles(tmp_path):
     assert code == 0
     scan = scan_angles(problem, 0.179, 0.0, math.pi / 2 - 1e-9, 25)
     expected = [
-        {"theta": problem.theta, "phi": phi, "cost": None, "residual_mass": None,
-         "bound_width": None, "note": scan.failures[phi]} if r is None else
         {"theta": problem.theta, "phi": phi, "cost": r.expected_copies,
          "residual_mass": r.residual_mass, "bound_width": r.bound_width, "note": ""}
+        if isinstance(r, CostResult) else
+        {"theta": problem.theta, "phi": phi, "cost": None, "residual_mass": None,
+         "bound_width": None, "note": str(r)}
         for phi, r in scan.samples
     ]
     assert json.loads(out.read_text()) == expected

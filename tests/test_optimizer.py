@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from seqdisc import (
+    CostResult,
     DiscriminationProblem,
     EngineOptions,
     NonConvergenceError,
@@ -46,7 +47,7 @@ def test_scan_accepts_numpy_integer_resolution(problem12):
 def test_scan_resolution_two_returns_endpoints(problem12):
     scan = scan_angles(problem12, 0.179, 0.4, 0.9, 2)
     assert [phi for phi, _ in scan.samples] == [0.4, 0.9]
-    assert all(r is not None for _, r in scan.samples)
+    assert all(isinstance(r, CostResult) for _, r in scan.samples)
 
 
 def test_scan_minimum_beats_fbm_and_ubm(problem12):
@@ -57,9 +58,15 @@ def test_scan_minimum_beats_fbm_and_ubm(problem12):
 def test_scan_records_failures(problem12):
     # phi = 0 carries no information and must be recorded, not fatal
     scan = scan_angles(problem12, 0.179, 0.0, 1.0, 5)
-    assert 0.0 in scan.failures
-    assert scan.samples[0][1] is None
+    phi, outcome = scan.samples[0]
+    assert phi == 0.0 and isinstance(outcome, NonConvergenceError)
+    assert str(outcome) == "no outcome string can stop within 20000 copies at phi=0.0"
     assert math.isfinite(scan.best_cost)
+    # a capped scan keeps each dropped point's cap, depth and phi
+    capped = scan_angles(problem12, 0.179, 0.0, 1.0, 5, initial_cap=3.0)
+    dropped = [(phi, o) for phi, o in capped.samples if isinstance(o, CostCapExceeded)]
+    assert [phi for phi, _ in dropped] == [0.25, 0.75, 1.0]
+    assert all(o.args[2] == phi for phi, o in dropped)
 
 
 def test_minimum_away_from_both_reference_angles():
@@ -96,8 +103,8 @@ def test_dominance_over_specific_strategies(problem12):
 def test_deterministic_rescan(problem12):
     a = scan_angles(problem12, 0.15, 0.2, 1.2, 50)
     b = scan_angles(problem12, 0.15, 0.2, 1.2, 50)
-    assert [(phi, r.expected_copies if r else None) for phi, r in a.samples] == \
-           [(phi, r.expected_copies if r else None) for phi, r in b.samples]
+    assert [(phi, _outcome_key(r)) for phi, r in a.samples] == \
+           [(phi, _outcome_key(r)) for phi, r in b.samples]
     assert (a.best_phi, a.best_cost) == (b.best_phi, b.best_cost)
 
 
@@ -130,6 +137,13 @@ def test_capped_scan_counts_its_row_copies(problem12):
     assert type(scan.row_copies) is int
 
 
+def _outcome_key(outcome):
+    """A CostResult as itself, an error as its type name and message: equal keys, equal outcomes."""
+    if isinstance(outcome, CostResult):
+        return outcome
+    return type(outcome).__name__, str(outcome)
+
+
 class _sequential_reference:
     """scan_angles and optimize_angle as they were before scans were batched.
 
@@ -141,7 +155,7 @@ class _sequential_reference:
     def scan(problem, eps, phi_min, phi_max, resolution, abandon_above_best=False,
              initial_cap=None):
         opts = EngineOptions(max_copies=20_000)
-        samples, failures = [], {}
+        samples = []
         best_phi, best_cost = math.nan, math.inf
         step = (phi_max - phi_min) / (resolution - 1)
         for i in range(resolution):
@@ -154,15 +168,14 @@ class _sequential_reference:
             try:
                 result = fixed_angle_cost(problem, phi, eps, opts, cost_cap=cap)
             except (CostCapExceeded, NonConvergenceError, ValueError) as exc:
-                samples.append((phi, None))
-                failures[phi] = str(exc)
+                samples.append((phi, exc))
                 continue
             samples.append((phi, result))
             if result.expected_copies < best_cost:
                 best_cost, best_phi = result.expected_copies, phi
         if not math.isfinite(best_cost):
             raise NonConvergenceError("no grid point converged over the scan range")
-        return samples, failures, best_phi, best_cost
+        return samples, best_phi, best_cost
 
     @classmethod
     def optimize(cls, problem, eps, resolution):
@@ -173,9 +186,9 @@ class _sequential_reference:
             cap = min(cap, ubm_cost(problem, eps).expected_copies)
         cap = 2.0 * cap + 2.0
         try:
-            samples, _, best_phi, best_cost = cls.scan(problem, eps, lo, hi, resolution, True, cap)
+            samples, best_phi, best_cost = cls.scan(problem, eps, lo, hi, resolution, True, cap)
         except NonConvergenceError:
-            samples, _, best_phi, best_cost = cls.scan(problem, eps, lo, hi, resolution)
+            samples, best_phi, best_cost = cls.scan(problem, eps, lo, hi, resolution)
         best_result = next(r for p, r in samples if p == best_phi)
         for anchor in (problem.theta, helstrom_angle(problem)):
             if not 0.0 < anchor < math.pi / 2 - 1e-9:
@@ -191,7 +204,7 @@ class _sequential_reference:
             lo = max(0.0, best_phi - cell)
             hi = min(math.pi / 2 - 1e-9, best_phi + cell)
             try:
-                samples, _, phi, cost = cls.scan(problem, eps, lo, hi, 17, True)
+                samples, phi, cost = cls.scan(problem, eps, lo, hi, 17, True)
             except NonConvergenceError:
                 break
             if cost < best_cost:
@@ -231,10 +244,11 @@ def test_optimize_matches_sequential_reference(theta, q1, eps):
 def test_uncapped_scan_matches_sequential_reference(theta, q1, eps):
     problem = DiscriminationProblem(theta=theta, q1=q1)
     scan = scan_angles(problem, eps, 0.0, math.pi / 2 - 1e-9, 40)
-    samples, failures, best_phi, best_cost = _sequential_reference.scan(
+    samples, best_phi, best_cost = _sequential_reference.scan(
         problem, eps, 0.0, math.pi / 2 - 1e-9, 40)
-    assert scan.samples == samples
-    assert scan.failures == failures
+    # every result equal, every failure of the same type with the same message
+    assert [(phi, _outcome_key(o)) for phi, o in scan.samples] == \
+           [(phi, _outcome_key(o)) for phi, o in samples]
     assert (scan.best_phi, scan.best_cost) == (best_phi, best_cost)
 
 
@@ -248,7 +262,11 @@ def test_capped_scan_finds_the_uncapped_best(theta, q1, eps):
     uncapped = scan_angles(problem, eps, 0.0, math.pi / 2 - 1e-9, 80)
     assert (scan.best_phi, scan.best_cost) == (uncapped.best_phi, uncapped.best_cost)
     assert dict(scan.samples)[scan.best_phi] == dict(uncapped.samples)[uncapped.best_phi]
-    assert scan.failures.keys() > uncapped.failures.keys()
+    assert _failed(scan) > _failed(uncapped)
+
+
+def _failed(scan) -> set[float]:
+    return {phi for phi, o in scan.samples if not isinstance(o, CostResult)}
 
 
 def test_capped_bracket_scan_finds_the_uncapped_best():

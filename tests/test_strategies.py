@@ -74,6 +74,11 @@ def test_fbm_cost_examples(problem12):
     # one-copy regime: exactly one copy is always consumed
     boundary = 0.75 / 1.75
     assert fbm_cost(problem12, boundary + 1e-9).expected_copies == pytest.approx(1.0, abs=1e-12)
+    # rejected as by fbm_threshold, ubm_cost and lol_cost; 0.5 and 0.7 used to cost 0 copies
+    for p in (problem12, DiscriminationProblem(theta=math.pi / 12, q1=0.3)):
+        for eps in (0.5, 0.7, min(p.q1, p.q2), 0.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match="error bound must lie in"):
+                fbm_cost(p, eps)
 
 
 def test_ubm_boundary_examples(problem12):

@@ -210,9 +210,22 @@ def test_string_set_survives_copy_and_pickle(problem12):
             twin.prob = twin.prob[:1]
 
 
-def test_empty_string_set(problem12):
+@pytest.mark.parametrize("spec,eps,max_depth", [
     # UBM's single copy errs with probability about 0.37: nothing stops at depth 1
-    strings, residual = enumerate_strings(problem12, UBM, 0.01, max_depth=1)
+    (UBM, 0.01, 1),
+    # at and next to phi = 0 nothing stops within max_depth, which is known
+    # before any lattice is built (a 3,000-depth lattice took 0.7 s and 20 MiB)
+    (StrategySpec(StrategyKind.FIXED_ANGLE, phi=0.0), 0.179, 3000),
+    (StrategySpec(StrategyKind.FIXED_ANGLE, phi=1e-6), 0.179, 200),
+])
+def test_empty_string_set(problem12, spec, eps, max_depth):
+    tracemalloc.start()
+    try:
+        strings, residual = enumerate_strings(problem12, spec, eps, max_depth=max_depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
     assert len(strings) == 0 and _columns(strings) == [[]] * len(COLUMNS) and residual == 1.0
     assert aggregate_by_length(strings) == []
     cost = cost_from_strings(strings, residual, 1).expected_copies
@@ -279,6 +292,15 @@ def test_cost_from_strings_default_enclosure_holds_the_exact_cost(problem12):
     assert residual > 0.0 and not result.exact
     assert result.bound_width == math.inf
     assert result.expected_copies < oracle < result.expected_copies + result.bound_width
+
+
+def test_residual_is_at_most_one():
+    # 127 strings stop, of about 1e-101 of the mass; the masses left summed to 1 + 2^-52
+    problem = DiscriminationProblem(theta=math.pi / 8)
+    spec = StrategySpec(StrategyKind.FIXED_ANGLE, phi=0.002080083823051904)
+    strings, residual = enumerate_strings(problem, spec, 0.074, max_depth=128)
+    assert len(strings) == 127 and residual == 1.0
+    assert cost_from_strings(strings, residual, 128).residual_mass == 1.0
 
 
 def test_single_certain_string(problem12):
