@@ -25,21 +25,16 @@ shift and the cut to the runs, and one sum of the three products.  An angle
 leaves the batch at the first depth where it drains, exceeds its cap or
 fails.  A block ends early only once every angle has drained; at its end,
 the window of each angle still running is trimmed.
-
-A brute-force outcome-tree enumeration serves as the independent correctness
-oracle at validation scale: it walks every outcome string instead of the count
-lattice, and stops each one through the same StoppingRule.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DiscriminationProblem
+from .model import DiscriminationProblem, _check_integer
 from .posterior import StoppingRule
 from .strategies import CostResult
 
@@ -50,10 +45,8 @@ __all__ = [
     "AngleBatch",
     "fixed_angle_cost",
     "fixed_angle_costs",
-    "brute_force_cost",
 ]
 
-_BRUTE_FORCE_DEPTH_LIMIT = 30
 # at the last depth of each block, the states at either end of a running
 # angle's run that each carry at most this fraction of its frontier mass go
 # into its leaked mass, which the residual counts
@@ -96,9 +89,7 @@ class EngineOptions:
     bound_width_limit: float = 1e-6
 
     def __post_init__(self):
-        if isinstance(self.max_copies, bool) or not isinstance(self.max_copies, numbers.Integral) \
-                or self.max_copies < 1:
-            raise ValueError(f"max_copies must be an integer >= 1, got {self.max_copies!r}")
+        _check_integer("max_copies", self.max_copies, 1)
         if not 0.0 < self.mass_tolerance < 1.0:
             raise ValueError(f"mass_tolerance must lie in (0, 1), got {self.mass_tolerance}")
         if not self.bound_width_limit >= 0.0:  # nan fails too; inf accepts any width
@@ -162,7 +153,6 @@ def fixed_angle_cost(
     phi: float,
     eps: float,
     opts: EngineOptions | None = None,
-    cost_cap: float | None = None,
 ) -> CostResult:
     """Expected copies until the posterior error reaches eps, at a fixed angle.
 
@@ -170,13 +160,11 @@ def fixed_angle_cost(
     checked after every copy; a terminated prefix is never extended.  The
     returned enclosure is [expected_copies, expected_copies + bound_width].
 
-    cost_cap, if given, raises CostCapExceeded as soon as a lower bound on
-    every result the angle can still end with exceeds it; a cap at or above
-    the angle's own cost never does.  An angle at which no outcome string can
-    stop within opts.max_copies copies raises NonConvergenceError before the
-    first copy.  This is a batch of one angle of fixed_angle_costs.
+    An angle at which no outcome string can stop within opts.max_copies
+    copies raises NonConvergenceError before the first copy.  This is a batch
+    of one angle of fixed_angle_costs, which also takes a cost cap.
     """
-    outcome = fixed_angle_costs(problem, [phi], eps, opts, cost_cap=cost_cap).outcomes[0]
+    outcome = fixed_angle_costs(problem, [phi], eps, opts).outcomes[0]
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -471,7 +459,7 @@ def fixed_angle_costs(
     def finish(i: int, n: int, cost: float, mass: np.ndarray, leaked: float) -> None:
         residual = float(q1 * mass[0].sum() + q2 * mass[1].sum()) + leaked
         if residual == 0.0:
-            outcomes[i] = CostResult(expected_copies=cost, exact=True)
+            outcomes[i] = CostResult(expected_copies=cost)
             return
         bound_width = residual * (n + float(tails[i]))
         if residual > opts.mass_tolerance and bound_width > opts.bound_width_limit:
@@ -480,8 +468,8 @@ def fixed_angle_costs(
                 f"enclosure width {bound_width:.3e} exceeds {opts.bound_width_limit:.3e}"
             )
         else:
-            outcomes[i] = CostResult(expected_copies=cost, exact=False,
-                                     residual_mass=residual, bound_width=bound_width)
+            outcomes[i] = CostResult(expected_copies=cost, residual_mass=residual,
+                                     bound_width=bound_width)
 
     # Per row (angle) running, all at the depth n: the run [lo, hi] of m1 that
     # its frontier holds, whose masses lie in `mass` (one plane per hypothesis,
@@ -606,50 +594,3 @@ def fixed_angle_costs(
         # the block's arrays go before the next block's are made
         del new, weight, inside, cells_buffer, live, stopped_cells
     return AngleBatch(outcomes, depth_iterations, angle_steps, blocks, row_copies)
-
-
-def brute_force_cost(
-    problem: DiscriminationProblem,
-    phi: float,
-    eps: float,
-    max_depth: int,
-) -> CostResult:
-    """Exhaustive outcome-tree enumeration with prefix termination (the oracle).
-
-    Walks every outcome string depth-first, terminating each branch the first
-    time the posterior error reaches eps.  Exponential in max_depth; intended
-    for validation only (max_depth <= 30).
-    """
-    rule = StoppingRule(problem, phi, eps)
-    if max_depth < 1 or max_depth > _BRUTE_FORCE_DEPTH_LIMIT:
-        raise ValueError(f"max_depth must lie in [1, {_BRUTE_FORCE_DEPTH_LIMIT}], got {max_depth}")
-    p11, p21, p12, p22 = rule.likelihoods.tolist()
-    q1, q2 = problem.q1, problem.q2
-
-    cost_accum = 0.0
-    residual = 0.0
-    # stack of (m1, m2, path prob | psi1, path prob | psi2)
-    stack = [(0, 0, 1.0, 1.0)]
-    while stack:
-        m1, m2, pg1, pg2 = stack.pop()
-        n = m1 + m2
-        for k1, k2, p1, p2 in ((m1 + 1, m2, p11, p12), (m1, m2 + 1, p21, p22)):
-            c1 = pg1 * p1
-            c2 = pg2 * p2
-            if c1 == 0.0 and c2 == 0.0:
-                continue
-            weight = q1 * c1 + q2 * c2
-            if rule.stops(k1, k2):
-                cost_accum += (n + 1) * weight
-            elif n + 1 >= max_depth:
-                residual += weight
-            else:
-                stack.append((k1, k2, c1, c2))
-    if residual == 0.0:
-        return CostResult(expected_copies=cost_accum, exact=True)
-    return CostResult(
-        expected_copies=cost_accum,
-        exact=False,
-        residual_mass=residual,
-        bound_width=residual * (max_depth + float(_tail(rule, eps))),
-    )

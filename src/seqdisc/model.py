@@ -10,15 +10,21 @@ orthogonal complement.  All angles are radians.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 __all__ = [
     "DiscriminationProblem",
     "likelihoods",
     "helstrom_angle",
-    "helstrom_error",
     "collective_error",
 ]
+
+
+def _check_integer(name: str, value, least: int) -> None:
+    """Raises ValueError unless value is an integer >= least; bools fail, numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -69,11 +75,6 @@ def helstrom_angle(problem: DiscriminationProblem) -> float:
     if q1 < q2:
         phi += math.pi / 2
     return phi
-
-
-def helstrom_error(problem: DiscriminationProblem) -> float:
-    """Minimum single-copy average error probability."""
-    return collective_error(problem, 1)
 
 
 def collective_error(problem: DiscriminationProblem, n: int) -> float:

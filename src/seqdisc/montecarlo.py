@@ -30,12 +30,11 @@ stops within TRIAL_COPY_CAP copies fails before any trial runs.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DiscriminationProblem, likelihoods
+from .model import DiscriminationProblem, _check_integer, likelihoods
 from .posterior import StoppingRule, _check_eps, meets_error_bound
 from .strategies import StrategyKind, StrategySpec, lol_next_angle, strategy_angle
 from .stringlab import outcome_labels
@@ -44,7 +43,6 @@ __all__ = [
     "MonteCarloReport",
     "TrialLengthError",
     "run_trials",
-    "empirical_string_errors",
 ]
 
 # far above any desk-scale stopping depth; reaching it means the bound is unreachable
@@ -346,8 +344,7 @@ def run_trials(
     seed: int = 0,
 ) -> MonteCarloReport:
     """Simulate independent discrimination runs and aggregate their statistics."""
-    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    _check_integer("trials", trials, 1)
     trials = int(trials)
     if strategy.kind is StrategyKind.LOL:
         stepper = _Lol(problem, eps)
@@ -385,18 +382,3 @@ def run_trials(
         min_copies=min(map(len, per_string)),
         max_copies=max(map(len, per_string)),
     )
-
-
-def empirical_string_errors(report: MonteCarloReport) -> list[tuple[str, float, float]]:
-    """Per-string (label, observed conditional error, observed probability).
-
-    Sorted by descending observed probability, then lexicographically, matching
-    the enumeration order of the string laboratory.
-    """
-    rows = []
-    for label, (count, err_count) in report.per_string.items():
-        if count == 0:
-            continue
-        rows.append((label, err_count / count, count / report.trials))
-    rows.sort(key=lambda r: (-r[2], r[0]))
-    return rows

@@ -22,11 +22,10 @@ that point costs at most the initial cap.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 from .engine import EngineOptions, NonConvergenceError, fixed_angle_cost, fixed_angle_costs
-from .model import DiscriminationProblem, helstrom_angle
+from .model import DiscriminationProblem, _check_integer, helstrom_angle
 # fbm_cost and ubm_cost are unused here; the benchmark's tracer wraps them as names of this module
 from .strategies import CostResult, fbm_cost, ubm_cost
 
@@ -67,11 +66,6 @@ def _scan_options(opts: EngineOptions | None) -> EngineOptions:
     return opts or EngineOptions(max_copies=20_000)
 
 
-def _check_resolution(resolution) -> None:
-    if isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral) or resolution < 2:
-        raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
-
-
 def scan_angles(
     problem: DiscriminationProblem,
     eps: float,
@@ -93,7 +87,7 @@ def scan_angles(
     """
     if not 0.0 <= phi_min < phi_max < math.pi / 2:
         raise ValueError(f"need 0 <= phi_min < phi_max < pi/2, got [{phi_min}, {phi_max}]")
-    _check_resolution(resolution)
+    _check_integer("resolution", resolution, 2)
     step = (phi_max - phi_min) / (resolution - 1)
     phis = [phi_min + i * step for i in range(resolution)]
     batch = fixed_angle_costs(problem, phis, eps, _scan_options(opts), cost_cap=initial_cap)
@@ -134,7 +128,7 @@ def optimize_angle(
     coarse grid point converges.  A resolution that is not an integer of at
     least 2 raises ValueError before any angle is run.
     """
-    _check_resolution(resolution)
+    _check_integer("resolution", resolution, 2)
     opts = _scan_options(opts)
     lo, hi = 0.0, math.pi / 2 - _UPPER_GUARD
     # the reference angles are always candidates, so a coarse grid can never

@@ -7,28 +7,26 @@ read the four likelihoods of model.likelihoods; StoppingRule holds them per
 angle, with the log-odds increments d1 and d2 they give.
 
 StoppingRule is the one stopping predicate of the package: the DP engine, the
-brute-force oracle, the string lab and the fixed-angle simulator all decide
-through it, the last two reading its `verdicts`, which carry the guess made
-on stopping as well.  meets_error_bound is its form in error space, used by
-the closed-form thresholds and the adaptive simulator.  A run stops at the first
-copy after which its posterior error is at most eps; the bound carries a
-relative slack of 1e-10, so every true error is at most eps * (1 + 1e-10).
+string lab and the fixed-angle simulator all decide through it, the last two
+reading its `verdicts`, which carry the guess made on stopping as well; so
+does the brute-force oracle of the tests.  meets_error_bound is its form in
+error space, used by the closed-form thresholds and the adaptive simulator.
+A run stops at the first copy after which its posterior error is at most
+eps; the bound carries a relative slack of 1e-10, so every true error is at
+most eps * (1 + 1e-10).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import DiscriminationProblem, likelihoods
 
 __all__ = [
-    "PosteriorState",
     "StoppingRule",
     "posterior_from_counts",
-    "posterior_error",
     "meets_error_bound",
 ]
 
@@ -52,15 +50,6 @@ def meets_error_bound(error, eps: float):
     return error <= eps * _BOUND_FACTOR
 
 
-@dataclass(frozen=True)
-class PosteriorState:
-    """Posterior probability of psi1 together with the outcome counts behind it."""
-
-    p1: float
-    m1: int
-    m2: int
-
-
 def _log_ratio(num: float, den: float) -> float:
     """ln(num/den) with exact-zero handling; nan if both are zero."""
     if num == 0.0 and den == 0.0:
@@ -77,8 +66,8 @@ def posterior_from_counts(
     likelihoods,
     m1: int,
     m2: int,
-) -> PosteriorState:
-    """Exact Bayesian posterior of psi1 after m1 outcome-1 and m2 outcome-2 results.
+) -> float:
+    """Exact Bayesian posterior probability of psi1 after m1 outcome-1 and m2 outcome-2 results.
 
     likelihoods holds P(1|psi1), P(2|psi1), P(1|psi2) and P(2|psi2), as
     model.likelihoods gives them.  Computed in log-odds space; a
@@ -102,22 +91,12 @@ def posterior_from_counts(
                 logit = step
             else:
                 logit += count * step
-    if logit == math.inf:
-        p1 = 0.0
-    elif logit == -math.inf:
-        p1 = 1.0
-    elif logit > 700.0:
-        p1 = 0.0
-    elif logit < -700.0:
-        p1 = 1.0
-    else:
-        p1 = 1.0 / (1.0 + math.exp(logit))
-    return PosteriorState(p1=p1, m1=m1, m2=m2)
-
-
-def posterior_error(state: PosteriorState) -> float:
-    """Error probability of guessing the more probable hypothesis: min(p1, 1-p1)."""
-    return min(state.p1, 1.0 - state.p1)
+    # past +-700, infinities included, exp overflows or the posterior rounds to 0 or 1
+    if logit > 700.0:
+        return 0.0
+    if logit < -700.0:
+        return 1.0
+    return 1.0 / (1.0 + math.exp(logit))
 
 
 class StoppingRule:

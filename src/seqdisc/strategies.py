@@ -64,21 +64,21 @@ def strategy_angle(problem: DiscriminationProblem, spec: StrategySpec) -> float:
 
 @dataclass(frozen=True)
 class CostResult:
-    """Expected copy count with exactness metadata.
+    """Expected copy count with its enclosure.
 
-    exact results are closed-form or direct solves (residual_mass = 0,
-    bound_width = 0); truncated numerical results carry the unterminated
-    probability mass and a guaranteed enclosure width.
+    Closed forms, direct solves and runs that leave no mass are exact
+    (residual_mass = 0, bound_width = 0); truncated numerical results carry
+    the unterminated probability mass and a guaranteed enclosure width.
     """
 
     expected_copies: float
-    exact: bool
     residual_mass: float = 0.0
     bound_width: float = 0.0
 
-    def __post_init__(self):
-        if self.exact and (self.residual_mass != 0.0 or self.bound_width != 0.0):
-            raise ValueError("exact results must have zero residual mass and bound width")
+    @property
+    def exact(self) -> bool:
+        """Whether no probability mass is left unterminated."""
+        return self.residual_mass == 0.0
 
 
 def _fbm_run_error(problem: DiscriminationProblem, n: int) -> float:
@@ -108,7 +108,7 @@ def fbm_cost(problem: DiscriminationProblem, eps: float) -> CostResult:
     n_t = fbm_threshold(problem, eps)
     s2 = math.sin(2.0 * problem.theta) ** 2
     cost = problem.q1 * n_t + problem.q2 * (1.0 - problem.overlap ** (2 * n_t)) / s2
-    return CostResult(expected_copies=cost, exact=True)
+    return CostResult(expected_copies=cost)
 
 
 def _ubm_error_at(problem: DiscriminationProblem, k: int) -> float:
@@ -150,7 +150,7 @@ def ubm_cost(problem: DiscriminationProblem, eps: float) -> CostResult:
     dim = 2 * k - 1  # interior states -K+1 .. K-1
     a = np.eye(dim) - p * np.eye(dim, k=1) - (1.0 - p) * np.eye(dim, k=-1)
     e = np.linalg.solve(a, np.ones(dim))
-    return CostResult(expected_copies=float(e[k - 1]), exact=True)
+    return CostResult(expected_copies=float(e[k - 1]))
 
 
 def lol_cost(problem: DiscriminationProblem, eps: float) -> int:

@@ -16,19 +16,18 @@ the prefixes that lead to them, each with its own float path product, as the
 best-first expansion computes it.  A string's true error is evaluated once
 per count state emitted.
 The strings come back as a StringSet, one numpy column per field and no
-object per string; aggregate_by_length and cost_from_strings read the columns.
+object per string; aggregate_by_length reads the columns.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DiscriminationProblem
-from .posterior import StoppingRule, posterior_error, posterior_from_counts
-from .strategies import CostResult, StrategyKind, StrategySpec, strategy_angle
+from .model import DiscriminationProblem, _check_integer
+from .posterior import StoppingRule, posterior_from_counts
+from .strategies import StrategyKind, StrategySpec, strategy_angle
 
 __all__ = [
     "StringSet",
@@ -36,7 +35,6 @@ __all__ = [
     "PrefixLimitError",
     "enumerate_strings",
     "aggregate_by_length",
-    "cost_from_strings",
 ]
 
 DEFAULT_COVERAGE = 0.998
@@ -113,10 +111,7 @@ def enumerate_strings(
         raise ValueError("LOL has no fixed-angle string set; its copy count is lol_cost(eps)")
     if isinstance(coverage_target, bool) or not 0.0 < coverage_target <= 1.0:
         raise ValueError(f"coverage_target must lie in (0, 1], got {coverage_target!r}")
-    if isinstance(max_depth, bool) or not isinstance(max_depth, (int, np.integer)):
-        raise ValueError(f"max_depth must be an integer, got {max_depth!r}")
-    if max_depth < 1:
-        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
+    _check_integer("max_depth", max_depth, 1)
     phi = strategy_angle(problem, strategy)
     rule = StoppingRule(problem, phi, eps)
     if not rule.can_stop_within(max_depth):  # no lattice to build: every string runs on
@@ -302,7 +297,8 @@ def _true_errors(problem, rule, n: np.ndarray, m1: np.ndarray) -> np.ndarray:
     errors = np.zeros((int(m1.max()) + 1, int((n - m1).max()) + 1))
     errors[m1, n - m1] = 1.0  # marks the states of the strings
     for k, j in np.argwhere(errors).tolist():
-        errors[k, j] = posterior_error(posterior_from_counts(problem, rule.likelihoods.tolist(), k, j))
+        p1 = posterior_from_counts(problem, rule.likelihoods.tolist(), k, j)
+        errors[k, j] = min(p1, 1.0 - p1)
     return errors[m1, n - m1]
 
 
@@ -344,30 +340,3 @@ def aggregate_by_length(strings: StringSet) -> list[LengthAggregate]:
         LengthAggregate(n=n, total_prob=t, mean_error=w / t if t else 0.0)
         for n, t, w in zip(lengths.tolist(), total.tolist(), weighted.tolist())
     ]
-
-
-def cost_from_strings(
-    strings: StringSet,
-    residual: float,
-    max_depth: int,
-    tail_bound: float = math.inf,
-) -> CostResult:
-    """Expected copies from an enumerated string set: sum of n * P(X_n).
-
-    The residual (unemitted) mass widens the enclosure by residual *
-    (max_depth + tail_bound), where tail_bound bounds the expected copies
-    still needed from any state that has not stopped, since unemitted
-    strings can run past max_depth.  The default, inf, keeps the enclosure
-    rigorous without one: its bound_width is inf whenever residual > 0.  A
-    finite bound is the engine's Wald bound
-    float(engine._tail(StoppingRule(problem, phi, eps), eps)).
-    """
-    cost = sum((strings.n * strings.prob).tolist(), 0.0)
-    if residual <= 0.0:
-        return CostResult(expected_copies=cost, exact=True)
-    return CostResult(
-        expected_copies=cost,
-        exact=False,
-        residual_mass=residual,
-        bound_width=residual * (max_depth + tail_bound),
-    )

@@ -14,7 +14,6 @@ from seqdisc import (
     EngineOptions,
     StrategyKind,
     StrategySpec,
-    brute_force_cost,
     collective_error,
     enumerate_strings,
     fbm_cost,
@@ -29,6 +28,8 @@ from seqdisc import (
     ubm_boundary,
     ubm_cost,
 )
+
+from oracles import brute_force_cost
 
 FBM = StrategySpec(StrategyKind.FBM)
 UBM = StrategySpec(StrategyKind.UBM)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -12,7 +13,6 @@ from seqdisc import (
     DiscriminationProblem,
     EngineOptions,
     NonConvergenceError,
-    brute_force_cost,
     fbm_cost,
     fixed_angle_cost,
     helstrom_angle,
@@ -24,6 +24,8 @@ from seqdisc import (
 from seqdisc import engine
 from seqdisc.engine import CostCapExceeded, fixed_angle_costs
 from seqdisc.posterior import StoppingRule
+
+from oracles import brute_force_cost
 
 TIGHT = EngineOptions(max_copies=50_000, mass_tolerance=1e-14)
 
@@ -40,9 +42,10 @@ def test_engine_options_validation():
     assert EngineOptions(bound_width_limit=0.0).bound_width_limit == 0.0
 
 
-@pytest.mark.parametrize("max_copies", [2.5, 3.0, True])
+@pytest.mark.parametrize("max_copies", [2.5, 3.0, True, 0, -1, np.int64(0)])
 def test_max_copies_must_be_a_positive_integer(max_copies):
-    with pytest.raises(ValueError, match="max_copies must be an integer >= 1"):
+    with pytest.raises(ValueError, match=re.escape(
+            f"max_copies must be an integer >= 1, got {max_copies!r}")):
         EngineOptions(max_copies=max_copies)
 
 
@@ -107,9 +110,13 @@ def test_nonconvergence_at_uninformative_angle(problem12):
         fixed_angle_cost(problem12, 0.0, 0.1, EngineOptions(max_copies=200))
 
 
+def _capped(problem, phi, eps, opts, cap):
+    """The outcome of one angle under a cost cap: a result or the error it ended with."""
+    return fixed_angle_costs(problem, [phi], eps, opts, cost_cap=cap).outcomes[0]
+
+
 def test_cost_cap_abandons_expensive_angles(problem12):
-    with pytest.raises(CostCapExceeded):
-        fixed_angle_cost(problem12, 0.02, 0.179, cost_cap=5.0)
+    assert isinstance(_capped(problem12, 0.02, 0.179, None, 5.0), CostCapExceeded)
 
 
 OWN_COST_PHIS = [0.02 + i * (math.pi / 2 - 0.04) / 24 for i in range(25)]
@@ -130,7 +137,7 @@ def test_cap_at_own_cost_keeps_the_result(theta, q1, eps):
     converged = [(phi, r) for phi, r in zip(OWN_COST_PHIS, uncapped) if isinstance(r, CostResult)]
     assert len(converged) >= 20
     for phi, result in converged:
-        assert fixed_angle_cost(problem, phi, eps, opts, cost_cap=result.expected_copies) == result
+        assert _capped(problem, phi, eps, opts, result.expected_copies) == result
 
 
 def test_cap_at_own_cost_keeps_an_accepted_residual(problem12):
@@ -140,9 +147,9 @@ def test_cap_at_own_cost_keeps_an_accepted_residual(problem12):
     result = fixed_angle_cost(problem12, 0.6, 0.179, opts)
     assert result.residual_mass > 1e-9
     assert 0.5 * opts.bound_width_limit < result.bound_width <= opts.bound_width_limit
-    assert fixed_angle_cost(problem12, 0.6, 0.179, opts, cost_cap=result.expected_copies) == result
-    with pytest.raises(CostCapExceeded):
-        fixed_angle_cost(problem12, 0.6, 0.179, opts, cost_cap=0.5 * result.expected_copies)
+    assert _capped(problem12, 0.6, 0.179, opts, result.expected_copies) == result
+    assert isinstance(_capped(problem12, 0.6, 0.179, opts, 0.5 * result.expected_copies),
+                      CostCapExceeded)
 
 
 def _costs(batch):
@@ -411,7 +418,7 @@ def test_verdicts_decide_as_stop_rule_and_guess_as_posterior(theta, q1, phi, eps
         assert verdicts.dtype == np.int8
         assert [rule.stops(m1, n - m1) for m1 in range(n + 1)] == (verdicts != 0).tolist(), n
         stopping = np.flatnonzero(verdicts).tolist()
-        guesses = [1 if posterior_from_counts(problem, lik, m1, n - m1).p1 >= 0.5 else 2
+        guesses = [1 if posterior_from_counts(problem, lik, m1, n - m1) >= 0.5 else 2
                    for m1 in stopping]
         assert verdicts[stopping].tolist() == guesses, n
 
@@ -558,7 +565,7 @@ LOOP_OPTS = EngineOptions(max_copies=6_000, bound_width_limit=math.inf)
     (math.pi / 12, 0.9, 0.179, TIGHT),
     (math.pi / 12, 0.9, 0.1, TIGHT),
 ])
-def test_batch_matches_single_angle_loop(theta, phi, eps, opts):
+def test_batch_matches_single_angle_loop(monkeypatch, theta, phi, eps, opts):
     problem = DiscriminationProblem(theta=theta)
     cost, residual, trims, records = _single_angle_reference(problem, phi, eps, opts)
     batch = fixed_angle_costs(problem, [phi], eps, opts)
@@ -567,6 +574,15 @@ def test_batch_matches_single_angle_loop(theta, phi, eps, opts):
     assert batch.angle_steps == len(records)
     if phi < 0.01:
         assert trims > 0
+        # the reference trims at every depth, the engine at block ends: with
+        # blocks of one copy the engine trims where the reference does
+        monkeypatch.setattr(engine, "_FIRST_BLOCK", 1)
+        monkeypatch.setattr(engine, "_MAX_BLOCK", 1)
+        batch = fixed_angle_costs(problem, [phi], eps, opts)
+        result = batch.outcomes[0]
+        assert (result.expected_copies.hex(), result.residual_mass.hex()) == (
+            cost.hex(), residual.hex())
+        assert batch.angle_steps == len(records)
 
 
 # Fig. 1 at theta = 0.2095, eps = 0.125: one grid step of a 100-point scan in
@@ -607,6 +623,14 @@ def test_block_sizes_do_not_change_results(monkeypatch, first, most, cells):
         assert batch.angle_steps == expected.angle_steps
 
 
+def _pinned_text(outcome):
+    """An outcome's str, a result's with the `exact` it held as a field when the digest was taken."""
+    if isinstance(outcome, CostResult):
+        return (f"CostResult(expected_copies={outcome.expected_copies!r}, exact={outcome.exact!r}, "
+                f"residual_mass={outcome.residual_mass!r}, bound_width={outcome.bound_width!r})")
+    return str(outcome)
+
+
 def test_capped_wide_batch_outcomes_are_pinned():
     # a coarse scan's batch: 200 grid points capped at the lower anchor
     # cost, which drops 196 of them; every outcome and message is pinned
@@ -619,7 +643,7 @@ def test_capped_wide_batch_outcomes_are_pinned():
                                  cost_cap=cap).outcomes
     assert Counter(type(o) for o in outcomes) == {
         CostCapExceeded: 196, NonConvergenceError: 2, CostResult: 2}
-    digest = hashlib.sha256("\n".join(map(str, outcomes)).encode()).hexdigest()
+    digest = hashlib.sha256("\n".join(map(_pinned_text, outcomes)).encode()).hexdigest()
     assert digest == "1ed4eaab0eb1ae358f348a409622d30d156606db2ef2b6db736d0f9eac416be5"
 
 

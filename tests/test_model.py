@@ -7,7 +7,6 @@ from seqdisc import (
     DiscriminationProblem,
     collective_error,
     helstrom_angle,
-    helstrom_error,
     likelihoods,
 )
 
@@ -77,24 +76,26 @@ def test_helstrom_angle_in_range(theta, q1):
 
 
 def test_helstrom_error_examples():
+    # the single-copy Helstrom error is the one-copy collective bound
     p = DiscriminationProblem(theta=math.pi / 12)
-    assert helstrom_error(p) == pytest.approx(0.25, abs=1e-12)
+    assert collective_error(p, 1) == pytest.approx(0.25, abs=1e-12)
     p8 = DiscriminationProblem(theta=math.pi / 8)
-    assert helstrom_error(p8) == pytest.approx(0.5 * (1.0 - math.sin(math.pi / 4)), abs=1e-12)
+    assert collective_error(p8, 1) == pytest.approx(0.5 * (1.0 - math.sin(math.pi / 4)), abs=1e-12)
     # nearly certain prior: error tends to zero
-    assert helstrom_error(DiscriminationProblem(theta=0.3, q1=1e-9)) < 1e-8
+    assert collective_error(DiscriminationProblem(theta=0.3, q1=1e-9), 1) < 1e-8
 
 
 @given(theta=angles, q1=priors)
 def test_helstrom_error_prior_symmetry(theta, q1):
-    e1 = helstrom_error(DiscriminationProblem(theta=theta, q1=q1))
-    e2 = helstrom_error(DiscriminationProblem(theta=theta, q1=1.0 - q1))
+    e1 = collective_error(DiscriminationProblem(theta=theta, q1=q1), 1)
+    e2 = collective_error(DiscriminationProblem(theta=theta, q1=1.0 - q1), 1)
     assert e1 == pytest.approx(e2, abs=1e-14)
 
 
 def test_collective_error_examples():
     p = DiscriminationProblem(theta=math.pi / 12)
-    assert collective_error(p, 1) == pytest.approx(helstrom_error(p), abs=1e-15)
+    # Helstrom's (1 - sqrt(1 - 4 q1 q2 c^2)) / 2 with c = cos(pi/6)
+    assert collective_error(p, 1) == pytest.approx(0.5 * (1.0 - math.sqrt(1.0 - 0.75)), abs=1e-15)
     expected2 = 0.5 * (1.0 - math.sqrt(1.0 - 0.75**2))
     assert collective_error(p, 2) == pytest.approx(expected2, abs=1e-12)
     assert collective_error(p, 2) == pytest.approx(0.16928, abs=1e-5)

@@ -12,7 +12,6 @@ from seqdisc import (
     MonteCarloReport,
     StrategyKind,
     StrategySpec,
-    empirical_string_errors,
     enumerate_strings,
     likelihoods,
     lol_cost,
@@ -31,6 +30,8 @@ from seqdisc.montecarlo import (
     _FixedAngle,
 )
 from seqdisc.posterior import _log_ratio, meets_error_bound
+
+from oracles import empirical_string_errors
 
 UBM = StrategySpec(StrategyKind.UBM)
 FBM = StrategySpec(StrategyKind.FBM)
@@ -60,7 +61,8 @@ def test_trials_must_be_a_positive_integer(problem12, monkeypatch, trials):
         raise AssertionError("a chunk of trials ran")
 
     monkeypatch.setattr(seqdisc.montecarlo, "_run_chunk", no_chunk)
-    with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+    message = re.escape(f"trials must be an integer >= 1, got {trials!r}")
+    with pytest.raises(ValueError, match=message):
         run_trials(problem12, UBM, 0.179, trials)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,13 +30,14 @@ def test_scan_validation(problem12):
         scan_angles(problem12, 0.179, 0.0, 1.0, 1)
 
 
-@pytest.mark.parametrize("resolution", [2.5, True, 1.0])
+@pytest.mark.parametrize("resolution", [2.5, True, 1.0, 1, 0, np.int64(1)])
 def test_scan_resolution_must_be_an_integer(problem12, monkeypatch, resolution):
     # rejected before any angle is run
     monkeypatch.setattr(optimizer, "fixed_angle_costs", None)
-    with pytest.raises(ValueError, match="resolution must be an integer >= 2"):
+    message = re.escape(f"resolution must be an integer >= 2, got {resolution!r}")
+    with pytest.raises(ValueError, match=message):
         scan_angles(problem12, 0.179, 0.4, 0.9, resolution)
-    with pytest.raises(ValueError, match="resolution must be an integer >= 2"):
+    with pytest.raises(ValueError, match=message):
         optimize_angle(problem12, 0.179, resolution=resolution)
 
 
@@ -166,11 +168,12 @@ class _sequential_reference:
                 if not math.isfinite(cap):
                     cap = None
             try:
-                result = fixed_angle_cost(problem, phi, eps, opts, cost_cap=cap)
-            except (CostCapExceeded, NonConvergenceError, ValueError) as exc:
-                samples.append((phi, exc))
-                continue
+                result = fixed_angle_costs(problem, [phi], eps, opts, cost_cap=cap).outcomes[0]
+            except ValueError as exc:
+                result = exc
             samples.append((phi, result))
+            if isinstance(result, (CostCapExceeded, NonConvergenceError, ValueError)):
+                continue
             if result.expected_copies < best_cost:
                 best_cost, best_phi = result.expected_copies, phi
         if not math.isfinite(best_cost):

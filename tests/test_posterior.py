@@ -7,7 +7,6 @@ from seqdisc import (
     DiscriminationProblem,
     StoppingRule,
     likelihoods,
-    posterior_error,
     posterior_from_counts,
 )
 
@@ -17,18 +16,25 @@ meas_angles = st.floats(min_value=0.0, max_value=math.pi / 2 - 1e-9)
 counts = st.integers(min_value=0, max_value=40)
 
 
+def _error(p1):
+    """The error of guessing the more probable hypothesis."""
+    return min(p1, 1.0 - p1)
+
+
 def test_posterior_examples():
     p = DiscriminationProblem(theta=math.pi / 12)
     lik = likelihoods(p, math.pi / 4)
     # two outcome-1 results at the symmetric Helstrom angle: [1 + (1/3)^2]^-1
-    state = posterior_from_counts(p, lik, 2, 0)
-    assert state.p1 == pytest.approx(0.9, abs=1e-12)
-    assert posterior_error(state) == pytest.approx(0.1, abs=1e-12)
+    p1 = posterior_from_counts(p, lik, 2, 0)
+    assert p1 == pytest.approx(0.9, abs=1e-12)
+    assert _error(p1) == pytest.approx(0.1, abs=1e-12)
     # no evidence returns the prior
-    assert posterior_from_counts(p, lik, 0, 0).p1 == pytest.approx(p.q1, abs=1e-15)
+    assert posterior_from_counts(p, lik, 0, 0) == pytest.approx(p.q1, abs=1e-15)
     # outcome 2 impossible under psi1 when measuring along psi1
     aligned = likelihoods(p, p.theta)
-    assert posterior_from_counts(p, aligned, 5, 1).p1 == 0.0
+    assert posterior_from_counts(p, aligned, 5, 1) == 0.0
+    # outcome 1 impossible under psi2: one outcome 1 decides for psi1
+    assert posterior_from_counts(p, (0.75, 0.25, 0.0, 1.0), 1, 7) == 1.0
 
 
 def test_posterior_rejects_impossible_evidence():
@@ -43,10 +49,10 @@ def test_posterior_rejects_impossible_evidence():
 def test_posterior_error_values():
     p = DiscriminationProblem(theta=math.pi / 12)
     lik = likelihoods(p, math.pi / 4)
-    assert posterior_error(posterior_from_counts(p, lik, 2, 0)) == pytest.approx(0.1, abs=1e-12)
-    assert posterior_error(posterior_from_counts(p, lik, 0, 0)) == 0.5
+    assert _error(posterior_from_counts(p, lik, 2, 0)) == pytest.approx(0.1, abs=1e-12)
+    assert _error(posterior_from_counts(p, lik, 0, 0)) == 0.5
     aligned = likelihoods(p, p.theta)
-    assert posterior_error(posterior_from_counts(p, aligned, 0, 1)) == 0.0
+    assert _error(posterior_from_counts(p, aligned, 0, 1)) == 0.0
 
 
 @given(theta=angles, q1=priors, phi=meas_angles, m1=counts, m2=counts)
@@ -54,13 +60,13 @@ def test_sequential_update_consistency(theta, q1, phi, m1, m2):
     # closed-form posterior at (m1+1, m2) equals one Bayes step from (m1, m2)
     p = DiscriminationProblem(theta=theta, q1=q1)
     lik = likelihoods(p, phi)
-    prev = posterior_from_counts(p, lik, m1, m2).p1
+    prev = posterior_from_counts(p, lik, m1, m2)
     num = prev * lik[0]  # P(1|psi1)
     den = num + (1.0 - prev) * lik[2]  # P(1|psi2)
     if den == 0.0:
         return  # outcome 1 impossible from this belief
     stepped = num / den
-    closed = posterior_from_counts(p, lik, m1 + 1, m2).p1
+    closed = posterior_from_counts(p, lik, m1 + 1, m2)
     assert closed == pytest.approx(stepped, abs=1e-12)
 
 
@@ -68,15 +74,15 @@ def test_sequential_update_consistency(theta, q1, phi, m1, m2):
 def test_symmetric_posterior_depends_on_count_difference(theta, m1, m2, shift):
     p = DiscriminationProblem(theta=theta, q1=0.5)
     lik = likelihoods(p, math.pi / 4)
-    base = posterior_from_counts(p, lik, m1, m2).p1
-    shifted = posterior_from_counts(p, lik, m1 + shift, m2 + shift).p1
+    base = posterior_from_counts(p, lik, m1, m2)
+    shifted = posterior_from_counts(p, lik, m1 + shift, m2 + shift)
     assert shifted == pytest.approx(base, abs=1e-12)
 
 
 @given(theta=angles, q1=priors, phi=meas_angles, m1=counts, m2=counts)
 def test_posterior_error_at_most_half(theta, q1, phi, m1, m2):
     p = DiscriminationProblem(theta=theta, q1=q1)
-    err = posterior_error(posterior_from_counts(p, likelihoods(p, phi), m1, m2))
+    err = _error(posterior_from_counts(p, likelihoods(p, phi), m1, m2))
     assert 0.0 <= err <= 0.5
 
 

@@ -15,7 +15,6 @@ from seqdisc import (
     likelihoods,
     lol_cost,
     meets_error_bound,
-    posterior_error,
     posterior_from_counts,
     ubm_boundary,
 )
@@ -24,6 +23,12 @@ TINY_EPS = [1e-13, 1e-15, 1e-30]
 # the guarantee is true_error <= eps * (1 + 1e-10); this allows for the rounding
 # of the true error's own closed form on top
 GUARANTEE = 1.0 + 1e-9
+
+
+def _posterior_error(problem, lik, m1, m2):
+    """The error min(p1, 1 - p1) of guessing the more probable hypothesis at the counts."""
+    p1 = posterior_from_counts(problem, lik, m1, m2)
+    return min(p1, 1.0 - p1)
 
 
 def _log_odds_error(problem, phi, m1, m2):
@@ -56,7 +61,7 @@ def test_stopping_states_keep_the_error_bound_for_tiny_eps(problem12, eps, angle
     stopping = np.flatnonzero(verdicts)
     n, m1 = n[stopping], m1[stopping]
     lik = likelihoods(problem12, phi)
-    assert max(posterior_error(posterior_from_counts(problem12, lik, k, j - k))
+    assert max(_posterior_error(problem12, lik, k, j - k)
                for j, k in zip(n.tolist(), m1.tolist())) <= eps * GUARANTEE
     assert _log_odds_error(problem12, phi, m1, n - m1).max() <= eps * GUARANTEE
 
@@ -98,8 +103,8 @@ def test_rule_decides_as_the_posterior_error(theta, q1, phi, eps):
     rule = StoppingRule(problem, phi, eps)
     for n in range(1, 65):
         m1 = np.arange(n + 1)
-        expected = [meets_error_bound(posterior_error(posterior_from_counts(problem, lik, k, n - k)),
-                                      eps) for k in range(n + 1)]
+        expected = [meets_error_bound(_posterior_error(problem, lik, k, n - k), eps)
+                    for k in range(n + 1)]
         assert rule.stops(m1, n - m1).tolist() == expected, n
 
 

@@ -3,6 +3,7 @@ import hashlib
 import heapq
 import math
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,18 +16,18 @@ from seqdisc import (
     StrategyKind,
     StrategySpec,
     aggregate_by_length,
-    cost_from_strings,
     enumerate_strings,
     fbm_cost,
     likelihoods,
     meets_error_bound,
-    posterior_error,
     posterior_from_counts,
     strategy_angle,
     ubm_cost,
 )
 from seqdisc.engine import _tail
 from seqdisc.stringlab import LengthAggregate, StringSet, outcome_labels
+
+from oracles import cost_from_strings
 
 FBM = StrategySpec(StrategyKind.FBM)
 UBM = StrategySpec(StrategyKind.UBM)
@@ -327,11 +328,11 @@ def _heap_reference(problem, strategy, eps, coverage_target, max_depth):
         if n > 0:
             verdict = verdicts.get((m1, m2))
             if verdict is None:
-                state = posterior_from_counts(problem, lik, m1, m2)
+                p1 = posterior_from_counts(problem, lik, m1, m2)
                 guess = 0
-                if meets_error_bound(posterior_error(state), eps):
-                    guess = 1 if state.p1 >= 0.5 else 2
-                verdict = verdicts[m1, m2] = (guess, (1.0 - state.p1) if guess == 1 else state.p1)
+                if meets_error_bound(min(p1, 1.0 - p1), eps):
+                    guess = 1 if p1 >= 0.5 else 2
+                verdict = verdicts[m1, m2] = (guess, (1.0 - p1) if guess == 1 else p1)
             guess, error = verdict
             if guess:
                 emitted.append((outcomes, -neg_prob, pg1, pg2, error, guess))
@@ -488,13 +489,17 @@ def test_search_past_its_string_cap_fails_before_any_walk(problem12):
 
 @pytest.mark.parametrize("keyword,value", [
     ("max_depth", True), ("max_depth", np.True_), ("max_depth", 2.5), ("max_depth", 24.0),
-    ("max_depth", "24"), ("coverage_target", True),
+    ("max_depth", "24"), ("max_depth", 0), ("max_depth", -3), ("max_depth", np.int64(0)),
+    ("coverage_target", True),
 ])
 def test_settings_of_the_wrong_type_are_rejected(problem12, keyword, value, monkeypatch):
     # checked before any work: max_depth=True used to run as depth 1, and 2.5
     # to fail in numpy with a TypeError
     monkeypatch.setattr(seqdisc.stringlab, "_select", None)
-    with pytest.raises(ValueError, match=keyword):
+    message = keyword
+    if keyword == "max_depth":
+        message = f"max_depth must be an integer >= 1, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         enumerate_strings(problem12, UBM, 0.179, **{keyword: value})
 
 
